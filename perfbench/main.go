@@ -1,5 +1,5 @@
 // Command perfbench is the repository's benchmark. It drives the built vcbench
-// binary through one workload per run, or through all three in turn, and
+// binary through one workload per run, or through all of them in turn, and
 // prints every end-to-end metric (or, with -trace 1, every per-layer metric)
 // by name, unit and sample count, followed by one JSON result line. run.sh
 // builds both binaries first.
@@ -7,8 +7,9 @@
 // Workloads:
 //
 //	cold-run-fig4b  vcbench -run fig4b -reps 1 -format json -o OUT -store EMPTY
+//	cold-run-fig1a  vcbench -run fig1a -reps 1 -format json -o OUT -store EMPTY
 //	warm-check-all  vcbench -check all -reps 1 -store WARM, a fresh store copy per pass
-//	serve-whatif    vcbench serve -reps 1 -store WARM under a seeded closed loop
+//	serve-whatif    one vcbench serve -reps 1 -store WARM per run, under a seeded closed loop
 //
 // WARM is the store an untimed cold -run all leaves, built once per checkout
 // by the first run. End-to-end numbers come from untraced vcbench processes.
@@ -39,18 +40,24 @@ var workloads = []struct {
 	name       string
 	run, trace runFunc
 }{
-	{"cold-run-fig4b", runCold, traceCold},
+	{"cold-run-fig4b", runCold("fig4b"), traceCold("fig4b")},
+	{"cold-run-fig1a", runCold("fig1a"), traceCold("fig1a")},
 	{"warm-check-all", runWarm, traceWarm},
 	{"serve-whatif", runServe, traceServe},
 }
 
 func main() {
+	var known []string
+	for _, w := range workloads {
+		known = append(known, w.name)
+	}
+	usage := strings.Join(known, ", ") + ", or all of them in turn"
 	var (
 		root     = flag.String("root", ".", "repository checkout under test")
 		build    = flag.String("build", ".bench_build", "directory holding the built vcbench binary, stores and scratch files")
-		workload = flag.String("workload", "", "cold-run-fig4b, warm-check-all, serve-whatif, or all of them in turn")
+		workload = flag.String("workload", "", usage)
 		seed     = flag.Int64("seed", 1, "seed of the serve-whatif request stream (the batch workloads' inputs are the paper's fixed grid)")
-		seconds  = flag.Int("seconds", 10, "measurement time of one run; a batch pass that takes longer runs once")
+		seconds  = flag.Int("seconds", 15, "measurement time of one run; a batch pass that takes longer runs once")
 		trace    = flag.Int("trace", 0, "0 reports end-to-end metrics, 1 re-drives the workload in-process and reports per-layer metrics")
 	)
 	flag.Parse()
@@ -66,7 +73,7 @@ func main() {
 		}
 	}
 	if len(names) == 0 || *seconds < 1 || (*trace != 0 && *trace != 1) {
-		fmt.Fprintln(os.Stderr, "perfbench: need -workload cold-run-fig4b|warm-check-all|serve-whatif|all, -seconds >= 1 and -trace 0|1")
+		fmt.Fprintf(os.Stderr, "perfbench: need -workload (%s), -seconds >= 1 and -trace 0|1\n", usage)
 		os.Exit(2)
 	}
 	b, err := newBench(*root, *build)
@@ -75,15 +82,15 @@ func main() {
 		os.Exit(1)
 	}
 	defer b.close()
-	specs := endToEnd
+	specs, table := endToEnd, printed
 	if *trace == 1 {
-		specs = perLayer
+		specs, table = perLayer, perLayer
 	}
 	results := map[string]*outcome{}
 	for _, name := range names {
 		fmt.Printf("perfbench: workload=%s seed=%d seconds=%d trace=%d nproc=%d go=%s code_version=%s\n",
 			name, *seed, *seconds, *trace, runtime.NumCPU(), runtime.Version(), b.codeVersion)
-		b.speed = newSpeedometer(b.goldens[refDocument])
+		b.speed = newSpeedometer()
 		out, err := runs[name](b, *seed, time.Duration(*seconds)*time.Second)
 		if err != nil {
 			b.close()
@@ -96,7 +103,7 @@ func main() {
 				median(b.speed.samples), len(b.speed.samples), scale)
 			out.normalize(scale)
 		}
-		out.printTable(os.Stdout, specs, *trace == 0)
+		out.printTable(os.Stdout, table, *trace == 0)
 		results[name] = out
 	}
 	printResult(os.Stdout, results, specs)
@@ -140,7 +147,7 @@ func (o *outcome) set(name string, v float64, n int) { o.values[name] = value{v,
 // normalize puts the end-to-end metrics at the reference speed (speed.go):
 // times are multiplied by scale, rates divided by it, and memory kept.
 func (o *outcome) normalize(scale float64) {
-	for _, m := range endToEnd {
+	for _, m := range printed {
 		v := o.values[m.name]
 		switch m.unit {
 		case "MB":
@@ -159,44 +166,58 @@ type metricSpec struct {
 	name, unit, moves string
 }
 
-// endToEnd lists the metrics a user of vcbench sees. An operation is one
-// vcbench command on the batch workloads and one request on serve-whatif; a
-// session is one measured vcbench process.
+// endToEnd lists the metrics a user of vcbench sees. The result line carries
+// each of them for every workload, so none may read 0. An operation is one
+// command on the batch workloads and one request on serve-whatif.
 var endToEnd = []metricSpec{
-	{"wall_s", "s", "session spawn to exit (serve-whatif: start, one pass over the stream, drain)"},
-	{"cpu_s", "s", "user+sys CPU of the vcbench process per session"},
-	{"rss_peak_mb", "MB", "peak RSS of the vcbench process per session"},
-	{"setup_s", "s", "spawn to ready: serve to its first 200 from /readyz, batch to the exit of -run table1 over the workload's store"},
-	{"rps", "1/s", "cells answered per second: 200 responses on serve-whatif, store hits plus executions per command wall on batch"},
-	{"p50_ms", "ms", "median operation latency as the client sees it"},
-	{"p99_ms", "ms", "99th percentile operation latency, or the highest with 10 samples beyond it"},
-	{"p999_ms", "ms", "99.9th percentile operation latency, or the highest with 10 samples beyond it"},
-	{"cpu_us_per_req", "us", "vcbench CPU per cell answered"},
+	{"wall_s", "s", "batch: command spawn to exit, median; serve: one sweep of the catalog at the loop's rate"},
+	{"cpu_s", "s", "batch: user+sys CPU of the command, median; serve: server CPU per sweep of the catalog"},
+	{"rss_peak_mb", "MB", "peak RSS of the vcbench process: median over batch commands; the run's serve process"},
+	{"setup_s", "s", "spawn to ready, median of probes spread over the run: serve to its first 200 from /readyz, batch to the exit of -run table1 over the workload's store"},
+	{"rps", "1/s", "serve: verified 200 responses per second of load; batch: cells answered per second of command wall"},
+	{"p50_ms", "ms", "serve: median request round trip; batch: median command wall"},
+	{"cpu_us_per_req", "us", "vcbench CPU per cell answered: per verified request on serve"},
 }
+
+// tailLatency lists serve-whatif's tail percentiles, which are printed with
+// the end-to-end metrics but left out of the result line. On the shared
+// 2-core machine the benchmark was built on, background load from other
+// tenants moved the p99 by 20 to 30% and the p99.9 by 75 to 95% between sets
+// of ten runs of the same code, and spread them by up to 48% within a set,
+// while the median round trip and the rate moved by at most 12%: no bound
+// could tell a regression from that. A batch run holds no tail with ten
+// samples beyond it, so they read 0 there.
+var tailLatency = []metricSpec{
+	{"p99_ms", "ms", "serve: 99th percentile request round trip; printed only"},
+	{"p999_ms", "ms", "serve: 99.9th percentile request round trip; printed only"},
+}
+
+// printed is what a run without -trace 1 prints.
+var printed = append(append([]metricSpec(nil), endToEnd...), tailLatency...)
 
 // perLayer lists the layer metrics of the traced run. Counts come from the
 // program's own counters (-cache-stats, /metrics) read in an untraced pass;
 // times come from spans this package records around calls into each layer.
 // A layer a workload never calls reads 0 with 0 samples.
 var perLayer = []metricSpec{
-	{"core.runner.cells_executed", "count", "every cold-run-fig4b metric; must be 0 on warm-check-all and serve-whatif"},
+	{"core.runner.cells_executed", "count", "every metric of the cold workloads; must be 0 on warm-check-all and serve-whatif"},
 	{"core.runner.cells_replayed", "count", "wall_s on warm-check-all, rps on serve-whatif"},
-	{"core.store.hit_ratio", "ratio", "wall_s on warm-check-all, rps on serve-whatif; 0 on cold-run-fig4b"},
-	{"core.runner.execute_s", "s", "wall_s, cpu_s, rss_peak_mb on cold-run-fig4b; none on the warm workloads"},
-	{"core.runner.execute_us_per_dispatch", "us", "cpu_s on cold-run-fig4b"},
-	{"sim.dispatches", "count", "cpu_s on cold-run-fig4b"},
-	{"core.store.disk.put_us", "us", "wall_s on cold-run-fig4b"},
-	{"core.store.disk.bytes", "bytes", "wall_s on cold-run-fig4b"},
-	{"core.store.disk.get_us", "us", "wall_s, cpu_s on warm-check-all; none on cold-run-fig4b, where every disk get misses"},
+	{"core.store.hit_ratio", "ratio", "wall_s on warm-check-all, rps on serve-whatif; 0 on the cold workloads"},
+	{"core.runner.execute_s", "s", "wall_s, cpu_s, rss_peak_mb on the cold workloads; none on the warm workloads"},
+	{"core.runner.execute_us_per_dispatch", "us", "cpu_s on the cold workloads"},
+	{"sim.dispatches", "count", "cpu_s on the cold workloads"},
+	{"core.store.disk.put_us", "us", "wall_s on the cold workloads"},
+	{"core.store.disk.bytes", "bytes", "wall_s on the cold workloads"},
+	{"core.store.disk.get_us", "us", "wall_s, cpu_s on warm-check-all; none on the cold workloads, where every disk get misses"},
 	{"core.store.disk.decode_failures", "count", "must be 0; wall_s, cpu_s on warm-check-all"},
 	{"core.store.mem.get_us", "us", "p50_ms on serve-whatif, wall_s on warm-check-all"},
-	{"core.snapshot.replay_us", "us", "p50_ms, cpu_us_per_req on serve-whatif; wall_s on warm-check-all; none on cold-run-fig4b"},
+	{"core.snapshot.replay_us", "us", "p50_ms, cpu_us_per_req on serve-whatif; wall_s on warm-check-all; none on the cold workloads"},
 	{"core.snapshot.replay_p99_us", "us", "p99_ms on serve-whatif"},
 	{"core.runner.cellkey_us", "us", "cpu_us_per_req, p50_ms on serve-whatif"},
 	{"report.encode_wire_us", "us", "cpu_us_per_req on serve-whatif"},
-	{"report.encode_json_ms", "ms", "wall_s on cold-run-fig4b"},
+	{"report.encode_json_ms", "ms", "wall_s on the cold workloads"},
 	{"expected.compare_ms", "ms", "wall_s on warm-check-all"},
-	{"experiments.self_ms", "ms", "wall_s on cold-run-fig4b and warm-check-all"},
+	{"experiments.self_ms", "ms", "wall_s on the cold workloads and warm-check-all"},
 	{"codeversion.fingerprint_ms", "ms", "setup_s on every workload, wall_s on warm-check-all"},
 	{"core.store.open_ms", "ms", "setup_s on every workload, wall_s on warm-check-all"},
 	{"serve.handler_us", "us", "p50_ms, rps on serve-whatif"},
@@ -272,19 +293,20 @@ func printResult(w io.Writer, results map[string]*outcome, specs []metricSpec) {
 	fmt.Fprintln(w, string(line))
 }
 
-// sessionStats turns measured vcbench sessions into the end-to-end metrics
-// shared by every workload. cells[i] is the number of cells session i
-// answered; setup holds spawn-to-ready samples; latencyMS the operation
-// latencies.
-func (o *outcome) sessionStats(sessions []*proc, cells []float64, setup []time.Duration, latencyMS []float64) {
+// batchStats sets the end-to-end metrics of a batch run from its passes;
+// cells[i] is the number of cells pass i answered. A batch workload's
+// operation is one command, so the request-level metrics read the command:
+// p50_ms its median wall, rps the cells it answers per second of wall and
+// cpu_us_per_req its CPU per cell.
+func (o *outcome) batchStats(passes []*proc, cells []float64, setup []time.Duration) {
 	var wall, cpu, rss, rate, cpuPerCell, setupS []float64
-	for i, s := range sessions {
-		wall = append(wall, s.wall.Seconds())
-		cpu = append(cpu, s.cpu.Seconds())
-		rss = append(rss, s.rssMB)
+	for i, p := range passes {
+		wall = append(wall, p.wall.Seconds())
+		cpu = append(cpu, p.cpu.Seconds())
+		rss = append(rss, p.rssMB)
 		if cells[i] > 0 {
-			rate = append(rate, cells[i]/s.wall.Seconds())
-			cpuPerCell = append(cpuPerCell, float64(s.cpu.Microseconds())/cells[i])
+			rate = append(rate, cells[i]/p.wall.Seconds())
+			cpuPerCell = append(cpuPerCell, float64(p.cpu.Microseconds())/cells[i])
 		}
 	}
 	for _, d := range setup {
@@ -296,19 +318,7 @@ func (o *outcome) sessionStats(sessions []*proc, cells []float64, setup []time.D
 	o.set("setup_s", median(setupS), len(setupS))
 	o.set("rps", median(rate), len(rate))
 	o.set("cpu_us_per_req", median(cpuPerCell), len(cpuPerCell))
-	o.set("p50_ms", quantile(latencyMS, 0.5), len(latencyMS))
-	o.set("p99_ms", tail(latencyMS, 0.99), len(latencyMS))
-	o.set("p999_ms", tail(latencyMS, 0.999), len(latencyMS))
-}
-
-// tail is the q-quantile, lowered to the highest quantile that still has ten
-// samples beyond it (but not below the median): a batch run holds tens of
-// passes, where a p99 would be the slowest pass alone.
-func tail(xs []float64, q float64) float64 {
-	if limit := 1 - 10/float64(len(xs)); q > limit {
-		q = math.Max(limit, 0.5)
-	}
-	return quantile(xs, q)
+	o.set("p50_ms", 1e3*median(wall), len(wall))
 }
 
 func median(xs []float64) float64 { return quantile(xs, 0.5) }

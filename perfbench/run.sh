@@ -2,7 +2,7 @@
 # Builds vcbench and perfbench from the checkout's sources, then runs
 # perfbench. Run from the repository root:
 #
-#   bash perfbench/run.sh --workload serve-whatif --seed 1 --seconds 10 --trace 0
+#   bash perfbench/run.sh --workload serve-whatif --seed 1 --seconds 15 --trace 0
 #
 # Every build output, store and scratch file stays under the build directory
 # ($CARGO_TARGET_DIR, default .bench_build), including the Go build cache.

@@ -9,11 +9,14 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -21,27 +24,30 @@ import (
 )
 
 const (
-	// sessionPasses is how many times one serve session's stream covers the
-	// catalog: about half a second of load on two cores, so a run holds
-	// several sessions and its pooled tail percentiles have dozens of samples
-	// beyond p99.9.
-	sessionPasses = 10
-	// readyTimeout bounds how long a session waits for serve to listen.
+	// streamPasses is how many seeded passes over the catalog the stream
+	// holds. The closed loop starts over at its beginning when a run answers
+	// more: the memory tier holds every cell after its first touch, so a
+	// second lap costs the server what a fresh pass would.
+	streamPasses = 16
+	// readyTimeout bounds how long a serve process may take to answer
+	// /readyz with 200.
 	readyTimeout = 30 * time.Second
 )
 
-// serveLoad drives serve-whatif: each session starts vcbench serve over a
-// fresh copy of the warm store, waits for /readyz, answers the seeded stream
-// over nproc keep-alive connections in a closed loop, reads /metrics and
-// drains the server with SIGTERM.
+// serveLoad drives serve-whatif: one vcbench serve process per run, over a
+// fresh copy of the warm store, answers the seeded stream for the whole run
+// in a closed loop over nproc keep-alive connections. The loop pauses at
+// evenly spread points while a separate serve process, over its own copy of
+// the store, is timed from spawn to its first 200 from /readyz and drained.
 type serveLoad struct {
 	b      *bench
 	cat    *catalog
 	stream []request
-	first  []bool            // stream[i] is the first occurrence of its request
 	crc    map[string]uint32 // checksum of the first answer to each request body
 	conns  int
-	client *http.Client
+	next   atomic.Int64 // the loop's position in the stream, over all laps
+	client *http.Client // the closed loop's connections
+	ctl    *http.Client // /readyz and /metrics, so that probes leave the loop's connections alone
 }
 
 func newServeLoad(b *bench, seed int64) (*serveLoad, error) {
@@ -49,7 +55,7 @@ func newServeLoad(b *bench, seed int64) (*serveLoad, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := newLoad(cat, makeStream(cat, serve.KnobNames(), seed, sessionPasses), runtime.NumCPU())
+	l := newLoad(cat, makeStream(cat, serve.KnobNames(), seed, streamPasses), runtime.NumCPU())
 	l.b = b
 	return l, nil
 }
@@ -57,167 +63,232 @@ func newServeLoad(b *bench, seed int64) (*serveLoad, error) {
 // newLoad prepares a closed loop that answers stream over conns connections.
 func newLoad(cat *catalog, stream []request, conns int) *serveLoad {
 	l := &serveLoad{cat: cat, stream: stream, crc: map[string]uint32{}, conns: conns}
-	seen := map[string]bool{}
-	for _, r := range l.stream {
-		l.first = append(l.first, !seen[string(r.body)])
-		seen[string(r.body)] = true
-	}
 	l.client = &http.Client{
 		Transport: &http.Transport{MaxIdleConnsPerHost: l.conns, MaxConnsPerHost: l.conns},
 		Timeout:   10 * time.Second,
 	}
+	l.ctl = &http.Client{Transport: &http.Transport{}, Timeout: 10 * time.Second}
 	return l
 }
 
-// serveRun is what the sessions of one run measured.
+// serveRun is what one run's serve process and probes measured.
 type serveRun struct {
-	sessions []*proc
-	setup    []time.Duration
-	latency  []float64 // ms per request, pooled over sessions
-	ok       []float64 // 200 responses per session
-	load     time.Duration
-	counters map[string]float64 // /metrics counters summed over sessions
+	proc                        // the serve process that answered the stream
+	setup    []time.Duration    // spawn to ready, one per probe
+	answers  []answer           // every request the loop sent on the clock
+	ok       int                // verified 200 responses among them
+	load     time.Duration      // time the loop ran, pauses excluded
+	counters map[string]float64 // the serve process's /metrics at the end
 }
 
-// run holds sessions for d, at least one.
-func (l *serveLoad) run(o *outcome, d time.Duration) *serveRun {
-	r := &serveRun{counters: map[string]float64{}}
-	until := time.Now().Add(d)
-	for i := 0; i == 0 || time.Now().Before(until); i++ {
+// run starts one serve process and answers the stream for d, pausing for
+// probes set-up probes spread evenly over d. A serve process that fails to
+// start, answer or drain fails an operation of o and ends the run early.
+func (l *serveLoad) run(o *outcome, d time.Duration, probes int) (*serveRun, error) {
+	r := &serveRun{}
+	srv, err := l.start()
+	if err != nil {
+		return nil, err
+	}
+	if !o.op(srv.err) {
+		return r, nil
+	}
+	// The stream's first pass over the catalog takes every cell from the disk
+	// tier into the memory tier. A long-running server pays that once, so the
+	// pass is answered and verified before the clock starts; warm-check-all
+	// and core.store.disk.get_us measure that path.
+	warm, warmBodies := l.load(srv.base, time.Now().Add(commandTimeout), len(l.cat.cells))
+	l.verify(o, warm, warmBodies)
+	start := time.Now()
+	segments := max(probes, 1)
+	bodies := map[int][]byte{}
+	for seg := 1; seg <= segments; seg++ {
 		l.b.speed.sample()
-		s, err := l.session(o)
-		if !o.op(err) {
+		t0 := time.Now()
+		as, bs := l.load(srv.base, start.Add(d*time.Duration(seg)/time.Duration(segments)), 0)
+		r.load += time.Since(t0)
+		r.answers = append(r.answers, as...)
+		for k, body := range bs {
+			bodies[k] = body
+		}
+		if seg > probes {
 			continue
 		}
-		r.sessions = append(r.sessions, &s.proc)
-		r.setup = append(r.setup, s.setup)
-		r.latency = append(r.latency, s.latency...)
-		r.ok = append(r.ok, float64(s.ok))
-		r.load += s.load
-		for name, v := range s.counters {
-			r.counters[name] += v
+		p, err := l.start()
+		if err != nil {
+			srv.stop(nil)
+			return nil, err
+		}
+		if o.op(p.stop(p.err)) {
+			r.setup = append(r.setup, p.setup)
 		}
 	}
-	return r
+	r.ok = l.verify(o, r.answers, bodies)
+	r.counters, err = l.scrape(srv.base)
+	err = srv.stop(err)
+	if err == nil && (r.counters["vcbench_serve_executions_total"] > 0 || r.counters["vcbench_serve_store_executions_total"] > 0) {
+		err = fmt.Errorf("serve executed cells over a warm store: %v", r.counters)
+	}
+	if o.op(err) {
+		r.proc = srv.proc
+	}
+	return r, nil
 }
 
-// serveSession is one measured vcbench serve process.
-type serveSession struct {
+// server is one vcbench serve process over its own copy of the warm store.
+type server struct {
 	proc
-	setup, load time.Duration
-	latency     []float64
-	ok          int
-	counters    map[string]float64
+	cmd    *exec.Cmd
+	cancel context.CancelFunc
+	dir    string
+	logs   *logWriter
+	base   string
+	start  time.Time
+	setup  time.Duration // spawn to the first 200 from /readyz
+	err    error         // why it never became ready
 }
 
-func (l *serveLoad) session(o *outcome) (*serveSession, error) {
+// start spawns a serve process and waits until it is ready. An error means
+// the benchmark itself could not run; a process that never became ready is
+// returned stopped, with its reason in err.
+func (l *serveLoad) start() (*server, error) {
 	dir, err := l.b.scratch()
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(dir)
 	if err := cloneStore(l.b.warm, filepath.Join(dir, "store")); err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), commandTimeout)
-	defer cancel()
-	cmd := l.b.command(ctx, dir, "serve", "-addr", "127.0.0.1:0", "-reps", "1", "-store", "store")
-	logs := &logWriter{addr: make(chan string, 1)}
-	cmd.Stderr = logs
-	s := &serveSession{}
-	start := time.Now()
-	if err := cmd.Start(); err != nil {
+	s := &server{dir: dir, cancel: cancel, logs: &logWriter{addr: make(chan string, 1)}}
+	s.cmd = l.b.command(ctx, dir, "serve", "-addr", "127.0.0.1:0", "-reps", "1", "-store", "store")
+	s.cmd.Stderr = s.logs
+	s.start = time.Now()
+	if err := s.cmd.Start(); err != nil {
+		cancel()
 		return nil, err
 	}
-	base, err := l.ready(ctx, logs, start, s)
-	if err == nil {
-		l.load(o, base, s)
-		s.counters, err = l.scrape(base)
+	if s.err = l.ready(ctx, s); s.err != nil {
+		s.err = s.stop(s.err)
 	}
-	_ = cmd.Process.Signal(syscall.SIGTERM) // a server that already died is reported by Wait
-	werr := cmd.Wait()
-	s.finish(start, cmd.ProcessState)
-	l.client.CloseIdleConnections()
-	if err == nil && werr != nil {
-		err = fmt.Errorf("vcbench serve: %v: %s", werr, lastLine(logs.String()))
+	return s, nil
+}
+
+// stop drains the server with SIGTERM, waits for it to exit and removes its
+// directory. It returns err, or else why the server did not exit cleanly.
+func (s *server) stop(err error) error {
+	if s.cmd.ProcessState == nil {
+		_ = s.cmd.Process.Signal(syscall.SIGTERM) // a server that already died is reported by Wait
+		werr := s.cmd.Wait()
+		s.finish(s.start, s.cmd.ProcessState)
+		if err == nil && werr != nil {
+			err = fmt.Errorf("vcbench serve: %v: %s", werr, lastLine(s.logs.String()))
+		}
 	}
-	if err == nil && (s.counters["vcbench_serve_executions_total"] > 0 || s.counters["vcbench_serve_store_executions_total"] > 0) {
-		err = fmt.Errorf("serve executed cells over a warm store: %v", s.counters)
-	}
-	return s, err
+	s.cancel()
+	os.RemoveAll(s.dir)
+	return err
 }
 
 // ready waits for the listen address on stderr, then for the first 200 from
 // /readyz, and records the set-up time.
-func (l *serveLoad) ready(ctx context.Context, logs *logWriter, start time.Time, s *serveSession) (string, error) {
+func (l *serveLoad) ready(ctx context.Context, s *server) error {
+	defer l.ctl.CloseIdleConnections()
 	ctx, cancel := context.WithTimeout(ctx, readyTimeout)
 	defer cancel()
-	var base string
 	select {
-	case addr := <-logs.addr:
-		base = "http://" + addr
+	case addr := <-s.logs.addr:
+		s.base = "http://" + addr
 	case <-ctx.Done():
-		return "", fmt.Errorf("vcbench serve printed no listen address: %s", lastLine(logs.String()))
+		return fmt.Errorf("vcbench serve printed no listen address: %s", lastLine(s.logs.String()))
 	}
 	for ctx.Err() == nil {
-		if resp, err := l.client.Get(base + "/readyz"); err == nil {
+		if resp, err := l.ctl.Get(s.base + "/readyz"); err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
-				s.setup = time.Since(start)
-				return base, nil
+				s.setup = time.Since(s.start)
+				return nil
 			}
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return "", fmt.Errorf("vcbench serve never answered /readyz with 200")
+	return fmt.Errorf("vcbench serve never answered /readyz with 200")
 }
 
-// load answers the stream in a closed loop: connection w sends requests w,
-// w+conns, ... each after the previous reply. Responses are verified after
-// the clock stops.
-func (l *serveLoad) load(o *outcome, base string, s *serveSession) {
-	n := len(l.stream)
-	s.latency = make([]float64, n)
-	status := make([]int, n)
-	sums := make([]uint32, n)
-	bodies := make([][]byte, n) // first knob-free answers, for the golden check
+// answer is one request of the closed loop as the client saw it. It holds
+// no pointer, so that the collector of this process, which shares the cores
+// with the server, never scans the tens of thousands a run keeps.
+type answer struct {
+	k      int // position in the stream over all laps: the request is stream[k%len(stream)]
+	ms     float64
+	status int
+	sum    uint32 // checksum of the body
+}
+
+// load runs the closed loop on base until the deadline, or until limit
+// requests were sent when limit > 0: each connection sends the stream's next
+// request after the previous reply. It returns the answers and, by stream
+// position, the bodies of knob-free requests on the first lap, which are
+// verified after the clock stops.
+func (l *serveLoad) load(base string, until time.Time, limit int) ([]answer, map[int][]byte) {
 	url := base + "/v1/simulate"
-	start := time.Now()
+	per := make([][]answer, l.conns)
+	kept := make([]map[int][]byte, l.conns)
 	var wg sync.WaitGroup
-	for w := 0; w < l.conns; w++ {
+	for w := range per {
 		wg.Add(1)
+		kept[w] = map[int][]byte{}
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < n; i += l.conns {
+			for time.Now().Before(until) {
+				k := int(l.next.Add(1) - 1)
+				if limit > 0 && k >= limit {
+					return
+				}
+				i := k % len(l.stream)
 				t0 := time.Now()
 				body, code := l.post(url, l.stream[i].body)
-				s.latency[i] = ms(time.Since(t0))
-				status[i], sums[i] = code, crc32.ChecksumIEEE(body)
-				if l.first[i] && len(l.stream[i].Knobs) == 0 {
-					bodies[i] = body
+				per[w] = append(per[w], answer{k: k, ms: ms(time.Since(t0)), status: code, sum: crc32.ChecksumIEEE(body)})
+				if k == i && len(l.stream[i].Knobs) == 0 {
+					kept[w][k] = body
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	s.load = time.Since(start)
-
-	for i, r := range l.stream {
-		var err error
-		switch {
-		case status[i] != http.StatusOK:
-			err = fmt.Errorf("%s: status %d", r.body, status[i])
-		case bodies[i] != nil:
-			err = l.checkGolden(r, bodies[i])
-		}
-		if err == nil {
-			err = l.checkRepeat(r, sums[i])
-		}
-		if o.op(err) {
-			s.ok++
+	var all []answer
+	bodies := map[int][]byte{}
+	for w, as := range per {
+		all = append(all, as...)
+		for k, body := range kept[w] {
+			bodies[k] = body
 		}
 	}
+	return all, bodies
+}
+
+// verify checks every answer: a 200, the golden result for a knob-free
+// request on the first lap, and the same bytes as every other answer to the
+// same request. It returns how many passed.
+func (l *serveLoad) verify(o *outcome, answers []answer, bodies map[int][]byte) (ok int) {
+	for _, a := range answers {
+		r := l.stream[a.k%len(l.stream)]
+		var err error
+		switch {
+		case a.status != http.StatusOK:
+			err = fmt.Errorf("%s: status %d", r.body, a.status)
+		case bodies[a.k] != nil:
+			err = l.checkGolden(r, bodies[a.k])
+		}
+		if err == nil {
+			err = l.checkRepeat(r, a.sum)
+		}
+		if o.op(err) {
+			ok++
+		}
+	}
+	return ok
 }
 
 func (l *serveLoad) post(url string, body []byte) ([]byte, int) {
@@ -234,7 +305,7 @@ func (l *serveLoad) post(url string, body []byte) ([]byte, int) {
 }
 
 // checkRepeat requires every answer to a request to be byte-identical to the
-// first one this run saw, in any session and in-process.
+// first one this run saw, from the serve process and in-process.
 func (l *serveLoad) checkRepeat(r request, sum uint32) error {
 	want, ok := l.crc[string(r.body)]
 	if !ok {
@@ -272,7 +343,8 @@ func (l *serveLoad) checkGolden(r request, body []byte) error {
 
 // scrape reads the counters of /metrics.
 func (l *serveLoad) scrape(base string) (map[string]float64, error) {
-	resp, err := l.client.Get(base + "/metrics")
+	defer l.ctl.CloseIdleConnections()
+	resp, err := l.ctl.Get(base + "/metrics")
 	if err != nil {
 		return nil, err
 	}
@@ -324,20 +396,44 @@ func (w *logWriter) String() string {
 	return w.buf.String()
 }
 
+// runServe reports the serve process's peak RSS, the probes' set-up times,
+// and the loop's rate, latency and the server's CPU per request. wall_s and
+// cpu_s read one sweep of the catalog at that rate and CPU cost: what a
+// client that asks for every cell once waits and costs.
 func runServe(b *bench, seed int64, d time.Duration) (*outcome, error) {
 	l, err := newServeLoad(b, seed)
 	if err != nil {
 		return nil, err
 	}
+	// The client shares the machine's cores with the server. Collecting its
+	// garbage a quarter as often takes 5 to 10% off the p99 it sees, which
+	// is the client's share, not the server's.
+	debug.SetGCPercent(400)
 	o := newOutcome()
-	r := l.run(o, d)
-	o.sessionStats(r.sessions, r.ok, r.setup, r.latency)
-	var ok float64
-	for _, n := range r.ok {
-		ok += n
+	r, err := l.run(o, d, setupSamples)
+	if err != nil {
+		return nil, err
 	}
-	if r.load > 0 {
-		o.set("rps", ok/r.load.Seconds(), int(ok))
+	var lat, setup []float64
+	for _, a := range r.answers {
+		lat = append(lat, a.ms)
 	}
+	for _, t := range r.setup {
+		setup = append(setup, t.Seconds())
+	}
+	o.set("setup_s", median(setup), len(setup))
+	o.set("p50_ms", median(lat), len(lat))
+	o.set("p99_ms", quantile(lat, 0.99), len(lat))
+	o.set("p999_ms", quantile(lat, 0.999), len(lat))
+	if r.ok == 0 || r.wall == 0 {
+		return o, nil // the failure is already counted
+	}
+	cells, ok := float64(len(l.cat.cells)), float64(r.ok)
+	rps := ok / r.load.Seconds()
+	o.set("rps", rps, r.ok)
+	o.set("cpu_us_per_req", float64(r.cpu.Microseconds())/ok, r.ok)
+	o.set("wall_s", cells/rps, r.ok)
+	o.set("cpu_s", r.cpu.Seconds()*cells/ok, r.ok)
+	o.set("rss_peak_mb", r.rssMB, 1)
 	return o, nil
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"vcomputebench/internal/faults"
 	"vcomputebench/internal/serve"
@@ -104,13 +105,14 @@ func TestLoadVerifiesAnswers(t *testing.T) {
 			srv := httptest.NewServer(fakeServe(cat, tc.wrong, tc.unstable))
 			defer srv.Close()
 			l := newLoad(cat, stream, 4)
-			o, s := newOutcome(), &serveSession{}
-			l.load(o, srv.URL, s)
-			if o.attempted != len(stream) || s.ok+o.failed != len(stream) {
-				t.Fatalf("%d attempted, %d ok, %d failed for %d requests", o.attempted, s.ok, o.failed, len(stream))
+			o, n := newOutcome(), 2*len(stream) // two laps
+			answers, bodies := l.load(srv.URL, time.Now().Add(time.Minute), n)
+			ok := l.verify(o, answers, bodies)
+			if o.attempted != n || ok+o.failed != n {
+				t.Fatalf("%d attempted, %d ok, %d failed for %d requests", o.attempted, ok, o.failed, n)
 			}
 			if fails := o.failed > 0; fails != tc.fails {
-				t.Fatalf("%d of %d requests failed verification (%v), want failures: %v", o.failed, len(stream), o.problems, tc.fails)
+				t.Fatalf("%d of %d requests failed verification (%v), want failures: %v", o.failed, n, o.problems, tc.fails)
 			}
 		})
 	}

@@ -188,11 +188,11 @@ type batchTrace struct {
 }
 
 // inProcessPass re-drives a batch workload: with check unset the cold
-// experiment runs into an empty store and its document is encoded and
-// compared with its golden (cold-run-fig4b); otherwise every experiment with
-// published values runs over a copy of the warm store and is compared with
-// them (warm-check-all).
-func (b *bench) inProcessPass(o *outcome, check, traced bool) (*batchTrace, error) {
+// experiment exp runs into an empty store and its document is encoded and
+// compared with its golden (the cold workloads); otherwise every experiment
+// with published values runs over a copy of the warm store and is compared
+// with them (warm-check-all).
+func (b *bench) inProcessPass(o *outcome, check bool, exp string, traced bool) (*batchTrace, error) {
 	dir, err := b.scratch()
 	if err != nil {
 		return nil, err
@@ -225,7 +225,7 @@ func (b *bench) inProcessPass(o *outcome, check, traced bool) (*batchTrace, erro
 		if failure != nil {
 			break
 		}
-		if check && !expected.HasExpectations(e.ID) || !check && e.ID != coldExperiment {
+		if check && !expected.HasExpectations(e.ID) || !check && e.ID != exp {
 			continue
 		}
 		s := time.Now()
@@ -399,17 +399,20 @@ func setTraceChecks(o *outcome, traced, untraced, endToEnd, attributed []float64
 	}
 }
 
-func traceCold(b *bench, _ int64, d time.Duration) (*outcome, error) {
-	return traceBatch(b, d, false, b.coldPass)
+// traceCold returns the traced run of a cold workload that reproduces exp.
+func traceCold(exp string) runFunc {
+	return func(b *bench, _ int64, d time.Duration) (*outcome, error) {
+		return traceBatch(b, d, false, exp, b.coldPass(exp))
+	}
 }
 
 func traceWarm(b *bench, _ int64, d time.Duration) (*outcome, error) {
-	return traceBatch(b, d, true, b.warmPass)
+	return traceBatch(b, d, true, "", b.warmPass)
 }
 
 // traceBatch runs untraced vcbench passes for the counts and the end-to-end
 // wall, then alternates traced and untraced in-process passes for d.
-func traceBatch(b *bench, d time.Duration, check bool, pass func(*outcome) (*proc, storeStats, error)) (*outcome, error) {
+func traceBatch(b *bench, d time.Duration, check bool, exp string, pass func(*outcome) (*proc, storeStats, error)) (*outcome, error) {
 	o := newOutcome()
 	b.timeFingerprint(o)
 	var endToEnd []float64
@@ -428,7 +431,7 @@ func traceBatch(b *bench, d time.Duration, check bool, pass func(*outcome) (*pro
 	var traced, untraced []float64
 	for len(untraced) == 0 || time.Now().Before(until) {
 		on := len(traced) <= len(untraced)
-		tr, err := b.inProcessPass(o, check, on)
+		tr, err := b.inProcessPass(o, check, exp, on)
 		if err != nil {
 			return nil, err
 		}
@@ -540,9 +543,9 @@ func requestAllocs(stream []request) (allocs, size float64) {
 	return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
 }
 
-// traceServe runs one untraced serve session for the counters and the
-// client-observed latency, then alternates traced and untraced in-process
-// passes over the same stream for d.
+// traceServe runs the closed loop on one untraced serve process for half of
+// d, for the counters and the client-observed latency, then alternates traced
+// and untraced in-process passes over the same stream for the rest.
 func traceServe(b *bench, seed int64, d time.Duration) (*outcome, error) {
 	o := newOutcome()
 	b.timeFingerprint(o)
@@ -551,7 +554,10 @@ func traceServe(b *bench, seed int64, d time.Duration) (*outcome, error) {
 		return nil, err
 	}
 	until := time.Now().Add(d)
-	run := l.run(o, 0)
+	run, err := l.run(o, d/2, 0)
+	if err != nil {
+		return nil, err
+	}
 	c := run.counters
 	o.set("serve.replays_total", c["vcbench_serve_replays_total"], 1)
 	o.set("serve.executions_total", c["vcbench_serve_executions_total"], 1)
@@ -606,7 +612,10 @@ func traceServe(b *bench, seed int64, d time.Duration) (*outcome, error) {
 			self = append(self, st.handler[i]-get-2*us(kd)-us(rd)-us(ed))
 		}
 	}
-	lat := run.latency
+	var lat []float64
+	for _, a := range run.answers {
+		lat = append(lat, a.ms)
+	}
 	o.set("serve.handler_us", median(handler), len(handler))
 	o.set("serve.handler_self_us", median(self), len(self))
 	o.set("core.store.mem.get_us", median(memGet), len(memGet))
