@@ -59,3 +59,43 @@ func TestAtomicsConcurrentWorkgroups(t *testing.T) {
 			ctr.GlobalLoads, ctr.GlobalStores, 3*total)
 	}
 }
+
+// TestStoreU32SharedConcurrentWorkgroups: every invocation of a
+// many-workgroup dispatch on several workers stores one value to one element,
+// as bfs raises its stop flag. Run under -race (as CI does) it proves such
+// stores do not race; the element keeps the value, and each store counts as
+// one plain store.
+func TestStoreU32SharedConcurrentWorkgroups(t *testing.T) {
+	// Enough groups that the workers overlap: a worker that finishes first
+	// hands its workgroup to the next through a pool, and under the race
+	// detector that hand-off orders the two workers' stores.
+	const groups = 1024
+	const local = 64
+	buf := make(kernels.Words, 1)
+	prog := &kernels.Program{
+		Name:      "test_shared_store",
+		LocalSize: kernels.D1(local),
+		Bindings:  1,
+		Exact:     true,
+		Fn: func(wg *kernels.Workgroup) {
+			b := wg.Buffer(0)
+			wg.ForEach(func(inv *kernels.Invocation) {
+				b.StoreU32Shared(inv, 0, 7)
+			})
+		},
+	}
+	ctr, err := kernels.Execute(prog, kernels.DispatchConfig{
+		Groups:      kernels.D1(groups),
+		Buffers:     []kernels.Words{buf},
+		Parallelism: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf[0] != 7 {
+		t.Errorf("shared store left %d, want 7", buf[0])
+	}
+	if ctr.GlobalLoads != 0 || ctr.GlobalStores != groups*local {
+		t.Errorf("shared store counting: loads=%v stores=%v, want 0 and %d", ctr.GlobalLoads, ctr.GlobalStores, groups*local)
+	}
+}

@@ -1,6 +1,9 @@
 package kernels
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // Words is the raw storage type of simulated device memory: a stream of 32-bit
 // words, mirroring SPIR-V's data model. Host-side helpers convert between Go
@@ -134,6 +137,15 @@ func (v BufferView) LoadU32(inv *Invocation, i int) uint32 {
 func (v BufferView) StoreU32(inv *Invocation, i int, x uint32) {
 	v.wg.noteStore(inv, v.binding, i)
 	v.data[i] = x
+}
+
+// StoreU32Shared is StoreU32 for an element that other invocations may store
+// the same value to at the same time, as GPU memory allows (bfs raises one
+// stop flag from every active invocation). Workgroups run on several
+// goroutines, so the store is atomic.
+func (v BufferView) StoreU32Shared(inv *Invocation, i int, x uint32) {
+	v.wg.noteStore(inv, v.binding, i)
+	atomic.StoreUint32(&v.data[i], x)
 }
 
 // AtomicOrU32 performs a read-modify-write OR on element i. The simulated

@@ -88,8 +88,10 @@ func expandKernel(wg *kernels.Workgroup) {
 		for e := start; e < start+count; e++ {
 			id := int(edges.LoadU32(inv, e))
 			if visited.LoadU32(inv, id) == 0 {
-				cost.StoreI32(inv, id, myCost+1)
-				updating.StoreU32(inv, id, 1)
+				// Frontier nodes that share a neighbour store the same
+				// values to it.
+				cost.StoreU32Shared(inv, id, uint32(myCost+1))
+				updating.StoreU32Shared(inv, id, 1)
 			}
 			inv.ALU(2)
 		}
@@ -114,7 +116,7 @@ func frontierKernel(wg *kernels.Workgroup) {
 		}
 		mask.StoreU32(inv, tid, 1)
 		visited.StoreU32(inv, tid, 1)
-		stop.StoreU32(inv, 0, 1)
+		stop.StoreU32Shared(inv, 0, 1)
 		updating.StoreU32(inv, tid, 0)
 		inv.ALU(1)
 	})

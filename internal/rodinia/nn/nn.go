@@ -12,7 +12,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"vcomputebench/internal/bench"
 	"vcomputebench/internal/core"
@@ -105,22 +104,65 @@ func (a *algorithm) NextPhase(phase int, io rodinia.IO) ([]rodinia.Step, error) 
 	}}, nil
 }
 
-// nearest returns the indices of the k smallest distances.
-func nearest(distances []float32, k int) []int {
-	idx := make([]int, len(distances))
-	for i := range idx {
-		idx[i] = i
+// nearest returns the indices of the k smallest distances among the float32
+// words, in (distance, index) order. It makes one pass and keeps a k-entry
+// list in that order: a record enters only when it is strictly closer than
+// the current k-th, so among equal distances the lower index is kept.
+func nearest(distances kernels.Words, k int) []int {
+	k = min(k, len(distances))
+	if k <= 0 {
+		return nil
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		if distances[idx[a]] != distances[idx[b]] {
-			return distances[idx[a]] < distances[idx[b]]
+	best := make([]int, 0, k)
+	var kth float32 // distance of best[k-1] once the list is full
+	for i, w := range distances {
+		d := math.Float32frombits(w)
+		if len(best) == k {
+			if !(d < kth) {
+				continue
+			}
+			best = best[:k-1]
 		}
-		return idx[a] < idx[b]
-	})
-	if k > len(idx) {
-		k = len(idx)
+		j := len(best)
+		best = append(best, i)
+		for ; j > 0 && d < math.Float32frombits(distances[best[j-1]]); j-- {
+			best[j] = best[j-1]
+		}
+		best[j] = i
+		kth = math.Float32frombits(distances[best[len(best)-1]])
 	}
-	return idx[:k]
+	return best
+}
+
+// checkNearest verifies a selection in O(n): it holds min(k, n) records in
+// strictly increasing (distance, index) order, and no unselected record
+// orders before the last selected one.
+func checkNearest(distances []float32, best []int, k int) error {
+	if want := min(k, len(distances)); len(best) != want {
+		return fmt.Errorf("nn: selected %d records, want %d", len(best), want)
+	}
+	if len(best) == 0 {
+		return nil
+	}
+	before := func(a, b int) bool {
+		return distances[a] < distances[b] || (distances[a] == distances[b] && a < b)
+	}
+	for j := 1; j < len(best); j++ {
+		if !before(best[j-1], best[j]) {
+			return fmt.Errorf("nn: selection %d (record %d) does not order after record %d", j, best[j], best[j-1])
+		}
+	}
+	last := best[len(best)-1]
+	ahead := 0
+	for i := range distances {
+		if before(i, last) {
+			ahead++
+		}
+	}
+	if ahead != len(best)-1 {
+		return fmt.Errorf("nn: %d records order before selected record %d, want %d", ahead, last, len(best)-1)
+	}
+	return nil
 }
 
 func workloads(class hw.Class) []core.Workload {
@@ -146,25 +188,26 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	distances := kernels.WordsToF32(out.Buffers[1])[:n]
-	best := nearest(distances, K)
+	words := out.Buffers[1][:n]
+	best := nearest(words, K)
 
 	if ctx.Validate {
-		want := make([]float32, n)
+		distances := kernels.WordsToF32(words)
 		for i := 0; i < n; i++ {
 			dlat := locations[2*i] - alg.lat
 			dlng := locations[2*i+1] - alg.lng
-			want[i] = float32(math.Sqrt(float64(dlat*dlat + dlng*dlng)))
-		}
-		for i := range want {
-			if bench.AbsDiff(distances[i], want[i]) > 1e-4 {
-				return nil, fmt.Errorf("nn: distance %d = %v, want %v", i, distances[i], want[i])
+			want := float32(math.Sqrt(float64(dlat*dlat + dlng*dlng)))
+			if bench.AbsDiff(distances[i], want) > 1e-4 {
+				return nil, fmt.Errorf("nn: distance %d = %v, want %v", i, distances[i], want)
 			}
+		}
+		if err := checkNearest(distances, best, K); err != nil {
+			return nil, err
 		}
 	}
 	sel := make([]float32, 0, 2*len(best))
 	for _, idx := range best {
-		sel = append(sel, float32(idx), distances[idx])
+		sel = append(sel, float32(idx), math.Float32frombits(words[idx]))
 	}
 	return &core.Result{
 		KernelTime: out.KernelTime,

@@ -114,8 +114,12 @@ func TestServeWarmStoreDeterminism(t *testing.T) {
 	if got := s.Stats().Executions; got != 1 {
 		t.Fatalf("warm store served %d executions, want 1 (replay-only hot path)", got)
 	}
-	if got := s.metrics.replays.Load(); got != n {
-		t.Fatalf("replay counter = %d, want %d", got, n)
+	// Concurrent identical requests may collapse onto one flight: its leader
+	// replays and its followers share the leader's bytes without counting a
+	// replay. Every request is one or the other.
+	replays, followers := s.metrics.replays.Load(), s.metrics.followers.Load()
+	if replays < 1 || replays+followers != n {
+		t.Fatalf("replay counter = %d, followers = %d; want at least 1 replay and %d requests in all", replays, followers, n)
 	}
 	docs, werr, degraded := decodeEnvelope(t, want)
 	if werr != nil || degraded || len(docs) != 1 || len(docs[0].Results) != 1 {
