@@ -1,11 +1,11 @@
 // Package bench contains the small helpers shared by every benchmark's host
-// code: OpenCL and CUDA environment setup, OpenCL C source synthesis for the
-// JIT path, and deterministic input generation.
+// code: OpenCL and CUDA environment setup and OpenCL C source synthesis for
+// the JIT path. Inputs are drawn through core.RunContext.RandomF32 and
+// RandomI32.
 package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"vcomputebench/internal/cuda"
@@ -94,38 +94,6 @@ func SetupCUDA(host *sim.Host, dev *hw.Device) (*CUDAEnv, error) {
 		return nil, err
 	}
 	return &CUDAEnv{Context: ctx, Module: ctx.LoadModule(), Stream: ctx.DefaultStream()}, nil
-}
-
-// RandomF32 returns n pseudo-random floats in [lo, hi) from the given seed.
-func RandomF32(seed int64, n int, lo, hi float32) []float32 {
-	//lint:allow(the seed is deterministic workload input; every caller passes a fixed per-workload constant)
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]float32, n)
-	span := hi - lo
-	for i := range out {
-		out[i] = lo + span*rng.Float32()
-	}
-	return out
-}
-
-// RandomI32 returns n pseudo-random int32 values in [lo, hi). A degenerate
-// range (hi <= lo) yields lo for every element instead of the rand.Int63n
-// panic an empty interval would otherwise trigger.
-func RandomI32(seed int64, n int, lo, hi int32) []int32 {
-	out := make([]int32, n)
-	span := int64(hi) - int64(lo)
-	if span <= 0 {
-		for i := range out {
-			out[i] = lo
-		}
-		return out
-	}
-	//lint:allow(the seed is deterministic workload input; every caller passes a fixed per-workload constant)
-	rng := rand.New(rand.NewSource(seed))
-	for i := range out {
-		out[i] = lo + int32(rng.Int63n(span))
-	}
-	return out
 }
 
 // DivUp returns ceil(a/b).

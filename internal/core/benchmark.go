@@ -72,6 +72,9 @@ type RunContext struct {
 	// for replay (nil otherwise). Stopwatch and Now record through it so the
 	// measurement boundaries survive into the trace.
 	rec *hw.Recorder
+	// streams is the table RandomF32 and RandomI32 share inputs through; nil
+	// (a hand-built context) draws every stream privately.
+	streams *inputStreams
 }
 
 // Stopwatch starts a stopwatch on the run's host clock. Under trace recording

@@ -106,7 +106,7 @@ func NewRunner() *Runner { return &Runner{Repetitions: DefaultRepetitions, Seed:
 // Run executes the benchmark with the given API and workload on a fresh device
 // instance of the platform, repeating and averaging.
 func (r *Runner) Run(p *platforms.Platform, b Benchmark, api hw.API, w Workload) (*Result, error) {
-	return r.run(r.baseContext(), p, b, api, w, r.DispatchParallelism)
+	return r.run(r.baseContext(), p, b, api, w, r.DispatchParallelism, nil)
 }
 
 // RunCell is the request-scoped single-cell entry point: Run under an
@@ -120,15 +120,17 @@ func (r *Runner) RunCell(ctx context.Context, p *platforms.Platform, b Benchmark
 	if ctx == nil {
 		ctx = r.baseContext()
 	}
-	return r.run(ctx, p, b, api, w, r.DispatchParallelism)
+	return r.run(ctx, p, b, api, w, r.DispatchParallelism, nil)
 }
 
-// run is Run with an explicit cell context and per-dispatch core budget (0 =
-// whole machine); RunSuite passes the budget it computed for its pool size.
-// With a snapshot cache attached, a cell already executed under an
-// execution-compatible platform is replayed analytically instead of
-// re-executed.
-func (r *Runner) run(ctx context.Context, p *platforms.Platform, b Benchmark, api hw.API, w Workload, dispatchParallel int) (*Result, error) {
+// run is Run with an explicit cell context, per-dispatch core budget (0 =
+// whole machine) and input stream table; RunSuite passes the budget it
+// computed for its pool size and the table its cells share, and a nil table
+// gives the call its own. With a snapshot cache attached, a cell already
+// executed under an execution-compatible platform is replayed analytically
+// instead of re-executed.
+func (r *Runner) run(ctx context.Context, p *platforms.Platform, b Benchmark, api hw.API, w Workload,
+	dispatchParallel int, streams *inputStreams) (*Result, error) {
 	if p == nil || b == nil {
 		return nil, fmt.Errorf("core: Run with nil platform or benchmark")
 	}
@@ -164,6 +166,9 @@ func (r *Runner) run(ctx context.Context, p *platforms.Platform, b Benchmark, ap
 			return snap.Replay(p)
 		}
 	}
+	if streams == nil {
+		streams = newInputStreams()
+	}
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: %s/%s on %s (%s): %w", b.Name(), api, p.ID, w.Label, err)
@@ -175,7 +180,7 @@ func (r *Runner) run(ctx context.Context, p *platforms.Platform, b Benchmark, ap
 				API: string(api), Attempt: attempt,
 			})
 		}
-		res, snap, err := r.executeAttempt(ctx, p, b, api, w, dispatchParallel, record, plan)
+		res, snap, err := r.executeAttempt(ctx, p, b, api, w, dispatchParallel, streams, record, plan)
 		if err == nil && plan != nil && plan.Fired() {
 			// A fired fault that did not surface as an error means some layer
 			// swallowed it; trusting the result would defeat the fault model.
@@ -247,7 +252,7 @@ func (r *Runner) sleepBackoff(ctx context.Context, attempt int) {
 // executeAttempt runs one attempt of a cell under the per-cell deadline,
 // converting a panicking benchmark into an error instead of a dead process.
 func (r *Runner) executeAttempt(ctx context.Context, p *platforms.Platform, b Benchmark, api hw.API,
-	w Workload, dispatchParallel int, record bool, plan *faults.Plan) (res *Result, snap *Snapshot, err error) {
+	w Workload, dispatchParallel int, streams *inputStreams, record bool, plan *faults.Plan) (res *Result, snap *Snapshot, err error) {
 	if r.CellTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.CellTimeout)
@@ -260,7 +265,7 @@ func (r *Runner) executeAttempt(ctx context.Context, p *platforms.Platform, b Be
 				&PanicError{Value: v, Stack: debug.Stack()})
 		}
 	}()
-	return r.execute(ctx, p, b, api, w, dispatchParallel, record, plan)
+	return r.execute(ctx, p, b, api, w, dispatchParallel, streams, record, plan)
 }
 
 // faultHook builds the pre-dispatch hook installed on every device of one
@@ -301,9 +306,9 @@ func faultHook(ctx context.Context, plan *faults.Plan) func() error {
 // a timing trace and returned as a replayable Snapshot alongside the result.
 // The fault hook — shared by all repetitions of the attempt, so the planned
 // fault's dispatch ordinal counts across them — enforces ctx and plan at
-// every dispatch.
+// every dispatch. Every repetition draws its inputs from the same streams.
 func (r *Runner) execute(ctx context.Context, p *platforms.Platform, b Benchmark, api hw.API, w Workload,
-	dispatchParallel int, record bool, plan *faults.Plan) (*Result, *Snapshot, error) {
+	dispatchParallel int, streams *inputStreams, record bool, plan *faults.Plan) (*Result, *Snapshot, error) {
 	reps := r.Repetitions
 	if reps <= 0 {
 		reps = 1
@@ -346,6 +351,7 @@ func (r *Runner) execute(ctx context.Context, p *platforms.Platform, b Benchmark
 			Seed:     r.Seed,
 			Validate: r.Validate && rep == 0,
 			rec:      repRec,
+			streams:  streams,
 		}
 		res, err := b.Run(rctx)
 		if err != nil {

@@ -78,14 +78,15 @@ func (r *Runner) dispatchBudget(workers int) int {
 }
 
 // runSuiteTasks executes every task and returns the outcomes indexed in grid
-// order. Each repetition creates a fresh simulated device and shares no
-// mutable state with its siblings, so tasks fan out across a worker pool;
-// with one worker the tasks run inline. Both paths stop launching new cells
-// once a hard error demands an abort (in-flight parallel cells still finish)
-// — on every hard error by default, matching the historical fail-fast serial
-// behaviour, or only on cancellation when the runner keeps going. A
-// panicking cell is recovered into a failed outcome; the pool, and the
-// process, survive it.
+// order. Each repetition creates a fresh simulated device. Sibling cells
+// share one thing: the suite's input stream table, whose words are read-only
+// and which extends a stream only under that stream's lock. So tasks fan out
+// across a worker pool; with one worker the tasks run inline. Both paths stop
+// launching new cells once a hard error demands an abort (in-flight parallel
+// cells still finish) — on every hard error by default, matching the
+// historical fail-fast serial behaviour, or only on cancellation when the
+// runner keeps going. A panicking cell is recovered into a failed outcome;
+// the pool, and the process, survive it.
 func (r *Runner) runSuiteTasks(p *platforms.Platform, tasks []suiteTask) []suiteOutcome {
 	outcomes := make([]suiteOutcome, len(tasks))
 	ctx := r.baseContext()
@@ -94,12 +95,13 @@ func (r *Runner) runSuiteTasks(p *platforms.Platform, tasks []suiteTask) []suite
 		workers = len(tasks)
 	}
 	dispatchParallel := r.dispatchBudget(workers)
+	streams := newInputStreams()
 	if workers <= 1 {
 		for _, t := range tasks {
 			if ctx.Err() != nil {
 				break // unexecuted cells stay zero; RunSuite surfaces the cancellation
 			}
-			res, err := r.safeRun(p, t, dispatchParallel)
+			res, err := r.safeRun(p, t, dispatchParallel, streams)
 			outcomes[t.idx] = suiteOutcome{res: res, err: err}
 			if r.abortOn(err) {
 				break
@@ -119,7 +121,7 @@ func (r *Runner) runSuiteTasks(p *platforms.Platform, tasks []suiteTask) []suite
 				if aborted.Load() || ctx.Err() != nil {
 					continue // drain; unexecuted cells stay zero and the merge skips them
 				}
-				res, err := r.safeRun(p, t, dispatchParallel)
+				res, err := r.safeRun(p, t, dispatchParallel, streams)
 				outcomes[t.idx] = suiteOutcome{res: res, err: err}
 				if r.abortOn(err) {
 					aborted.Store(true)
@@ -139,7 +141,7 @@ func (r *Runner) runSuiteTasks(p *platforms.Platform, tasks []suiteTask) []suite
 // own machinery (result summarising, snapshot binding — benchmark panics are
 // already recovered per attempt) into a failed outcome so no cell can kill
 // the scheduler.
-func (r *Runner) safeRun(p *platforms.Platform, t suiteTask, dispatchParallel int) (res *Result, err error) {
+func (r *Runner) safeRun(p *platforms.Platform, t suiteTask, dispatchParallel int, streams *inputStreams) (res *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res = nil
@@ -150,7 +152,7 @@ func (r *Runner) safeRun(p *platforms.Platform, t suiteTask, dispatchParallel in
 			}
 		}
 	}()
-	return r.run(r.baseContext(), p, t.bench, t.api, t.workload, dispatchParallel)
+	return r.run(r.baseContext(), p, t.bench, t.api, t.workload, dispatchParallel, streams)
 }
 
 // abortOn decides whether a cell error stops the scheduler from launching

@@ -203,21 +203,30 @@ func decodeEntry(data []byte) (codeVersion string, k SnapshotKey, blob []byte, e
 // misses; existing-but-undecodable entries count a decode failure, are
 // removed so they are not re-parsed every run, and degrade to a miss.
 func (s *DiskStore) Get(k SnapshotKey) (*Snapshot, bool) {
+	snap, ok, _ := s.Load(k)
+	return snap, ok
+}
+
+// Load is Get that also reports whether this read met an entry it could not
+// decode. Health monitors such as the serve circuit breaker judge each read
+// by it: under concurrent reads, a change in the shared decode-failure count
+// cannot say whose read failed.
+func (s *DiskStore) Load(k SnapshotKey) (snap *Snapshot, ok, corrupt bool) {
 	path := s.entryPath(k)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		s.misses.Add(1)
-		return nil, false
+		return nil, false, false
 	}
-	snap, err := s.decodeStored(k, data)
+	snap, err = s.decodeStored(k, data)
 	if err != nil {
 		s.decodeFailures.Add(1)
 		s.misses.Add(1)
 		_ = os.Remove(path)
-		return nil, false
+		return nil, false, true
 	}
 	s.hits.Add(1)
-	return snap, true
+	return snap, true, false
 }
 
 func (s *DiskStore) decodeStored(k SnapshotKey, data []byte) (*Snapshot, error) {
@@ -273,12 +282,6 @@ func (s *DiskStore) Peek(k SnapshotKey) bool {
 	info, err := os.Stat(s.entryPath(k))
 	return err == nil && !info.IsDir()
 }
-
-// DecodeFailureCount returns the running count of entries that existed but
-// could not be decoded (each degraded to a miss). Cheap — a single atomic
-// load, unlike Stats(), which scans the directory — so health monitors (the
-// serve circuit breaker) can probe it per request.
-func (s *DiskStore) DecodeFailureCount() uint64 { return s.decodeFailures.Load() }
 
 // scan walks the store directory, invoking fn for every committed entry file.
 func (s *DiskStore) scan(fn func(path string, size int64)) error {

@@ -162,6 +162,9 @@ func (c *Context) MemcpyDtoH(dst kernels.Words, src *DevicePtr) error {
 	if src == nil {
 		return ErrInvalidDevicePointer
 	}
+	if len(dst) > len(src.alloc.Words()) {
+		return fmt.Errorf("%w: copy of %d words from allocation of %d words", ErrInvalidValue, len(dst), len(src.alloc.Words()))
+	}
 	c.host.Spend("cudaMemcpy(DtoH)", hostCallOverhead)
 	copy(dst, src.alloc.Words())
 	_, end := c.def.hw.ExecuteTransfer(c.host.Now(), int64(len(dst))*4)

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 
-	"vcomputebench/internal/bench"
 	"vcomputebench/internal/core"
 	"vcomputebench/internal/glsl"
 	"vcomputebench/internal/hw"
@@ -122,13 +121,13 @@ func workloads(class hw.Class) []core.Workload {
 
 type algorithm struct {
 	n    int
-	a, b []float32
+	a, b kernels.Words
 }
 
 func (g *algorithm) Buffers() []rodinia.BufferSpec {
 	return []rodinia.BufferSpec{
-		{Name: "A", Init: kernels.F32ToWords(g.a)},
-		{Name: "B", Init: kernels.F32ToWords(g.b)},
+		{Name: "A", Init: g.a},
+		{Name: "B", Init: g.b},
 		{Name: "C", Words: g.n * g.n},
 	}
 }
@@ -167,8 +166,8 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 	if n%tile != 0 {
 		return nil, fmt.Errorf("gemm: order %d is not a multiple of the tile size %d", n, tile)
 	}
-	a := bench.RandomF32(ctx.Seed, n*n, -1, 1)
-	b := bench.RandomF32(ctx.Seed+1, n*n, -1, 1)
+	a := ctx.RandomF32(ctx.Seed, n*n, -1, 1)
+	b := ctx.RandomF32(ctx.Seed+1, n*n, -1, 1)
 	alg := &algorithm{n: n, a: a, b: b}
 
 	out, err := rodinia.Run(ctx, alg, []int{2})
@@ -178,7 +177,7 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 	cOut := kernels.WordsToF32(out.Buffers[2])[:n*n]
 
 	if ctx.Validate {
-		want := reference(n, a, b)
+		want := reference(n, kernels.WordsToF32(a), kernels.WordsToF32(b))
 		for i := range want {
 			scale := math.Max(math.Abs(want[i]), 1)
 			if math.Abs(float64(cOut[i])-want[i])/scale > 1e-3 {

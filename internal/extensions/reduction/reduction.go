@@ -137,12 +137,12 @@ func workloads(class hw.Class) []core.Workload {
 
 type algorithm struct {
 	n     int
-	input []float32
+	input kernels.Words
 }
 
 func (a *algorithm) Buffers() []rodinia.BufferSpec {
 	return []rodinia.BufferSpec{
-		{Name: "data", Init: kernels.F32ToWords(a.input)},
+		{Name: "data", Init: a.input},
 		{Name: "partial", Words: bench.DivUp(a.n, elemsPerGroup)},
 	}
 }
@@ -173,7 +173,7 @@ func (a *algorithm) finalBuffer() int { return len(passes(a.n)) % 2 }
 
 func run(ctx *core.RunContext) (*core.Result, error) {
 	n := ctx.Workload.Param("n", 1<<20)
-	input := bench.RandomF32(ctx.Seed, n, -1, 1)
+	input := ctx.RandomF32(ctx.Seed, n, -1, 1)
 	alg := &algorithm{n: n, input: input}
 
 	out, err := rodinia.Run(ctx, alg, []int{alg.finalBuffer()})
@@ -184,7 +184,7 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 
 	if ctx.Validate {
 		want := 0.0
-		for _, v := range input {
+		for _, v := range kernels.WordsToF32(input) {
 			want += float64(v)
 		}
 		scale := math.Max(math.Abs(want), 1)

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 
-	"vcomputebench/internal/bench"
 	"vcomputebench/internal/core"
 	"vcomputebench/internal/glsl"
 	"vcomputebench/internal/hw"
@@ -180,13 +179,13 @@ func workloads(class hw.Class) []core.Workload {
 type algorithm struct {
 	n     int
 	iters int
-	img   []float32
+	img   kernels.Words
 }
 
 func (s *algorithm) Buffers() []rodinia.BufferSpec {
 	pixels := s.n * s.n
 	return []rodinia.BufferSpec{
-		bufJ:  {Name: "J", Init: kernels.F32ToWords(s.img)},
+		bufJ:  {Name: "J", Init: s.img},
 		bufDN: {Name: "dN", Words: pixels},
 		bufDS: {Name: "dS", Words: pixels},
 		bufDW: {Name: "dW", Words: pixels},
@@ -305,7 +304,7 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 	}
 	// Positive speckled image, bounded away from zero so jc*jc never
 	// underflows.
-	img := bench.RandomF32(ctx.Seed, n*n, 0.05, 1.0)
+	img := ctx.RandomF32(ctx.Seed, n*n, 0.05, 1.0)
 	alg := &algorithm{n: n, iters: iters, img: img}
 
 	out, err := rodinia.Run(ctx, alg, []int{bufJ})
@@ -315,7 +314,7 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 	result := kernels.WordsToF32(out.Buffers[bufJ])[:n*n]
 
 	if ctx.Validate {
-		want := reference(n, iters, img)
+		want := reference(n, iters, kernels.WordsToF32(img))
 		for i := range want {
 			scale := math.Max(math.Abs(want[i]), 1)
 			if math.Abs(float64(result[i])-want[i])/scale > 1e-3 {

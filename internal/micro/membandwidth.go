@@ -2,6 +2,7 @@ package micro
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"vcomputebench/internal/bench"
@@ -77,7 +78,7 @@ func runMemBandwidth(ctx *core.RunContext) (*core.Result, error) {
 	// The input array is sized so that the maximum stride still addresses
 	// distinct cache lines for every work item.
 	nIn := threads * stride
-	in := bench.RandomF32(ctx.Seed, nIn, 0, 1)
+	in := ctx.RandomF32(ctx.Seed, nIn, 0, 1)
 
 	var (
 		out        []float32
@@ -99,7 +100,7 @@ func runMemBandwidth(ctx *core.RunContext) (*core.Result, error) {
 	}
 	if ctx.Validate {
 		for i := 0; i < threads; i++ {
-			want := in[(i*stride)%nIn]
+			want := math.Float32frombits(in[(i*stride)%nIn])
 			if out[i] != want {
 				return nil, fmt.Errorf("membandwidth: element %d: got %v want %v", i, out[i], want)
 			}
@@ -120,7 +121,7 @@ func runMemBandwidth(ctx *core.RunContext) (*core.Result, error) {
 	return res, nil
 }
 
-func memBandwidthVulkan(ctx *core.RunContext, threads, nIn, stride, iters int, in []float32) ([]float32, time.Duration, error) {
+func memBandwidthVulkan(ctx *core.RunContext, threads, nIn, stride, iters int, in kernels.Words) ([]float32, time.Duration, error) {
 	env, err := vkutil.Setup(ctx.Host, ctx.Device)
 	if err != nil {
 		return nil, 0, err
@@ -137,7 +138,7 @@ func memBandwidthVulkan(ctx *core.RunContext, threads, nIn, stride, iters int, i
 		return nil, 0, err
 	}
 	defer bufOut.Free()
-	if err := env.UploadF32(bufIn, in); err != nil {
+	if err := env.Upload(bufIn, in); err != nil {
 		return nil, 0, err
 	}
 
@@ -202,7 +203,7 @@ func memBandwidthVulkan(ctx *core.RunContext, threads, nIn, stride, iters int, i
 	return out[:threads], kernelTime, nil
 }
 
-func memBandwidthCUDA(ctx *core.RunContext, threads, nIn, stride, iters int, in []float32) ([]float32, time.Duration, error) {
+func memBandwidthCUDA(ctx *core.RunContext, threads, nIn, stride, iters int, in kernels.Words) ([]float32, time.Duration, error) {
 	env, err := bench.SetupCUDA(ctx.Host, ctx.Device)
 	if err != nil {
 		return nil, 0, err
@@ -217,7 +218,7 @@ func memBandwidthCUDA(ctx *core.RunContext, threads, nIn, stride, iters int, in 
 		return nil, 0, err
 	}
 	defer env.Context.Free(dOut)
-	if err := env.Context.MemcpyHtoD(dIn, kernels.F32ToWords(in)); err != nil {
+	if err := env.Context.MemcpyHtoD(dIn, in); err != nil {
 		return nil, 0, err
 	}
 	k, err := env.Module.GetKernel(KernelStridedRead)
@@ -257,12 +258,12 @@ func memBandwidthCUDA(ctx *core.RunContext, threads, nIn, stride, iters int, in 
 	return kernels.WordsToF32(out), kernelTime, nil
 }
 
-func memBandwidthOpenCL(ctx *core.RunContext, threads, nIn, stride, iters int, in []float32) ([]float32, time.Duration, error) {
+func memBandwidthOpenCL(ctx *core.RunContext, threads, nIn, stride, iters int, in kernels.Words) ([]float32, time.Duration, error) {
 	env, err := bench.SetupOpenCL(ctx.Host, ctx.Device, KernelStridedRead)
 	if err != nil {
 		return nil, 0, err
 	}
-	bIn, err := env.Context.CreateBuffer(opencl.MemReadOnly|opencl.MemCopyHostPtr, int64(nIn)*4, kernels.F32ToWords(in))
+	bIn, err := env.Context.CreateBuffer(opencl.MemReadOnly|opencl.MemCopyHostPtr, int64(nIn)*4, in)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -53,8 +53,8 @@ func vectorAddWorkloads(class hw.Class) []core.Workload {
 
 func runVectorAdd(ctx *core.RunContext) (*core.Result, error) {
 	n := ctx.Workload.Param("n", 1<<20)
-	x := bench.RandomF32(ctx.Seed, n, -1, 1)
-	y := bench.RandomF32(ctx.Seed+1, n, -1, 1)
+	x := ctx.RandomF32(ctx.Seed, n, -1, 1)
+	y := ctx.RandomF32(ctx.Seed+1, n, -1, 1)
 
 	var (
 		z          []float32
@@ -75,9 +75,10 @@ func runVectorAdd(ctx *core.RunContext) (*core.Result, error) {
 		return nil, err
 	}
 	if ctx.Validate {
+		xf, yf := kernels.WordsToF32(x), kernels.WordsToF32(y)
 		for i := range z {
-			if bench.AbsDiff(z[i], x[i]+y[i]) > 1e-5 {
-				return nil, fmt.Errorf("vectoradd: element %d: got %v want %v", i, z[i], x[i]+y[i])
+			if bench.AbsDiff(z[i], xf[i]+yf[i]) > 1e-5 {
+				return nil, fmt.Errorf("vectoradd: element %d: got %v want %v", i, z[i], xf[i]+yf[i])
 			}
 		}
 	}
@@ -90,7 +91,7 @@ func runVectorAdd(ctx *core.RunContext) (*core.Result, error) {
 	return res, nil
 }
 
-func vectorAddVulkan(ctx *core.RunContext, n int, x, y []float32) ([]float32, time.Duration, error) {
+func vectorAddVulkan(ctx *core.RunContext, n int, x, y kernels.Words) ([]float32, time.Duration, error) {
 	env, err := vkutil.Setup(ctx.Host, ctx.Device)
 	if err != nil {
 		return nil, 0, err
@@ -113,10 +114,10 @@ func vectorAddVulkan(ctx *core.RunContext, n int, x, y []float32) ([]float32, ti
 		return nil, 0, err
 	}
 	defer bufZ.Free()
-	if err := env.UploadF32(bufX, x); err != nil {
+	if err := env.Upload(bufX, x); err != nil {
 		return nil, 0, err
 	}
-	if err := env.UploadF32(bufY, y); err != nil {
+	if err := env.Upload(bufY, y); err != nil {
 		return nil, 0, err
 	}
 
@@ -165,7 +166,7 @@ func vectorAddVulkan(ctx *core.RunContext, n int, x, y []float32) ([]float32, ti
 	return z[:n], kernelTime, nil
 }
 
-func vectorAddCUDA(ctx *core.RunContext, n int, x, y []float32) ([]float32, time.Duration, error) {
+func vectorAddCUDA(ctx *core.RunContext, n int, x, y kernels.Words) ([]float32, time.Duration, error) {
 	env, err := bench.SetupCUDA(ctx.Host, ctx.Device)
 	if err != nil {
 		return nil, 0, err
@@ -186,10 +187,10 @@ func vectorAddCUDA(ctx *core.RunContext, n int, x, y []float32) ([]float32, time
 		return nil, 0, err
 	}
 	defer env.Context.Free(dZ)
-	if err := env.Context.MemcpyHtoD(dX, kernels.F32ToWords(x)); err != nil {
+	if err := env.Context.MemcpyHtoD(dX, x); err != nil {
 		return nil, 0, err
 	}
-	if err := env.Context.MemcpyHtoD(dY, kernels.F32ToWords(y)); err != nil {
+	if err := env.Context.MemcpyHtoD(dY, y); err != nil {
 		return nil, 0, err
 	}
 	k, err := env.Module.GetKernel(KernelVectorAdd)
@@ -214,18 +215,18 @@ func vectorAddCUDA(ctx *core.RunContext, n int, x, y []float32) ([]float32, time
 	return kernels.WordsToF32(out), kernelTime, nil
 }
 
-func vectorAddOpenCL(ctx *core.RunContext, n int, x, y []float32) ([]float32, time.Duration, error) {
+func vectorAddOpenCL(ctx *core.RunContext, n int, x, y kernels.Words) ([]float32, time.Duration, error) {
 	env, err := bench.SetupOpenCL(ctx.Host, ctx.Device, KernelVectorAdd)
 	if err != nil {
 		return nil, 0, err
 	}
 	size := int64(n) * 4
-	bX, err := env.Context.CreateBuffer(opencl.MemReadOnly|opencl.MemCopyHostPtr, size, kernels.F32ToWords(x))
+	bX, err := env.Context.CreateBuffer(opencl.MemReadOnly|opencl.MemCopyHostPtr, size, x)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer bX.Release()
-	bY, err := env.Context.CreateBuffer(opencl.MemReadOnly|opencl.MemCopyHostPtr, size, kernels.F32ToWords(y))
+	bY, err := env.Context.CreateBuffer(opencl.MemReadOnly|opencl.MemCopyHostPtr, size, y)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -162,10 +162,14 @@ func (m *Mem) Size() int64 { return m.size }
 func (m *Mem) Words() kernels.Words { return m.alloc.Words() }
 
 // CreateBuffer creates a buffer object; like cudaMalloc, one call allocates
-// and (optionally, with MemCopyHostPtr) initialises the memory.
+// and (optionally, with MemCopyHostPtr) initialises the memory. Host data
+// longer than the buffer is CL_INVALID_VALUE.
 func (c *Context) CreateBuffer(flags MemFlags, size int64, hostData kernels.Words) (*Mem, error) {
 	if size <= 0 {
 		return nil, ErrInvalidValue
+	}
+	if flags&MemCopyHostPtr != 0 && len(hostData) > kernels.WordsForBytes(int(size)) {
+		return nil, fmt.Errorf("%w: %d words of host data for a buffer of %d bytes", ErrInvalidValue, len(hostData), size)
 	}
 	c.rec.NextSpend(hw.KnobCost(hw.KnobAlloc))
 	c.host.Spend("clCreateBuffer", c.drv.AllocOverhead)
@@ -382,10 +386,14 @@ func (e *Event) Duration() time.Duration {
 }
 
 // EnqueueWriteBuffer copies host words into a buffer. When blocking, the host
-// waits for the transfer to complete.
+// waits for the transfer to complete. Data longer than the buffer is
+// CL_INVALID_VALUE.
 func (q *CommandQueue) EnqueueWriteBuffer(m *Mem, blocking bool, data kernels.Words) (*Event, error) {
 	if m == nil {
 		return nil, ErrInvalidValue
+	}
+	if len(data) > len(m.alloc.Words()) {
+		return nil, fmt.Errorf("%w: write of %d words into a buffer of %d words", ErrInvalidValue, len(data), len(m.alloc.Words()))
 	}
 	q.ctx.host.Spend("clEnqueueWriteBuffer", hostCallOverhead)
 	queued := q.ctx.host.Now()
@@ -399,10 +407,14 @@ func (q *CommandQueue) EnqueueWriteBuffer(m *Mem, blocking bool, data kernels.Wo
 	return &Event{Queued: queued, Submit: queued, Start: start, End: end, rec: q.ctx.rec, ref: ref}, nil
 }
 
-// EnqueueReadBuffer copies a buffer into host words.
+// EnqueueReadBuffer copies a buffer into host words. Host words longer than
+// the buffer are CL_INVALID_VALUE.
 func (q *CommandQueue) EnqueueReadBuffer(m *Mem, blocking bool, data kernels.Words) (*Event, error) {
 	if m == nil {
 		return nil, ErrInvalidValue
+	}
+	if len(data) > len(m.alloc.Words()) {
+		return nil, fmt.Errorf("%w: read of %d words from a buffer of %d words", ErrInvalidValue, len(data), len(m.alloc.Words()))
 	}
 	q.ctx.host.Spend("clEnqueueReadBuffer", hostCallOverhead)
 	queued := q.ctx.host.Now()

@@ -153,8 +153,8 @@ const (
 
 type algorithm struct {
 	n       int
-	input   []float32
-	weights []float32
+	input   kernels.Words
+	weights kernels.Words
 	groups  int
 
 	hidden [HiddenUnits]float64
@@ -163,8 +163,8 @@ type algorithm struct {
 
 func (b *algorithm) Buffers() []rodinia.BufferSpec {
 	return []rodinia.BufferSpec{
-		bufInput:   {Name: "input", Init: kernels.F32ToWords(b.input)},
-		bufWeights: {Name: "weights", Init: kernels.F32ToWords(b.weights)},
+		bufInput:   {Name: "input", Init: b.input},
+		bufWeights: {Name: "weights", Init: b.weights},
 		bufPartial: {Name: "partial_sums", Words: b.groups * HiddenUnits},
 		bufDelta:   {Name: "hidden_delta", Words: HiddenUnits},
 	}
@@ -273,8 +273,8 @@ func workloads(class hw.Class) []core.Workload {
 
 func run(ctx *core.RunContext) (*core.Result, error) {
 	n := ctx.Workload.Param("n", 4<<10)
-	input := bench.RandomF32(ctx.Seed, n, 0, 1)
-	weights := bench.RandomF32(ctx.Seed+1, n*HiddenUnits, -0.5, 0.5)
+	input := ctx.RandomF32(ctx.Seed, n, 0, 1)
+	weights := ctx.RandomF32(ctx.Seed+1, n*HiddenUnits, -0.5, 0.5)
 	alg := &algorithm{
 		n:       n,
 		input:   input,
@@ -289,7 +289,7 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 	updated := kernels.WordsToF32(out.Buffers[bufWeights])[: n*HiddenUnits : n*HiddenUnits]
 
 	if ctx.Validate {
-		want, hidden := reference(n, input, weights)
+		want, hidden := reference(n, kernels.WordsToF32(input), kernels.WordsToF32(weights))
 		for j := 0; j < HiddenUnits; j++ {
 			if math.Abs(alg.hidden[j]-hidden[j]) > 1e-3 {
 				return nil, fmt.Errorf("backprop: hidden[%d] = %v, want %v", j, alg.hidden[j], hidden[j])

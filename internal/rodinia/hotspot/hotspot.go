@@ -113,14 +113,14 @@ func stepParams(n int) (step, cap, rxInv, rzInv float32) {
 type algorithm struct {
 	n     int
 	iters int
-	temp  []float32
-	power []float32
+	temp  kernels.Words
+	power kernels.Words
 }
 
 func (h *algorithm) Buffers() []rodinia.BufferSpec {
 	return []rodinia.BufferSpec{
-		{Name: "power", Init: kernels.F32ToWords(h.power)},
-		{Name: "tempA", Init: kernels.F32ToWords(h.temp)},
+		{Name: "power", Init: h.power},
+		{Name: "tempA", Init: h.temp},
 		{Name: "tempB", Words: h.n * h.n},
 	}
 }
@@ -216,8 +216,8 @@ func workloads(class hw.Class) []core.Workload {
 func run(ctx *core.RunContext) (*core.Result, error) {
 	n := ctx.Workload.Param("n", 512)
 	iters := ctx.Workload.Param("iterations", 32)
-	temp := bench.RandomF32(ctx.Seed, n*n, 323, 342)
-	power := bench.RandomF32(ctx.Seed+1, n*n, 0, 1)
+	temp := ctx.RandomF32(ctx.Seed, n*n, 323, 342)
+	power := ctx.RandomF32(ctx.Seed+1, n*n, 0, 1)
 	alg := &algorithm{n: n, iters: iters, temp: temp, power: power}
 
 	out, err := rodinia.Run(ctx, alg, []int{alg.finalBuffer()})
@@ -227,7 +227,7 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 	result := kernels.WordsToF32(out.Buffers[alg.finalBuffer()])
 
 	if ctx.Validate {
-		want := reference(n, iters, temp, power)
+		want := reference(n, iters, kernels.WordsToF32(temp), kernels.WordsToF32(power))
 		for i := range want {
 			if bench.AbsDiff(result[i], want[i]) > 1e-2 {
 				return nil, fmt.Errorf("hotspot: cell %d = %v, want %v", i, result[i], want[i])

@@ -71,13 +71,13 @@ func euclidKernel(wg *kernels.Workgroup) {
 
 type algorithm struct {
 	n         int
-	locations []float32
+	locations kernels.Words
 	lat, lng  float32
 }
 
 func (a *algorithm) Buffers() []rodinia.BufferSpec {
 	return []rodinia.BufferSpec{
-		{Name: "locations", Init: kernels.F32ToWords(a.locations)},
+		{Name: "locations", Init: a.locations},
 		{Name: "distances", Words: a.n},
 	}
 }
@@ -181,7 +181,7 @@ func workloads(class hw.Class) []core.Workload {
 
 func run(ctx *core.RunContext) (*core.Result, error) {
 	n := ctx.Workload.Param("n", 256<<10)
-	locations := bench.RandomF32(ctx.Seed, 2*n, 0, 90)
+	locations := ctx.RandomF32(ctx.Seed, 2*n, 0, 90)
 	alg := &algorithm{n: n, locations: locations, lat: 30, lng: 59}
 
 	out, err := rodinia.Run(ctx, alg, []int{1})
@@ -193,9 +193,10 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 
 	if ctx.Validate {
 		distances := kernels.WordsToF32(words)
+		locs := kernels.WordsToF32(locations)
 		for i := 0; i < n; i++ {
-			dlat := locations[2*i] - alg.lat
-			dlng := locations[2*i+1] - alg.lng
+			dlat := locs[2*i] - alg.lat
+			dlng := locs[2*i+1] - alg.lng
 			want := float32(math.Sqrt(float64(dlat*dlat + dlng*dlng)))
 			if bench.AbsDiff(distances[i], want) > 1e-4 {
 				return nil, fmt.Errorf("nn: distance %d = %v, want %v", i, distances[i], want)

@@ -6,7 +6,7 @@ import (
 	"sort"
 	"testing"
 
-	"vcomputebench/internal/bench"
+	"vcomputebench/internal/core"
 	"vcomputebench/internal/kernels"
 )
 
@@ -84,7 +84,7 @@ var nearestSink []int
 // BenchmarkNearest times the host-side selection alone over the 8M records of
 // nn's mobile workload; it allocates only the K-entry result.
 func BenchmarkNearest(b *testing.B) {
-	words := kernels.F32ToWords(bench.RandomF32(1, 8<<20, 0, 128))
+	words := (&core.RunContext{}).RandomF32(1, 8<<20, 0, 128)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

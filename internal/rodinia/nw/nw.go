@@ -13,7 +13,6 @@ package nw
 import (
 	"fmt"
 
-	"vcomputebench/internal/bench"
 	"vcomputebench/internal/core"
 	"vcomputebench/internal/glsl"
 	"vcomputebench/internal/hw"
@@ -123,27 +122,27 @@ func nwKernel(wg *kernels.Workgroup) {
 
 type algorithm struct {
 	n    int // sequence length; matrix dimension is n+1
-	seq1 []int32
-	seq2 []int32
+	seq1 kernels.Words
+	seq2 kernels.Words
 }
 
 func (a *algorithm) dim() int { return a.n + 1 }
 
 func (a *algorithm) Buffers() []rodinia.BufferSpec {
 	dim := a.dim()
-	f := make([]int32, dim*dim)
+	f := make(kernels.Words, dim*dim)
 	for i := 1; i < dim; i++ {
-		f[i*dim] = int32(-i * gapPenalty)
-		f[i] = int32(-i * gapPenalty)
+		f[i*dim] = uint32(int32(-i * gapPenalty))
+		f[i] = uint32(int32(-i * gapPenalty))
 	}
-	s1 := make([]int32, dim)
-	s2 := make([]int32, dim)
+	s1 := make(kernels.Words, dim)
+	s2 := make(kernels.Words, dim)
 	copy(s1[1:], a.seq1)
 	copy(s2[1:], a.seq2)
 	return []rodinia.BufferSpec{
-		{Name: "score", Init: kernels.I32ToWords(f)},
-		{Name: "seq1", Init: kernels.I32ToWords(s1)},
-		{Name: "seq2", Init: kernels.I32ToWords(s2)},
+		{Name: "score", Init: f},
+		{Name: "seq1", Init: s1},
+		{Name: "seq2", Init: s2},
 	}
 }
 
@@ -228,8 +227,8 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 	if n%blockSize != 0 {
 		return nil, fmt.Errorf("nw: sequence length %d is not a multiple of the block size %d", n, blockSize)
 	}
-	seq1 := bench.RandomI32(ctx.Seed, n, 1, 21)
-	seq2 := bench.RandomI32(ctx.Seed+1, n, 1, 21)
+	seq1 := ctx.RandomI32(ctx.Seed, n, 1, 21)
+	seq2 := ctx.RandomI32(ctx.Seed+1, n, 1, 21)
 	alg := &algorithm{n: n, seq1: seq1, seq2: seq2}
 
 	out, err := rodinia.Run(ctx, alg, []int{0})
@@ -239,7 +238,7 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 	score := kernels.WordsToI32(out.Buffers[0])
 
 	if ctx.Validate {
-		want := reference(n, seq1, seq2)
+		want := reference(n, kernels.WordsToI32(seq1), kernels.WordsToI32(seq2))
 		for i := range want {
 			if score[i] != want[i] {
 				return nil, fmt.Errorf("nw: cell %d = %d, want %d", i, score[i], want[i])

@@ -12,7 +12,6 @@ package pathfinder
 import (
 	"fmt"
 
-	"vcomputebench/internal/bench"
 	"vcomputebench/internal/core"
 	"vcomputebench/internal/glsl"
 	"vcomputebench/internal/hw"
@@ -75,15 +74,15 @@ func pathfinderKernel(wg *kernels.Workgroup) {
 
 type algorithm struct {
 	rows, cols int
-	wall       []int32
+	wall       kernels.Words
 }
 
+// Buffers seeds the first result row with the wall's first row. Both specs
+// share the wall's words: every upload copies them into device memory.
 func (p *algorithm) Buffers() []rodinia.BufferSpec {
-	first := make([]int32, p.cols)
-	copy(first, p.wall[:p.cols])
 	return []rodinia.BufferSpec{
-		{Name: "wall", Init: kernels.I32ToWords(p.wall)},
-		{Name: "resultA", Init: kernels.I32ToWords(first)},
+		{Name: "wall", Init: p.wall},
+		{Name: "resultA", Init: p.wall[:p.cols:p.cols]},
 		{Name: "resultB", Words: p.cols},
 	}
 }
@@ -158,7 +157,7 @@ func workloads(class hw.Class) []core.Workload {
 func run(ctx *core.RunContext) (*core.Result, error) {
 	cols := ctx.Workload.Param("cols", 10_000)
 	rows := ctx.Workload.Param("rows", 100)
-	wall := bench.RandomI32(ctx.Seed, rows*cols, 0, 10)
+	wall := ctx.RandomI32(ctx.Seed, rows*cols, 0, 10)
 	alg := &algorithm{rows: rows, cols: cols, wall: wall}
 
 	out, err := rodinia.Run(ctx, alg, []int{alg.finalBuffer()})
@@ -168,7 +167,7 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 	result := kernels.WordsToI32(out.Buffers[alg.finalBuffer()])[:cols]
 
 	if ctx.Validate {
-		want := reference(rows, cols, wall)
+		want := reference(rows, cols, kernels.WordsToI32(wall))
 		for j := range want {
 			if result[j] != want[j] {
 				return nil, fmt.Errorf("pathfinder: column %d = %d, want %d", j, result[j], want[j])

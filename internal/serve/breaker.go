@@ -19,8 +19,8 @@ const (
 	breakerProbeEvery = 32
 )
 
-// breaker guards the disk snapshot tier: every underlying Get that degrades a
-// corrupt entry to a miss (DiskStore's decode-failure accounting) counts
+// breaker guards the disk snapshot tier: every disk read that meets an entry
+// it cannot decode (DiskStore.Load reports it for that read alone) counts
 // against a consecutive-failure budget, and exhausting it trips the tier to
 // miss-mode — reads answer miss without touching the filesystem, and writes
 // are skipped rather than aimed at a disk that is eating entries. This is
@@ -54,13 +54,11 @@ func (b *breaker) get(k core.SnapshotKey) (*core.Snapshot, bool) {
 	}
 	b.mu.Unlock()
 
-	before := b.disk.DecodeFailureCount()
-	snap, ok := b.disk.Get(k)
-	failed := b.disk.DecodeFailureCount() > before
+	snap, ok, corrupt := b.disk.Load(k)
 
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if failed {
+	if corrupt {
 		b.consecutive++
 		if b.consecutive >= breakerThreshold && !b.open {
 			b.open = true

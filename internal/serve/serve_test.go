@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -465,8 +466,9 @@ func TestChaosServeShedsWhenSaturated(t *testing.T) {
 }
 
 // breakerFixture persists several distinct cells into a DiskStore and returns
-// their keys, so breaker tests have real entries to corrupt.
-func breakerFixture(t *testing.T, disk *core.DiskStore) []core.SnapshotKey {
+// their keys with the entry file each was written to, so breaker tests have
+// real entries to corrupt.
+func breakerFixture(t *testing.T, disk *core.DiskStore) (keys []core.SnapshotKey, files []string) {
 	t.Helper()
 	p, err := platforms.ByID(platforms.IDGTX1050Ti)
 	if err != nil {
@@ -477,15 +479,28 @@ func breakerFixture(t *testing.T, disk *core.DiskStore) []core.SnapshotKey {
 		t.Fatal(err)
 	}
 	runner := &core.Runner{Repetitions: 1, Seed: 42, Cache: disk}
-	var keys []core.SnapshotKey
+	written := map[string]bool{}
 	for _, api := range []hw.API{hw.APIVulkan, hw.APIOpenCL, hw.APICUDA} {
 		w := b.Workloads(p.Profile.Class)[0]
 		if _, err := runner.Run(p, b, api, w); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, runner.CellKey(p, b, api, w))
+		entries, err := filepath.Glob(filepath.Join(disk.Dir(), "*.snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if !written[e] {
+				written[e] = true
+				files = append(files, e)
+			}
+		}
+		if len(files) != len(keys) {
+			t.Fatalf("after %d cells the store holds %d entries", len(keys), len(files))
+		}
 	}
-	return keys
+	return keys, files
 }
 
 // TestChaosServeBreakerTripsAndRecovers drives the disk-tier circuit breaker
@@ -498,7 +513,7 @@ func TestChaosServeBreakerTripsAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := breakerFixture(t, disk)
+	keys, _ := breakerFixture(t, disk)
 	if len(keys) < breakerThreshold {
 		t.Fatalf("fixture produced %d cells, need %d", len(keys), breakerThreshold)
 	}
@@ -581,6 +596,69 @@ func TestChaosServeBreakerTripsAndRecovers(t *testing.T) {
 	}
 	if got, ok := br.get(spareKey); !ok || got == nil {
 		t.Fatal("closed breaker missed a resident entry")
+	}
+}
+
+// TestChaosServeBreakerJudgesEachRead mixes concurrent clean and corrupt disk
+// reads through the breaker. Each round, breakerThreshold-1 goroutines corrupt
+// their own entry and read it while eight goroutines keep reading clean
+// entries; a sequential clean read then ends the run of failures. Run it
+// under -race. A read is judged by its own decode, not by whether the store's
+// shared failure count moved meanwhile: no clean read may miss, and the
+// corrupt reads, never three in a row, may not trip the breaker.
+func TestChaosServeBreakerJudgesEachRead(t *testing.T) {
+	disk, err := core.OpenDiskStore(t.TempDir(), "breaker-test", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, files := breakerFixture(t, disk)
+	clean, corrupt, corruptFiles := keys[0], keys[1:], files[1:]
+	if len(corrupt) != breakerThreshold-1 {
+		t.Fatalf("fixture has %d entries to corrupt, want %d", len(corrupt), breakerThreshold-1)
+	}
+	br := newBreaker(disk)
+	const rounds, cleanReaders = 40, 8
+	var lost atomic.Int64
+	for r := 0; r < rounds; r++ {
+		var done atomic.Bool
+		var readers, corrupters sync.WaitGroup
+		for g := 0; g < cleanReaders; g++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for first := true; first || !done.Load(); first = false {
+					if _, ok := br.get(clean); !ok {
+						lost.Add(1)
+					}
+				}
+			}()
+		}
+		for i, k := range corrupt {
+			corrupters.Add(1)
+			go func() {
+				defer corrupters.Done()
+				if err := os.WriteFile(corruptFiles[i], []byte("not a snapshot"), 0o644); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, ok := br.get(k); ok {
+					t.Errorf("round %d: corrupt entry %d read as a hit", r, i)
+				}
+			}()
+		}
+		corrupters.Wait()
+		done.Store(true)
+		readers.Wait()
+		if _, ok := br.get(clean); !ok {
+			lost.Add(1)
+		}
+	}
+	if n := lost.Load(); n > 0 {
+		t.Errorf("%d clean reads missed while other reads met corrupt entries", n)
+	}
+	if open, trips := br.state(); open || trips != 0 {
+		t.Errorf("breaker open=%v trips=%d after %d rounds of %d corrupt reads each, want closed and never tripped",
+			open, trips, rounds, len(corrupt))
 	}
 }
 

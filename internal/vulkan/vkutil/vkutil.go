@@ -224,16 +224,6 @@ func (e *Env) Upload(dst *Buffer, data kernels.Words) error {
 	return fence.Wait()
 }
 
-// UploadF32 uploads a float32 slice.
-func (e *Env) UploadF32(dst *Buffer, data []float32) error {
-	return e.Upload(dst, kernels.F32ToWords(data))
-}
-
-// UploadI32 uploads an int32 slice.
-func (e *Env) UploadI32(dst *Buffer, data []int32) error {
-	return e.Upload(dst, kernels.I32ToWords(data))
-}
-
 // Download reads the device buffer back to host words through the
 // environment's persistent staging buffer.
 func (e *Env) Download(src *Buffer) (kernels.Words, error) {
@@ -283,15 +273,6 @@ func (e *Env) DownloadF32(src *Buffer) ([]float32, error) {
 		return nil, err
 	}
 	return kernels.WordsToF32(w), nil
-}
-
-// DownloadI32 reads the buffer back as int32 values.
-func (e *Env) DownloadI32(src *Buffer) ([]int32, error) {
-	w, err := e.Download(src)
-	if err != nil {
-		return nil, err
-	}
-	return kernels.WordsToI32(w), nil
 }
 
 // Pipeline bundles a compute pipeline with its layouts.
