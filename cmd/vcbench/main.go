@@ -130,16 +130,9 @@ func main() {
 	}
 	switch {
 	case *storeDir != "":
-		disk, err := core.OpenDiskStore(*storeDir, codeversion.Fingerprint(), nil)
+		disk, err := openStore(*storeDir, *storeGC, "vcbench")
 		if err != nil {
 			fatal(err)
-		}
-		if *storeGC {
-			removed, reclaimed, err := disk.GC()
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "vcbench: store GC: removed %d stale files, reclaimed %d bytes\n", removed, reclaimed)
 		}
 		opts.Cache = core.NewTieredStore(core.NewSnapshotCache(0), disk)
 	case *useCache:
@@ -233,6 +226,22 @@ func fatal(err error) {
 	os.Exit(exitCode(err))
 }
 
+// openStore opens the persistent snapshot store at dir under this build's
+// code version and, with gc set, sweeps it first, logging what GC reclaimed
+// under the command name cmd.
+func openStore(dir string, gc bool, cmd string) (*core.DiskStore, error) {
+	disk, err := core.OpenDiskStore(dir, codeversion.Fingerprint(), nil)
+	if err != nil || !gc {
+		return disk, err
+	}
+	removed, reclaimed, err := disk.GC()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "%s: store GC: removed %d stale files, reclaimed %d bytes\n", cmd, removed, reclaimed)
+	return disk, nil
+}
+
 // printCacheStats reports the snapshot store's traffic: misses are cells that
 // executed, hits are cells served by analytic replay. Composed stores get a
 // per-tier breakdown.
@@ -243,7 +252,7 @@ func printCacheStats(c core.SnapshotStore) {
 	}
 	s := c.Stats()
 	fmt.Fprintf(os.Stderr, "vcbench: snapshot store: %d executed (misses), %d replayed (hits), %d entries, %d evictions\n",
-		s.Executions, s.Hits, s.Entries, s.Evictions)
+		s.Misses, s.Hits, s.Entries, s.Evictions)
 	for _, t := range s.Tiers {
 		fmt.Fprintf(os.Stderr, "vcbench:   %s tier: %d hits, %d misses, %d evictions, %d entries, %d bytes, %d decode failures, %d dropped puts\n",
 			t.Tier, t.Hits, t.Misses, t.Evictions, t.Entries, t.Bytes, t.DecodeFailures, t.DroppedPuts)

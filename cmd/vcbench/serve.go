@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"os"
 	"os/signal"
 	"runtime"
@@ -69,18 +68,9 @@ func serveCmd(args []string) error {
 		cfg.QueueDepth = -1
 	}
 	if *storeDir != "" {
-		disk, err := core.OpenDiskStore(*storeDir, codeversion.Fingerprint(), nil)
-		if err != nil {
+		if cfg.Disk, err = openStore(*storeDir, *storeGC, "vcbench serve"); err != nil {
 			return err
 		}
-		if *storeGC {
-			removed, reclaimed, err := disk.GC()
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "vcbench serve: store GC: removed %d stale files, reclaimed %d bytes\n", removed, reclaimed)
-		}
-		cfg.Disk = disk
 	}
 	srv, err := serve.New(cfg)
 	if err != nil {

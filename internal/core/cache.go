@@ -76,18 +76,14 @@ type TierStats struct {
 }
 
 // CacheStats reports a store's traffic. At the top level Lookups = Hits +
-// Misses, and — because the runner executes a cell exactly when its store
-// lookup misses — Misses is the number of cells that paid for execution.
-// Composed stores additionally break traffic down per tier; the original
-// flat fields keep their pre-tier meaning, so existing consumers read the
-// same numbers as before.
+// Misses. A miss is a cell the store could not replay: a batch run executes
+// every one, and the serve front end executes or sheds each. Composed stores
+// additionally break traffic down per tier; the flat fields count the
+// composition's own lookups, so a warm store reads 0 misses.
 type CacheStats struct {
 	Hits, Misses, Evictions uint64
 	Entries                 int
 
-	// Executions mirrors Misses under the store-miss-means-execution
-	// contract, under the name the warm-run acceptance checks use.
-	Executions uint64
 	// Tiers breaks the traffic down per tier for composed stores (nil for a
 	// plain in-memory cache).
 	Tiers []TierStats
@@ -165,7 +161,6 @@ func (c *SnapshotCache) Stats() CacheStats {
 	defer c.mu.Unlock()
 	return CacheStats{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: c.ll.Len(),
-		Executions: c.misses,
 	}
 }
 
@@ -175,20 +170,9 @@ func (c *SnapshotCache) tierStats(name string) TierStats {
 	return TierStats{Tier: name, Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, Entries: s.Entries}
 }
 
-// Peeker is the optional side-effect-free probe of a SnapshotStore: Peek
-// reports whether a Get for the key would (very likely) hit, without touching
-// hit/miss statistics or LRU recency. The serve admission layer uses it to
-// classify a request as replay or execution before deciding whether it can be
-// shed — a Peek must therefore never count as traffic, or warm-store load
-// tests could not assert zero executions. The answer is advisory: a
-// concurrent eviction between Peek and Get turns a predicted hit into an
-// executed miss, which is safe (just unshed work), never wrong.
-type Peeker interface {
-	Peek(k SnapshotKey) bool
-}
-
 // Peek reports whether the key is resident, without updating recency or
-// counting a hit/miss.
+// counting a hit/miss. It is advisory, for instrumentation such as telling
+// which tier answered a Get; decisions rest on Get itself.
 func (c *SnapshotCache) Peek(k SnapshotKey) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -197,8 +181,9 @@ func (c *SnapshotCache) Peek(k SnapshotKey) bool {
 }
 
 // CellKey returns the snapshot-store key Run would use for this cell under
-// the runner's current settings. Exported for store-aware frontends (the
-// serve admission layer) that need to probe the store before running.
+// the runner's current settings. Exported for callers that address a store
+// directly, such as tests seeding or inspecting entries and trace tools that
+// map store traffic back to cells.
 func (r *Runner) CellKey(p *platforms.Platform, b Benchmark, api hw.API, w Workload) SnapshotKey {
 	return r.snapshotKey(p, b, api, w)
 }

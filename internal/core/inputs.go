@@ -40,7 +40,7 @@ func newStream(k streamKey) *stream {
 }
 
 // inputStreams is the stream table shared by the cells of one suite, or by
-// the repetitions of one Run or RunCell call.
+// the repetitions of one Run or ExecuteCell call.
 type inputStreams struct {
 	mu      sync.Mutex
 	streams map[streamKey]*stream

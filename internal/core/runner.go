@@ -66,9 +66,10 @@ type Runner struct {
 	// analytically instead of re-executing workgroups. Results are
 	// bit-identical either way. nil preserves the plain execution path.
 	// Snapshots are only recorded from clean first attempts: a faulted or
-	// retry-recovered execution is never stored. Any SnapshotStore works here:
-	// the in-memory SnapshotCache, a persistent DiskStore, or a TieredStore
-	// composing both.
+	// retry-recovered execution is never stored. Each cell makes exactly one
+	// lookup (ReplayCell); execution (ExecuteCell) only writes. Any
+	// SnapshotStore works here: the in-memory SnapshotCache, a persistent
+	// DiskStore, or a TieredStore composing the LRU over a lower store.
 	Cache SnapshotStore
 
 	// Context, when non-nil, bounds the whole run: cancelling it stops the
@@ -109,63 +110,85 @@ func (r *Runner) Run(p *platforms.Platform, b Benchmark, api hw.API, w Workload)
 	return r.run(r.baseContext(), p, b, api, w, r.DispatchParallelism, nil)
 }
 
-// RunCell is the request-scoped single-cell entry point: Run under an
-// explicit context that bounds this cell only, instead of the runner-wide
-// r.Context. The serve path hands every request its own context here, so one
-// shared Runner can carry many concurrent requests with independent
-// deadlines. All runner policy applies unchanged: snapshot replay through
-// r.Cache, per-attempt CellTimeout, the transient retry budget, and fault
-// planning. A nil ctx falls back to the runner's own base context.
-func (r *Runner) RunCell(ctx context.Context, p *platforms.Platform, b Benchmark, api hw.API, w Workload) (*Result, error) {
-	if ctx == nil {
-		ctx = r.baseContext()
+// ReplayCell is the lookup half of a cell: the exclusion checks, then
+// exactly one r.Cache lookup, replaying a hit analytically. hit=false with a
+// nil error means the cell must execute, which ExecuteCell does without a
+// second lookup; a caller with bounded capacity may refuse it instead. A nil
+// Cache always misses. Replay never consults r.Faults: injection models
+// execution.
+func (r *Runner) ReplayCell(p *platforms.Platform, b Benchmark, api hw.API, w Workload) (res *Result, hit bool, err error) {
+	if err := checkCell(p, b, api); err != nil {
+		return nil, false, err
 	}
-	return r.run(ctx, p, b, api, w, r.DispatchParallelism, nil)
+	if r.Cache == nil {
+		return nil, false, nil
+	}
+	snap, ok := r.Cache.Get(r.snapshotKey(p, b, api, w))
+	if !ok {
+		return nil, false, nil
+	}
+	res, err = snap.Replay(p)
+	return res, true, err
+}
+
+// ExecuteCell is the execution half of a cell whose lookup missed: the
+// exclusion checks, then execution attempts with the per-attempt CellTimeout,
+// the transient retry budget and fault planning, offering a clean first
+// attempt to r.Cache. It never reads the store. ctx bounds this cell only,
+// in place of r.Context, so one shared Runner can carry many concurrent
+// cells with independent deadlines.
+func (r *Runner) ExecuteCell(ctx context.Context, p *platforms.Platform, b Benchmark, api hw.API, w Workload) (*Result, error) {
+	if err := checkCell(p, b, api); err != nil {
+		return nil, err
+	}
+	return r.execCell(ctx, p, b, api, w, r.DispatchParallelism, nil)
 }
 
 // run is Run with an explicit cell context, per-dispatch core budget (0 =
 // whole machine) and input stream table; RunSuite passes the budget it
 // computed for its pool size and the table its cells share, and a nil table
-// gives the call its own. With a snapshot cache attached, a cell already
-// executed under an execution-compatible platform is replayed analytically
-// instead of re-executed.
+// gives the call its own. It composes ReplayCell with ExecuteCell's
+// execution, the same lookup-then-execute path the serve front end takes.
 func (r *Runner) run(ctx context.Context, p *platforms.Platform, b Benchmark, api hw.API, w Workload,
 	dispatchParallel int, streams *inputStreams) (*Result, error) {
+	res, hit, err := r.ReplayCell(p, b, api, w)
+	if hit || err != nil {
+		return res, err
+	}
+	return r.execCell(ctx, p, b, api, w, dispatchParallel, streams)
+}
+
+// checkCell rejects nil arguments and the cells a platform quirk, a missing
+// driver or a missing implementation excludes.
+func checkCell(p *platforms.Platform, b Benchmark, api hw.API) error {
 	if p == nil || b == nil {
-		return nil, fmt.Errorf("core: Run with nil platform or benchmark")
+		return fmt.Errorf("core: Run with nil platform or benchmark")
 	}
 	if reason, excluded := p.Excluded(b.Name(), api); excluded {
-		return nil, &ExclusionError{Benchmark: b.Name(), API: api, Platform: p.ID, Reason: reason}
+		return &ExclusionError{Benchmark: b.Name(), API: api, Platform: p.ID, Reason: reason}
 	}
 	if !p.Profile.Supports(api) {
-		return nil, &ExclusionError{
+		return &ExclusionError{
 			Benchmark: b.Name(), API: api, Platform: p.ID,
 			Reason: fmt.Sprintf("platform has no %s driver", api),
 		}
 	}
-	supported := false
 	for _, a := range b.APIs() {
 		if a == api {
-			supported = true
-			break
+			return nil
 		}
 	}
-	if !supported {
-		return nil, &ExclusionError{
-			Benchmark: b.Name(), API: api, Platform: p.ID,
-			Reason: fmt.Sprintf("benchmark has no %s implementation", api),
-		}
+	return &ExclusionError{
+		Benchmark: b.Name(), API: api, Platform: p.ID,
+		Reason: fmt.Sprintf("benchmark has no %s implementation", api),
 	}
+}
+
+// execCell executes a checked cell: attempts with retries, each under the
+// cell deadline and its fault plan, storing a clean first attempt.
+func (r *Runner) execCell(ctx context.Context, p *platforms.Platform, b Benchmark, api hw.API, w Workload,
+	dispatchParallel int, streams *inputStreams) (*Result, error) {
 	record := r.Cache != nil
-	var key SnapshotKey
-	if record {
-		key = r.snapshotKey(p, b, api, w)
-		if snap, ok := r.Cache.Get(key); ok {
-			// Analytic replay re-values an already-executed trace; fault
-			// injection models execution and never applies here.
-			return snap.Replay(p)
-		}
-	}
 	if streams == nil {
 		streams = newInputStreams()
 	}
@@ -191,7 +214,7 @@ func (r *Runner) run(ctx context.Context, p *platforms.Platform, b Benchmark, ap
 			// Cache only clean first attempts: a recovered cell re-executes on
 			// the next run instead of risking a snapshot tainted by the fault.
 			if record && attempt == 0 && (plan == nil || !plan.Fired()) {
-				r.Cache.Put(key, snap)
+				r.Cache.Put(r.snapshotKey(p, b, api, w), snap)
 			}
 			return res, nil
 		}

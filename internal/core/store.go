@@ -18,10 +18,10 @@ import (
 
 // This file implements the persistent tiers of the snapshot storage layer:
 // DiskStore, a content-addressed on-disk SnapshotStore, and TieredStore,
-// which composes the in-memory LRU over it. With a warm disk store every run
-// after the first is pure replay — zero workgroups execute, yet output stays
-// byte-identical, because snapshots are re-valued under the live profile
-// rather than replayed as wall-clock numbers.
+// which composes the in-memory LRU over it (or over any lower store). With a
+// warm disk store every run after the first is pure replay — zero workgroups
+// execute, yet output stays byte-identical, because snapshots are re-valued
+// under the live profile rather than replayed as wall-clock numbers.
 //
 // Entries are addressed by content identity: the filename is a digest of the
 // full SnapshotKey plus the build's code-version fingerprint (a hash over the
@@ -275,14 +275,6 @@ func (s *DiskStore) Put(k SnapshotKey, snap *Snapshot) {
 	}
 }
 
-// Peek reports whether a committed entry file exists for the key, without
-// opening it or counting a hit/miss. A file that exists but would fail to
-// decode still peeks true; the subsequent Get degrades it to a miss as usual.
-func (s *DiskStore) Peek(k SnapshotKey) bool {
-	info, err := os.Stat(s.entryPath(k))
-	return err == nil && !info.IsDir()
-}
-
 // scan walks the store directory, invoking fn for every committed entry file.
 func (s *DiskStore) scan(fn func(path string, size int64)) error {
 	entries, err := os.ReadDir(s.dir)
@@ -307,8 +299,7 @@ func (s *DiskStore) Stats() CacheStats {
 	t := s.tierStats()
 	return CacheStats{
 		Hits: t.Hits, Misses: t.Misses, Entries: t.Entries,
-		Executions: t.Misses,
-		Tiers:      []TierStats{t},
+		Tiers: []TierStats{t},
 	}
 }
 
@@ -366,64 +357,63 @@ func (s *DiskStore) GC() (removed int, reclaimed int64, err error) {
 	return removed, reclaimed, nil
 }
 
-// TieredStore composes the in-memory LRU cache over a persistent disk store:
-// Get tries memory first, falls back to disk and promotes disk hits into
-// memory; Put writes through to both. The suite scheduler's workers share one
-// instance. A top-level miss (both tiers missed) means the runner pays for
-// execution, so Stats().Executions counts exactly the cells that executed.
+// TieredStore composes the in-memory LRU cache over a lower store, usually
+// the persistent DiskStore (the serve front end puts its circuit breaker in
+// between): Get tries memory first, falls back to the lower store and
+// promotes its hits into memory; Put writes through to both. The suite
+// scheduler's workers share one instance. The composition counts its own
+// lookups, so a miss the lower store answers without touching its tier, such
+// as an open breaker's, still counts.
 type TieredStore struct {
-	mem  *SnapshotCache
-	disk *DiskStore
+	mem   *SnapshotCache
+	lower SnapshotStore
+
+	hits, misses atomic.Uint64
 }
 
-// NewTieredStore composes mem over disk. A nil mem gets a default-sized
-// cache; disk must be non-nil (use the SnapshotCache alone for memory-only
+// NewTieredStore composes mem over lower. A nil mem gets a default-sized
+// cache; lower must be non-nil (use the SnapshotCache alone for memory-only
 // operation).
-func NewTieredStore(mem *SnapshotCache, disk *DiskStore) *TieredStore {
+func NewTieredStore(mem *SnapshotCache, lower SnapshotStore) *TieredStore {
 	if mem == nil {
 		mem = NewSnapshotCache(0)
 	}
-	return &TieredStore{mem: mem, disk: disk}
+	return &TieredStore{mem: mem, lower: lower}
 }
 
-// Get returns the snapshot from the fastest tier that has it, promoting disk
+// Get returns the snapshot from the fastest tier that has it, promoting lower
 // hits into memory so repeated lookups stay off the filesystem.
 func (t *TieredStore) Get(k SnapshotKey) (*Snapshot, bool) {
 	if snap, ok := t.mem.Get(k); ok {
+		t.hits.Add(1)
 		return snap, true
 	}
-	snap, ok := t.disk.Get(k)
+	snap, ok := t.lower.Get(k)
 	if !ok {
+		t.misses.Add(1)
 		return nil, false
 	}
 	t.mem.Put(k, snap)
+	t.hits.Add(1)
 	return snap, true
 }
 
 // Put writes through to both tiers.
 func (t *TieredStore) Put(k SnapshotKey, s *Snapshot) {
 	t.mem.Put(k, s)
-	t.disk.Put(k, s)
+	t.lower.Put(k, s)
 }
 
-// Peek reports whether either tier holds the key, without counting traffic.
-func (t *TieredStore) Peek(k SnapshotKey) bool {
-	return t.mem.Peek(k) || t.disk.Peek(k)
-}
-
-// Stats reports combined traffic with a per-tier breakdown. The top-level
-// flat fields keep the store-miss-means-execution contract: Hits counts
-// lookups satisfied by either tier, Misses (and Executions) counts lookups
-// both tiers missed — exactly the cells that paid for execution.
+// Stats reports the composition's lookups with a per-tier breakdown: the
+// memory tier followed by the lower store's tiers, so the disk tier is last.
+// Hits counts lookups either tier satisfied, Misses lookups both missed.
 func (t *TieredStore) Stats() CacheStats {
 	mem := t.mem.tierStats("memory")
-	disk := t.disk.tierStats()
 	return CacheStats{
-		Hits:       mem.Hits + disk.Hits,
-		Misses:     disk.Misses,
-		Evictions:  mem.Evictions,
-		Entries:    mem.Entries,
-		Executions: disk.Misses,
-		Tiers:      []TierStats{mem, disk},
+		Hits:      t.hits.Load(),
+		Misses:    t.misses.Load(),
+		Evictions: mem.Evictions,
+		Entries:   mem.Entries,
+		Tiers:     append([]TierStats{mem}, t.lower.Stats().Tiers...),
 	}
 }

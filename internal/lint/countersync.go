@@ -8,16 +8,16 @@ import (
 	"vcomputebench/internal/lint/analysis"
 )
 
-// CounterSync is the compile-time generalization of the runtime counter-field
-// sync guard: the kernels Counters struct, its Add/Scale methods, and the hw
-// codec's encode/decode field lists must all cover the same field set. A
-// field added to Counters but forgotten in Add silently drops work during
-// accumulation; forgotten in Scale it breaks the sampling extrapolation
-// contract; forgotten in the codec it round-trips as zero through the
-// persistent snapshot store without any decode error. The analyzer knows two
-// deliberate exceptions from config: derived fields (recomputed before
-// recording, excluded everywhere) and intensive fields (accumulated but never
-// scaled — ratios and per-group maxima).
+// CounterSync is the only guard that the kernels Counters struct, its
+// Add/Scale methods, and the hw codec's encode/decode field lists and
+// counterFields count all cover the same field set. A field added to Counters
+// but forgotten in Add silently drops work during accumulation; forgotten in
+// Scale it breaks the sampling extrapolation contract; forgotten in the codec
+// it round-trips as zero through the persistent snapshot store without any
+// decode error. The analyzer knows two deliberate exceptions from config:
+// derived fields (recomputed before recording, excluded everywhere) and
+// intensive fields (accumulated but never scaled — ratios and per-group
+// maxima).
 func CounterSync(cfg Config) *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "countersync",

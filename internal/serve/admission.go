@@ -10,10 +10,10 @@ import (
 var errShed = errors.New("serve: executor pool and queue full")
 
 // admission is the bounded executor pool with a bounded wait queue in front
-// of it. Only executions pass through here — the handler Peeks the store
-// first, and replays (microseconds, no executor touched) bypass admission
-// entirely, which is what makes "replays are never shed" structural rather
-// than a tuning outcome.
+// of it. Only executions pass through here — the handler looks the cell up in
+// the store first, and replays (microseconds, no executor touched) bypass
+// admission entirely, which is what makes "replays are never shed"
+// structural rather than a tuning outcome.
 //
 // Both bounds are plain buffered channels: slots holds one token per running
 // execution, queue holds one per waiter allowed to block for a slot. A

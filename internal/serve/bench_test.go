@@ -62,8 +62,8 @@ func BenchmarkServeReplay(b *testing.B) {
 	if w := benchPost(h, body); w.Code != http.StatusOK {
 		b.Fatalf("warm-up status %d: %s", w.Code, w.Body.String())
 	}
-	if s.Stats().Executions != 1 {
-		b.Fatalf("warm-up executed %d cells, want 1", s.Stats().Executions)
+	if s.Stats().Misses != 1 {
+		b.Fatalf("warm-up executed %d cells, want 1", s.Stats().Misses)
 	}
 
 	lat := make([]time.Duration, 0, b.N)
@@ -79,7 +79,7 @@ func BenchmarkServeReplay(b *testing.B) {
 	}
 	elapsed := now().Sub(start)
 	b.StopTimer()
-	if got := s.Stats().Executions; got != 1 {
+	if got := s.Stats().Misses; got != 1 {
 		b.Fatalf("replay benchmark executed %d cells, want the single warm-up", got)
 	}
 	reportQuantiles(b, lat, elapsed, "replays/s")

@@ -19,15 +19,16 @@ const (
 	breakerProbeEvery = 32
 )
 
-// breaker guards the disk snapshot tier: every disk read that meets an entry
-// it cannot decode (DiskStore.Load reports it for that read alone) counts
-// against a consecutive-failure budget, and exhausting it trips the tier to
-// miss-mode — reads answer miss without touching the filesystem, and writes
-// are skipped rather than aimed at a disk that is eating entries. This is
-// PR 8's degrade-to-miss invariant promoted to a tier health policy: a
-// corrupted store costs re-execution, never errors. While open, every
-// breakerProbeEvery-th read is allowed through as a half-open probe; a clean
-// read (hit or plain miss) closes the breaker again.
+// breaker is a core.SnapshotStore decorator guarding the disk snapshot tier:
+// every disk read that meets an entry it cannot decode (DiskStore.Load
+// reports it for that read alone) counts against a consecutive-failure
+// budget, and exhausting it trips the tier to miss-mode — reads answer miss
+// without touching the filesystem, and writes are skipped rather than aimed
+// at a disk that is eating entries. This is the store's degrade-to-miss
+// invariant promoted to a tier health policy: a corrupted store costs
+// re-execution, never errors. While open, every breakerProbeEvery-th read is
+// allowed through as a half-open probe; a clean read (hit or plain miss)
+// closes the breaker again.
 type breaker struct {
 	disk *core.DiskStore
 
@@ -40,9 +41,9 @@ type breaker struct {
 
 func newBreaker(disk *core.DiskStore) *breaker { return &breaker{disk: disk} }
 
-// get reads through the breaker. While open, reads answer miss without
+// Get reads through the breaker. While open, reads answer miss without
 // touching the disk, except for the periodic half-open probe.
-func (b *breaker) get(k core.SnapshotKey) (*core.Snapshot, bool) {
+func (b *breaker) Get(k core.SnapshotKey) (*core.Snapshot, bool) {
 	b.mu.Lock()
 	if b.open {
 		b.bypassed++
@@ -72,9 +73,9 @@ func (b *breaker) get(k core.SnapshotKey) (*core.Snapshot, bool) {
 	return snap, ok
 }
 
-// put writes through unless the breaker is open: a disk that cannot decode
+// Put writes through unless the breaker is open: a disk that cannot decode
 // its own entries should not be handed new ones.
-func (b *breaker) put(k core.SnapshotKey, s *core.Snapshot) {
+func (b *breaker) Put(k core.SnapshotKey, s *core.Snapshot) {
 	b.mu.Lock()
 	open := b.open
 	b.mu.Unlock()
@@ -83,14 +84,9 @@ func (b *breaker) put(k core.SnapshotKey, s *core.Snapshot) {
 	}
 }
 
-// peek probes residency without side effects; an open breaker answers false
-// (the tier is in miss-mode, so a resident entry would not be served).
-func (b *breaker) peek(k core.SnapshotKey) bool {
-	b.mu.Lock()
-	open := b.open
-	b.mu.Unlock()
-	return !open && b.disk.Peek(k)
-}
+// Stats reports the disk tier's own traffic. Reads bypassed while open never
+// reach it; the core.TieredStore over the breaker counts them as misses.
+func (b *breaker) Stats() core.CacheStats { return b.disk.Stats() }
 
 // state reports the breaker position and trip count for /metrics.
 func (b *breaker) state() (open bool, trips uint64) {

@@ -89,8 +89,9 @@ func (s *Server) handleCodeVersion(w http.ResponseWriter, _ *http.Request) {
 
 // handleSimulate answers one measurement cell. The flow is: parse and resolve
 // (400s), refuse while draining (503), then collapse onto a flight — the
-// leader runs the cell (replay fast path, or admission + execution), and
-// followers share its bytes. Request latency is observed for /metrics.
+// leader runs the cell (one store lookup, then replay, or admission and
+// execution), and followers share its bytes. Request latency is observed for
+// /metrics.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	start := now()
 	resp := s.simulate(r)
@@ -119,7 +120,7 @@ func (s *Server) simulate(r *http.Request) *response {
 			Class: "bad-request", Message: fmt.Sprintf("decoding request: %v", err),
 		})
 	}
-	cell, err := s.resolve(&req)
+	cell, err := resolve(&req)
 	if err != nil {
 		return s.errorResponse(http.StatusBadRequest, &report.WireError{
 			Class: "bad-request", Message: err.Error(),
@@ -148,15 +149,19 @@ func (s *Server) simulate(r *http.Request) *response {
 	return resp
 }
 
-// runCell is the flight leader's work: replay when the store has the cell,
-// otherwise admission (shed with 429 when saturated) and execution. Replays
-// never touch the admission layer — they cost microseconds and no executor.
+// runCell is the flight leader's work. Its one store lookup decides: a hit
+// replays, and a miss takes an executor slot (shed with 429 when saturated)
+// and executes. An excluded cell fails the lookup's checks and answers 422
+// without touching admission; replays never touch it either — they cost
+// microseconds and no executor.
 func (s *Server) runCell(c *simCell) *response {
-	execute := !s.peekStore(c.storeKey)
-	if execute {
-		release, err := s.adm.acquire(s.baseCtx)
-		if err != nil {
-			if errors.Is(err, errShed) {
+	res, hit, err := s.runner.ReplayCell(c.p, c.bench, c.api, c.workload)
+	if hit {
+		s.metrics.replays.Add(1)
+	} else if err == nil {
+		release, aerr := s.adm.acquire(s.baseCtx)
+		if aerr != nil {
+			if errors.Is(aerr, errShed) {
 				s.metrics.shed.Add(1)
 				return s.errorResponse(http.StatusTooManyRequests, &report.WireError{
 					Class: "shed", Message: "executor pool saturated and queue full",
@@ -169,10 +174,8 @@ func (s *Server) runCell(c *simCell) *response {
 		}
 		defer release()
 		s.metrics.executions.Add(1)
-	} else {
-		s.metrics.replays.Add(1)
+		res, err = s.runner.ExecuteCell(s.baseCtx, c.p, c.bench, c.api, c.workload)
 	}
-	res, err := s.runner.RunCell(s.baseCtx, c.p, c.bench, c.api, c.workload)
 	if err != nil {
 		return s.failureResponse(err)
 	}
@@ -189,14 +192,6 @@ func (s *Server) runCell(c *simCell) *response {
 		return s.failureResponse(err)
 	}
 	return &response{status: http.StatusOK, body: body}
-}
-
-// peekStore probes residency without counting store traffic; a store that
-// does not implement Peek conservatively reports a miss (the request then
-// just pays admission it might not have needed).
-func (s *Server) peekStore(k core.SnapshotKey) bool {
-	p, ok := s.store.(core.Peeker)
-	return ok && p.Peek(k)
 }
 
 // failureResponse maps a runner error onto the status-code ↔ failure-taxonomy

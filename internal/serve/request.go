@@ -50,7 +50,6 @@ type simCell struct {
 	workload core.Workload
 	knobs    []knob // applied overrides, sorted by name (report notes)
 	key      string // canonical identity: flight key
-	storeKey core.SnapshotKey
 }
 
 type knob struct {
@@ -107,7 +106,7 @@ func clonePlatform(p *platforms.Platform) *platforms.Platform {
 // resolve validates the request against the registries and builds the cell:
 // platform (cloned, knobs applied, driver re-validated), benchmark, API,
 // workload, and the canonical key.
-func (s *Server) resolve(req *SimulateRequest) (*simCell, error) {
+func resolve(req *SimulateRequest) (*simCell, error) {
 	p, err := platforms.ByID(req.Platform)
 	if err != nil {
 		return nil, badRequest("unknown platform %q", req.Platform)
@@ -175,7 +174,6 @@ func (s *Server) resolve(req *SimulateRequest) (*simCell, error) {
 		cell.p = clone
 	}
 	cell.key = cell.canonicalKey()
-	cell.storeKey = s.runner.CellKey(cell.p, cell.bench, cell.api, cell.workload)
 	return cell, nil
 }
 

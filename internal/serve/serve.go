@@ -8,10 +8,12 @@
 //
 // The robustness layer is the point of the package:
 //
-//   - Admission control: executions (store misses) pass through a bounded
-//     executor pool with a bounded wait queue; when both are full the request
-//     is shed with 429 + Retry-After instead of queueing unboundedly. Replays
-//     are never shed — they cost microseconds and touch no executor.
+//   - Admission control: the store lookup itself decides. Each request makes
+//     exactly one lookup; a hit replays at once, and a miss passes through a
+//     bounded executor pool with a bounded wait queue, shed with 429 +
+//     Retry-After when both are full instead of queueing unboundedly. Replays
+//     are never shed — they cost microseconds and touch no executor — and a
+//     cell the paper excludes answers 422 before any lookup or admission.
 //   - Singleflight: concurrent identical requests collapse onto one
 //     execution; followers share the leader's response bytes.
 //   - Deadlines: the server's CellTimeout/Retries bound every execution
@@ -20,11 +22,12 @@
 //   - Panic recovery: a panicking request handler answers 500 with a
 //     structured envelope reusing the core failure taxonomy; the process
 //     survives.
-//   - Circuit breaker: consecutive snapshot decode failures trip the disk
-//     tier to miss-mode (the degrade-to-miss invariant, promoted to a tier
-//     health policy) so a corrupted store costs re-execution, not error
-//     storms; the tier is re-probed and closes again when reads come back
-//     clean.
+//   - Circuit breaker: a store tier between the memory LRU and the disk
+//     (core.TieredStore over the breaker over core.DiskStore). Consecutive
+//     snapshot decode failures trip the disk tier to miss-mode (the
+//     degrade-to-miss invariant, promoted to a tier health policy) so a
+//     corrupted store costs re-execution, not error storms; the tier is
+//     re-probed and closes again when reads come back clean.
 //   - Graceful drain: cancelling Run's context stops accepting work,
 //     finishes in-flight requests within DrainTimeout, reports final store
 //     statistics and returns nil — the CLI maps that to exit 0.
@@ -73,9 +76,9 @@ type Config struct {
 	// Addr is the listen address for Run (e.g. ":8080").
 	Addr string
 
-	// Disk, when set, is the persistent snapshot tier; serve composes an
-	// in-memory LRU over it behind the circuit breaker. Mutually exclusive
-	// with Store.
+	// Disk, when set, is the persistent snapshot tier; serve wraps it in the
+	// circuit breaker and composes a core.TieredStore's in-memory LRU over
+	// that. Mutually exclusive with Store.
 	Disk *core.DiskStore
 	// Store, when set, is used as the snapshot store verbatim (no breaker).
 	// Intended for tests and in-memory deployments; nil with nil Disk gets a
@@ -182,7 +185,7 @@ func New(cfg Config) (*Server, error) {
 	switch {
 	case cfg.Disk != nil:
 		s.breaker = newBreaker(cfg.Disk)
-		s.store = newServeStore(core.NewSnapshotCache(0), s.breaker)
+		s.store = core.NewTieredStore(nil, s.breaker)
 	case cfg.Store != nil:
 		s.store = cfg.Store
 	default:
@@ -203,9 +206,9 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Stats returns the snapshot store's traffic (Executions counts the cells
-// that paid for execution — the number load tests pin to zero on warm
-// stores).
+// Stats returns the snapshot store's traffic. Misses counts the lookups that
+// found nothing, each then executed or shed — the number load tests pin to
+// zero on warm stores.
 func (s *Server) Stats() core.CacheStats { return s.store.Stats() }
 
 // isDraining reports whether the drain has begun.
@@ -253,7 +256,7 @@ func (s *Server) ServeListener(ctx context.Context, ln net.Listener) error {
 	s.cancelBase()               // past the grace (or after it): force-stop cells
 	st := s.store.Stats()
 	fmt.Fprintf(s.log, "vcbench serve: drained; store: %d executed, %d replayed, %d entries\n",
-		st.Executions, st.Hits, st.Entries)
+		s.metrics.executions.Load(), st.Hits, st.Entries)
 	if err != nil {
 		return fmt.Errorf("serve: drain incomplete after %v: %w", s.cfg.DrainTimeout, err)
 	}

@@ -74,7 +74,7 @@ func decodeEnvelope(t *testing.T, body []byte) ([]*report.Document, *report.Wire
 
 // TestServeWarmStoreDeterminism is the serving determinism contract: on a warm
 // store, N concurrent identical requests produce byte-identical bodies and
-// execute nothing — Stats().Executions stays at the single warm-up execution.
+// execute nothing — Stats().Misses stays at the single warm-up miss.
 // Run under -race this doubles as the data-race check on the whole hot path.
 func TestServeWarmStoreDeterminism(t *testing.T) {
 	s := newTestServer(t, nil)
@@ -84,7 +84,7 @@ func TestServeWarmStoreDeterminism(t *testing.T) {
 	if warm.Code != http.StatusOK {
 		t.Fatalf("warm-up status %d: %s", warm.Code, warm.Body.String())
 	}
-	if got := s.Stats().Executions; got != 1 {
+	if got := s.Stats().Misses; got != 1 {
 		t.Fatalf("warm-up executed %d cells, want 1", got)
 	}
 	want := warm.Body.Bytes()
@@ -112,7 +112,7 @@ func TestServeWarmStoreDeterminism(t *testing.T) {
 			t.Fatalf("request %d: body differs from warm-up:\n%s\nvs\n%s", i, bodies[i], want)
 		}
 	}
-	if got := s.Stats().Executions; got != 1 {
+	if got := s.Stats().Misses; got != 1 {
 		t.Fatalf("warm store served %d executions, want 1 (replay-only hot path)", got)
 	}
 	// Concurrent identical requests may collapse onto one flight: its leader
@@ -159,7 +159,7 @@ func TestServeSingleflightColdStore(t *testing.T) {
 			t.Fatalf("request %d: body differs:\n%s\nvs\n%s", i, bodies[i], bodies[0])
 		}
 	}
-	if got := s.Stats().Executions; got != 1 {
+	if got := s.Stats().Misses; got != 1 {
 		t.Fatalf("cold-store burst executed %d cells, want exactly 1", got)
 	}
 }
@@ -176,7 +176,7 @@ func TestServeKnobOverrideReplays(t *testing.T) {
 	if base.Code != http.StatusOK {
 		t.Fatalf("base status %d: %s", base.Code, base.Body.String())
 	}
-	if got := s.Stats().Executions; got != 1 {
+	if got := s.Stats().Misses; got != 1 {
 		t.Fatalf("base executed %d cells, want 1", got)
 	}
 
@@ -184,7 +184,7 @@ func TestServeKnobOverrideReplays(t *testing.T) {
 	if over.Code != http.StatusOK {
 		t.Fatalf("override status %d: %s", over.Code, over.Body.String())
 	}
-	if got := s.Stats().Executions; got != 1 {
+	if got := s.Stats().Misses; got != 1 {
 		t.Fatalf("knob override executed a cell (executions %d); want replay of the base snapshot", got)
 	}
 	if bytes.Equal(base.Body.Bytes(), over.Body.Bytes()) {
@@ -248,7 +248,7 @@ func TestServeBadRequests(t *testing.T) {
 			}
 		})
 	}
-	if got := s.Stats().Executions; got != 0 {
+	if got := s.Stats().Misses; got != 0 {
 		t.Fatalf("bad requests executed %d cells, want 0", got)
 	}
 }
@@ -460,9 +460,83 @@ func TestChaosServeShedsWhenSaturated(t *testing.T) {
 	if w := postSimulate(t, h, cold); w.Code != http.StatusOK {
 		t.Fatalf("retry after release: status %d: %s", w.Code, w.Body.String())
 	}
-	if got := s.Stats().Executions; got != 2 {
+	if got := s.metrics.executions.Load(); got != 2 {
 		t.Fatalf("executions = %d, want 2 (warm-up and the retried cold cell)", got)
 	}
+	// Each request made exactly one store lookup, the shed one included.
+	if st := s.Stats(); st.Misses != 3 || st.Hits != 1 {
+		t.Fatalf("store lookups: %d misses, %d hits; want 3 misses (warm-up, shed, retry) and 1 hit (the warm replay)",
+			st.Misses, st.Hits)
+	}
+}
+
+// vanishingStore models an entry evicted between looking resident and the
+// lookup: a side-effect-free probe (Peek) always answers true, yet Get always
+// misses.
+type vanishingStore struct{ *core.SnapshotCache }
+
+func (vanishingStore) Peek(core.SnapshotKey) bool { return true }
+
+func (vanishingStore) Get(core.SnapshotKey) (*core.Snapshot, bool) { return nil, false }
+
+// TestChaosServeVanishedEntryTakesASlot: admission rests on the lookup
+// itself, so an entry that looked resident but is gone by the lookup is an
+// execution like any other miss. With the only executor held and no queue it
+// is shed; once the slot frees it executes, counted as an execution and not
+// as a replay.
+func TestChaosServeVanishedEntryTakesASlot(t *testing.T) {
+	s := newTestServer(t, func(cfg *Config) {
+		cfg.Store = vanishingStore{core.NewSnapshotCache(0)}
+		cfg.Executors = 1
+		cfg.QueueDepth = -1
+	})
+	h := s.Handler()
+	release, err := s.adm.acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := postSimulate(t, h, simulateBody("")); w.Code != http.StatusTooManyRequests {
+		t.Fatalf("vanished entry under saturation: status %d, want 429: %s", w.Code, w.Body.String())
+	}
+	release()
+	if w := postSimulate(t, h, simulateBody("")); w.Code != http.StatusOK {
+		t.Fatalf("vanished entry after release: status %d, want 200: %s", w.Code, w.Body.String())
+	}
+	if ex, rp := s.metrics.executions.Load(), s.metrics.replays.Load(); ex != 1 || rp != 0 {
+		t.Fatalf("executions = %d, replays = %d; want 1 execution and 0 replays", ex, rp)
+	}
+}
+
+// TestChaosServeExcludedUnderSaturation: an excluded cell answers 422 at any
+// load. Its exclusion is decided before the store lookup and admission, so a
+// saturated pool neither sheds it nor records a store miss.
+func TestChaosServeExcludedUnderSaturation(t *testing.T) {
+	s := newTestServer(t, func(cfg *Config) {
+		cfg.Executors = 1
+		cfg.QueueDepth = -1
+	})
+	release, err := s.adm.acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	body := fmt.Sprintf(`{"platform":%q,"benchmark":"backprop","api":"opencl"}`, platforms.IDNexus)
+	if w := postSimulate(t, s.Handler(), body); w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("excluded cell under saturation: status %d, want 422: %s", w.Code, w.Body.String())
+	}
+	if shed, misses := s.metrics.shed.Load(), s.Stats().Misses; shed != 0 || misses != 0 {
+		t.Fatalf("shed = %d, store misses = %d; want neither", shed, misses)
+	}
+}
+
+// entryFiles lists the committed entry files of a disk store directory.
+func entryFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // breakerFixture persists several distinct cells into a DiskStore and returns
@@ -486,11 +560,7 @@ func breakerFixture(t *testing.T, disk *core.DiskStore) (keys []core.SnapshotKey
 			t.Fatal(err)
 		}
 		keys = append(keys, runner.CellKey(p, b, api, w))
-		entries, err := filepath.Glob(filepath.Join(disk.Dir(), "*.snap"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
+		for _, e := range entryFiles(t, disk.Dir()) {
 			if !written[e] {
 				written[e] = true
 				files = append(files, e)
@@ -520,10 +590,7 @@ func TestChaosServeBreakerTripsAndRecovers(t *testing.T) {
 
 	// Corrupt every persisted entry; each read degrades to a miss and counts a
 	// decode failure.
-	snaps, err := filepath.Glob(filepath.Join(dir, "*.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	snaps := entryFiles(t, dir)
 	if len(snaps) != len(keys) {
 		t.Fatalf("store holds %d entries, want %d", len(snaps), len(keys))
 	}
@@ -535,7 +602,7 @@ func TestChaosServeBreakerTripsAndRecovers(t *testing.T) {
 
 	br := newBreaker(disk)
 	for i, k := range keys[:breakerThreshold] {
-		if _, ok := br.get(k); ok {
+		if _, ok := br.Get(k); ok {
 			t.Fatalf("read %d of a corrupt entry reported a hit", i)
 		}
 		open, _ := br.state()
@@ -548,11 +615,7 @@ func TestChaosServeBreakerTripsAndRecovers(t *testing.T) {
 		t.Fatalf("breaker open=%v trips=%d, want open with one trip", open, trips)
 	}
 
-	// While open: peeks answer false and puts are dropped, even for entries
-	// the disk could hold.
-	if br.peek(keys[0]) {
-		t.Fatal("open breaker answered peek true")
-	}
+	// While open, puts are dropped, even for entries the disk could hold.
 	spare := core.NewSnapshotCache(0)
 	p, _ := platforms.ByID(platforms.IDGTX1050Ti)
 	b, _ := core.Get("membandwidth")
@@ -566,23 +629,23 @@ func TestChaosServeBreakerTripsAndRecovers(t *testing.T) {
 	if !ok {
 		t.Fatal("spare cell did not cache")
 	}
-	br.put(spareKey, snap)
-	if disk.Peek(spareKey) {
-		t.Fatal("open breaker wrote through to the disk")
+	br.Put(spareKey, snap)
+	if n := len(entryFiles(t, dir)); n != 0 {
+		t.Fatalf("open breaker wrote through to the disk: %d entries", n)
 	}
 
 	// Recovery: the corrupt entries were removed by their failed reads, so the
 	// next read the breaker lets through is clean. Reads 1..N-1 are bypassed;
 	// the N-th is the half-open probe and closes the breaker.
 	for i := 0; i < breakerProbeEvery-1; i++ {
-		if _, ok := br.get(keys[0]); ok {
+		if _, ok := br.Get(keys[0]); ok {
 			t.Fatalf("bypassed read %d reported a hit", i)
 		}
 		if open, _ := br.state(); !open {
 			t.Fatalf("breaker closed after %d bypassed reads, before the probe", i+1)
 		}
 	}
-	if _, ok := br.get(keys[0]); ok {
+	if _, ok := br.Get(keys[0]); ok {
 		t.Fatal("probe read of a removed entry reported a hit")
 	}
 	if open, trips := br.state(); open || trips != 1 {
@@ -590,11 +653,11 @@ func TestChaosServeBreakerTripsAndRecovers(t *testing.T) {
 	}
 
 	// Closed again: writes land and reads serve them.
-	br.put(spareKey, snap)
-	if !disk.Peek(spareKey) {
-		t.Fatal("closed breaker dropped a put")
+	br.Put(spareKey, snap)
+	if n := len(entryFiles(t, dir)); n != 1 {
+		t.Fatalf("closed breaker left %d entries after one put, want 1", n)
 	}
-	if got, ok := br.get(spareKey); !ok || got == nil {
+	if got, ok := br.Get(spareKey); !ok || got == nil {
 		t.Fatal("closed breaker missed a resident entry")
 	}
 }
@@ -627,7 +690,7 @@ func TestChaosServeBreakerJudgesEachRead(t *testing.T) {
 			go func() {
 				defer readers.Done()
 				for first := true; first || !done.Load(); first = false {
-					if _, ok := br.get(clean); !ok {
+					if _, ok := br.Get(clean); !ok {
 						lost.Add(1)
 					}
 				}
@@ -641,7 +704,7 @@ func TestChaosServeBreakerJudgesEachRead(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, ok := br.get(k); ok {
+				if _, ok := br.Get(k); ok {
 					t.Errorf("round %d: corrupt entry %d read as a hit", r, i)
 				}
 			}()
@@ -649,7 +712,7 @@ func TestChaosServeBreakerJudgesEachRead(t *testing.T) {
 		corrupters.Wait()
 		done.Store(true)
 		readers.Wait()
-		if _, ok := br.get(clean); !ok {
+		if _, ok := br.Get(clean); !ok {
 			lost.Add(1)
 		}
 	}
@@ -659,6 +722,62 @@ func TestChaosServeBreakerJudgesEachRead(t *testing.T) {
 	if open, trips := br.state(); open || trips != 0 {
 		t.Errorf("breaker open=%v trips=%d after %d rounds of %d corrupt reads each, want closed and never tripped",
 			open, trips, rounds, len(corrupt))
+	}
+}
+
+// TestChaosServeTieredOverOpenBreaker pins the composition serve builds for
+// Config.Disk, core.TieredStore over the breaker: reads an open breaker
+// bypasses never reach the disk tier yet count as the composition's misses,
+// puts reach memory but not the disk, and the disk tier is listed last.
+func TestChaosServeTieredOverOpenBreaker(t *testing.T) {
+	dir := t.TempDir()
+	disk, err := core.OpenDiskStore(dir, "breaker-test", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, files := breakerFixture(t, disk)
+	snap, ok := disk.Get(keys[0])
+	if !ok {
+		t.Fatal("fixture entry missing")
+	}
+	for _, path := range files {
+		if err := os.WriteFile(path, []byte("not a snapshot"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := disk.Stats().Tiers[0]
+	br := newBreaker(disk)
+	store := core.NewTieredStore(nil, br)
+	for _, k := range keys[:breakerThreshold] {
+		store.Get(k)
+	}
+	if open, _ := br.state(); !open {
+		t.Fatal("breaker did not trip on consecutive decode failures")
+	}
+
+	const bypassed = 5
+	for i := 0; i < bypassed; i++ {
+		if _, ok := store.Get(keys[1]); ok {
+			t.Fatalf("bypassed read %d reported a hit", i)
+		}
+	}
+	store.Put(keys[0], snap)
+	if n := len(entryFiles(t, dir)); n != 0 {
+		t.Fatalf("put through an open breaker left %d disk entries, want 0", n)
+	}
+	if _, ok := store.Get(keys[0]); !ok {
+		t.Fatal("put through an open breaker did not reach the memory tier")
+	}
+
+	st := store.Stats()
+	if want := uint64(breakerThreshold + bypassed); st.Misses != want || st.Hits != 1 {
+		t.Fatalf("stats = %+v, want %d misses (bypassed reads included) and 1 hit", st, want)
+	}
+	if len(st.Tiers) != 2 || st.Tiers[0].Tier != "memory" || st.Tiers[1].Tier != "disk" {
+		t.Fatalf("tiers = %+v, want [memory disk]", st.Tiers)
+	}
+	if d := st.Tiers[1]; d.Misses-before.Misses != breakerThreshold || d.DecodeFailures != breakerThreshold || d.Entries != 0 {
+		t.Fatalf("disk tier = %+v, want only the %d tripping reads and no entries", d, breakerThreshold)
 	}
 }
 
@@ -689,7 +808,7 @@ func TestServeDiskTierServesAcrossProcesses(t *testing.T) {
 	if wr.Code != http.StatusOK {
 		t.Fatalf("warm disk request: status %d: %s", wr.Code, wr.Body.String())
 	}
-	if got := s.Stats().Executions; got != 0 {
+	if got := s.Stats().Misses; got != 0 {
 		t.Fatalf("warm disk store executed %d cells, want 0 (pure replay)", got)
 	}
 }

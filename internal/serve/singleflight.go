@@ -12,9 +12,10 @@ import (
 // leader finishes — this is request coalescing, not a response cache; a later
 // identical request hits the snapshot store instead.
 //
-// The leader runs the work on its own goroutine under the server's base
-// context, so a follower abandoning the wait (its deadline, a dropped
-// connection) never cancels work other requests are waiting on.
+// The leader runs the work inline, on its own request's goroutine, but the
+// work runs under the server's base context rather than the request's, so
+// no caller abandoning the wait (its deadline, a dropped connection) cancels
+// work other requests are waiting on.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flight

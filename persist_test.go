@@ -54,7 +54,7 @@ func TestPersistentStoreReplayMatchesExecution(t *testing.T) {
 					warm := &core.Runner{Repetitions: 2, Seed: 42, Cache: openStore(t, dir)}
 					replayed, _ := runCell(t, warm, p, name, api) // pure replay from disk
 
-					if st := warm.Cache.Stats(); st.Executions != 0 || st.Hits != 1 {
+					if st := warm.Cache.Stats(); st.Misses != 0 || st.Hits != 1 {
 						t.Fatalf("warm store stats = %+v, want 0 executions and 1 hit", st)
 					}
 					requireSameResult(t, "execute vs cold-store execute", executed, first)
@@ -87,7 +87,7 @@ func TestPersistentStoreWrongCodeVersion(t *testing.T) {
 	if _, ok := runCell(t, other, p, "vectoradd", hw.APIVulkan); !ok {
 		t.Fatal("vectoradd/vulkan unexpectedly excluded")
 	}
-	if st := other.Cache.Stats(); st.Executions != 1 || st.Hits != 0 {
+	if st := other.Cache.Stats(); st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("stats under a different code version = %+v, want a re-execution and no hits", st)
 	}
 }
@@ -112,7 +112,7 @@ func TestPersistentStoreSuiteWarmRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := coldStore.Stats(); st.Executions == 0 {
+	if st := coldStore.Stats(); st.Misses == 0 {
 		t.Fatalf("cold stats = %+v; the cold run executed nothing, so the test proves nothing", st)
 	}
 
@@ -123,7 +123,7 @@ func TestPersistentStoreSuiteWarmRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := warmStore.Stats(); st.Executions != 0 {
+		if st := warmStore.Stats(); st.Misses != 0 {
 			t.Fatalf("parallelism %d: warm stats = %+v, want a pure-replay run with 0 executions", parallelism, st)
 		}
 		want, got := encodeDoc(t, cold), encodeDoc(t, warm)
@@ -166,7 +166,7 @@ func TestPersistentStoreCorruptEntryDegradesToMiss(t *testing.T) {
 	warm := &core.Runner{Repetitions: 1, Seed: 42, Cache: openStore(t, dir)}
 	recovered, _ := runCell(t, warm, p, "vectoradd", hw.APIVulkan)
 	st := warm.Cache.Stats()
-	if st.Executions != 1 {
+	if st.Misses != 1 {
 		t.Fatalf("stats = %+v, want the corrupted entry to degrade to one re-execution", st)
 	}
 	var disk core.TierStats
