@@ -10,21 +10,21 @@ import (
 	"log"
 
 	"vcomputebench/internal/glsl"
+	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
 	_ "vcomputebench/internal/micro" // registers the vectoradd kernel + GLSL
 	"vcomputebench/internal/platforms"
-	"vcomputebench/internal/sim"
 	"vcomputebench/internal/vulkan"
 )
 
 func main() {
 	const n = 1 << 20 // one million elements, as in §IV-A
-	host := sim.NewHost()
 	platform := platforms.GTX1050Ti()
 	gpu, err := platform.NewDevice()
 	if err != nil {
 		log.Fatal(err)
 	}
+	host := hw.NewHost(gpu, hw.APIVulkan)
 
 	// Enumerate devices, then create instance, queues and device.
 	instance, err := vulkan.CreateInstance(host, vulkan.InstanceCreateInfo{ApplicationName: "vectorAdd"}, gpu)

@@ -12,7 +12,6 @@ import (
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
 	"vcomputebench/internal/opencl"
-	"vcomputebench/internal/sim"
 )
 
 // CLSource synthesises an OpenCL C translation-unit skeleton declaring the
@@ -53,7 +52,7 @@ type CLEnv struct {
 
 // SetupOpenCL creates the OpenCL context, a profiling command queue and a
 // built program containing the named kernels.
-func SetupOpenCL(host *sim.Host, dev *hw.Device, kernelNames ...string) (*CLEnv, error) {
+func SetupOpenCL(host *hw.Host, dev *hw.Device, kernelNames ...string) (*CLEnv, error) {
 	plats, err := opencl.GetPlatforms(host, dev)
 	if err != nil {
 		return nil, err
@@ -88,7 +87,7 @@ type CUDAEnv struct {
 }
 
 // SetupCUDA initialises the CUDA runtime on the device.
-func SetupCUDA(host *sim.Host, dev *hw.Device) (*CUDAEnv, error) {
+func SetupCUDA(host *hw.Host, dev *hw.Device) (*CUDAEnv, error) {
 	ctx, err := cuda.NewContext(host, dev)
 	if err != nil {
 		return nil, err

@@ -70,7 +70,7 @@ func TestSweepReplayMatchesUncachedSweep(t *testing.T) {
 	}
 	if raceDetectorEnabled {
 		t.Skip("the uncached sweep re-executes the figure suite per evaluation — minutes under the race detector; " +
-			"replay fidelity is race-covered by TestReplayUnderModifiedProfile and TestSweepExecutesSuiteOnce")
+			"CI's non-race replay-equality step runs this test, and TestSweepExecutesSuiteOnce covers the sweep under the detector")
 	}
 	p, err := platforms.ByID(platforms.IDPowerVR)
 	if err != nil {

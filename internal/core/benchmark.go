@@ -13,7 +13,6 @@ import (
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
 	"vcomputebench/internal/platforms"
-	"vcomputebench/internal/sim"
 	"vcomputebench/internal/stats"
 )
 
@@ -52,8 +51,10 @@ type RunContext struct {
 	// benchmarks need not consult it; long host-side loops may. It can be nil
 	// when a RunContext is constructed by hand in tests.
 	Ctx context.Context
-	// Host is the simulated CPU whose clock the benchmark measures with.
-	Host *sim.Host
+	// Host is the simulated CPU of the run, attached to Device: it records
+	// the run's timing trace and steps its timeline. The benchmark measures
+	// with its clock through Stopwatch and Now.
+	Host *hw.Host
 	// Device is the simulated GPU.
 	Device *hw.Device
 	// Platform identifies the device profile in use.
@@ -68,49 +69,32 @@ type RunContext struct {
 	// verify the device output against it (used by tests; expensive).
 	Validate bool
 
-	// rec captures the run's timing trace when the runner snapshots the cell
-	// for replay (nil otherwise). Stopwatch and Now record through it so the
-	// measurement boundaries survive into the trace.
-	rec *hw.Recorder
 	// streams is the table RandomF32 and RandomI32 share inputs through; nil
 	// (a hand-built context) draws every stream privately.
 	streams *inputStreams
 }
 
-// Stopwatch starts a stopwatch on the run's host clock. Under trace recording
-// its start and every Elapsed call are captured as marks, so a replay can
-// recompute the measured interval under a different driver profile.
+// Stopwatch starts a stopwatch on the run's host clock. Its start and every
+// Elapsed call are trace marks, so a replay can recompute the measured
+// interval under a different driver profile.
 func (ctx *RunContext) Stopwatch() *Stopwatch {
-	return &Stopwatch{sw: sim.StartStopwatch(ctx.Host), rec: ctx.rec, start: ctx.rec.Mark()}
+	return &Stopwatch{host: ctx.Host, start: ctx.Host.Mark()}
 }
 
 // Now returns the current host time, recording the observation in the run's
 // timing trace. Benchmarks must use it — not ctx.Host.Now() — for any value
 // they place in a Result (e.g. TotalTime), so snapshot replay can rebind it.
-func (ctx *RunContext) Now() time.Duration {
-	v := ctx.Host.Now()
-	if ctx.rec != nil {
-		ctx.rec.ReadHostMark(ctx.rec.Mark(), v)
-	}
-	return v
-}
+func (ctx *RunContext) Now() time.Duration { return ctx.Host.ReadNow() }
 
 // Stopwatch measures an interval of host virtual time (the paper's
-// std::chrono usage), emitting trace marks when the run is being recorded.
+// std::chrono usage) between two trace marks.
 type Stopwatch struct {
-	sw    *sim.Stopwatch
-	rec   *hw.Recorder
+	host  *hw.Host
 	start int32
 }
 
 // Elapsed returns the virtual time elapsed since the stopwatch started.
-func (s *Stopwatch) Elapsed() time.Duration {
-	v := s.sw.Elapsed()
-	if s.rec != nil {
-		s.rec.ReadMarkDiff(s.start, s.rec.Mark(), v)
-	}
-	return v
-}
+func (s *Stopwatch) Elapsed() time.Duration { return s.host.ReadSince(s.start) }
 
 // Result is the outcome of one benchmark run. The JSON tags are part of the
 // versioned results schema (report.SchemaVersion): durations serialise as

@@ -8,7 +8,6 @@ import (
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
 	"vcomputebench/internal/platforms"
-	"vcomputebench/internal/sim"
 )
 
 // Family groups workloads by their role in the study: the nine Rodinia ports
@@ -268,10 +267,10 @@ func Names() []string {
 // workloads report achieved GB/s (useful bytes over kernel time).
 const ExtraBandwidthGBps = "bandwidth_gbps"
 
-// TraceCounters executes one run of the benchmark with a trace recorder
-// attached and returns the per-dispatch kernel counters summed over every
-// kernel event, along with the number of kernel dispatches observed. It is the
-// measurement side of TrafficModel validation: tests compare the returned
+// TraceCounters executes one run of the benchmark and returns the
+// per-dispatch kernel counters summed over every kernel event of its trace,
+// along with the number of kernel dispatches observed. It is the measurement
+// side of TrafficModel validation: tests compare the returned
 // GlobalLoadBytes/GlobalStoreBytes and dispatch count against the analytic
 // model.
 func TraceCounters(p *platforms.Platform, b Benchmark, api hw.API, w Workload, seed int64) (kernels.Counters, int, error) {
@@ -279,10 +278,7 @@ func TraceCounters(p *platforms.Platform, b Benchmark, api hw.API, w Workload, s
 	if err != nil {
 		return kernels.Counters{}, 0, fmt.Errorf("core: creating device for %s: %w", p.ID, err)
 	}
-	host := sim.NewHost()
-	rec := hw.NewRecorder(api)
-	dev.SetRecorder(rec)
-	host.SetTraceSink(rec)
+	host := hw.NewHost(dev, api)
 	ctx := &RunContext{
 		Host:     host,
 		Device:   dev,
@@ -290,14 +286,13 @@ func TraceCounters(p *platforms.Platform, b Benchmark, api hw.API, w Workload, s
 		API:      api,
 		Workload: w,
 		Seed:     seed,
-		rec:      rec,
 	}
 	if _, err := b.Run(ctx); err != nil {
 		return kernels.Counters{}, 0, err
 	}
 	var sum kernels.Counters
 	dispatches := 0
-	for _, ev := range rec.Trace().Events {
+	for _, ev := range host.Trace().Events {
 		if ev.Kind != hw.EvKernel {
 			continue
 		}

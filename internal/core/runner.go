@@ -11,7 +11,6 @@ import (
 	"vcomputebench/internal/faults"
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/platforms"
-	"vcomputebench/internal/sim"
 	"vcomputebench/internal/stats"
 )
 
@@ -325,8 +324,8 @@ func faultHook(ctx context.Context, plan *faults.Plan) func() error {
 }
 
 // execute runs the benchmark's repetitions on fresh devices and averages the
-// measurements. With record set, the first measured repetition is captured as
-// a timing trace and returned as a replayable Snapshot alongside the result.
+// measurements. With record set, the first measured repetition's timing trace
+// is kept and returned as a replayable Snapshot alongside the result.
 // The fault hook — shared by all repetitions of the attempt, so the planned
 // fault's dispatch ordinal counts across them — enforces ctx and plan at
 // every dispatch. Every repetition draws its inputs from the same streams.
@@ -344,7 +343,7 @@ func (r *Runner) execute(ctx context.Context, p *platforms.Platform, b Benchmark
 
 	var kernelTimes, totalTimes []time.Duration
 	var last *Result
-	var rec *hw.Recorder
+	var trace *hw.Trace
 	var recKernel, recTotal time.Duration
 	for rep := 0; rep < warmup+reps; rep++ {
 		dev, err := p.NewDevice()
@@ -353,17 +352,7 @@ func (r *Runner) execute(ctx context.Context, p *platforms.Platform, b Benchmark
 		}
 		dev.SetDispatchParallelism(dispatchParallel)
 		dev.SetFaultHook(hook)
-		host := sim.NewHost()
-		var repRec *hw.Recorder
-		if record && rep == warmup {
-			// Trace the first measured repetition. The simulator is
-			// deterministic — every repetition of a cell is identical — so one
-			// trace stands for them all; the equality checks below keep that
-			// assumption honest.
-			repRec = hw.NewRecorder(api)
-			dev.SetRecorder(repRec)
-			host.SetTraceSink(repRec)
-		}
+		host := hw.NewHost(dev, api)
 		rctx := &RunContext{
 			Ctx:      ctx,
 			Host:     host,
@@ -373,7 +362,6 @@ func (r *Runner) execute(ctx context.Context, p *platforms.Platform, b Benchmark
 			Workload: w,
 			Seed:     r.Seed,
 			Validate: r.Validate && rep == 0,
-			rec:      repRec,
 			streams:  streams,
 		}
 		res, err := b.Run(rctx)
@@ -392,11 +380,15 @@ func (r *Runner) execute(ctx context.Context, p *platforms.Platform, b Benchmark
 		if rep < warmup {
 			continue // warm-up runs are validated but never measured
 		}
-		if repRec != nil {
-			rec = repRec
+		if record && rep == warmup {
+			// Keep the first measured repetition's trace. The simulator is
+			// deterministic — every repetition of a cell is identical — so one
+			// trace stands for them all; the equality checks below keep that
+			// assumption honest.
+			trace = host.Trace()
 			recKernel, recTotal = res.KernelTime, res.TotalTime
 		}
-		if rec != nil && (res.KernelTime != recKernel || res.TotalTime != recTotal) {
+		if trace != nil && (res.KernelTime != recKernel || res.TotalTime != recTotal) {
 			return nil, nil, fmt.Errorf("core: %s/%s on %s (%s): repetitions diverged (%v/%v vs %v/%v); "+
 				"a non-deterministic benchmark cannot be snapshotted",
 				b.Name(), api, p.ID, w.Label, res.KernelTime, res.TotalTime, recKernel, recTotal)
@@ -407,7 +399,7 @@ func (r *Runner) execute(ctx context.Context, p *platforms.Platform, b Benchmark
 	var snap *Snapshot
 	if record {
 		var err error
-		snap, err = newSnapshot(p, b, api, w, rec.Trace(), last, recKernel, recTotal, reps)
+		snap, err = newSnapshot(p, b, api, w, trace, last, recKernel, recTotal, reps)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -17,7 +17,6 @@ import (
 
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
-	"vcomputebench/internal/sim"
 )
 
 // Errors mirroring cudaError_t values.
@@ -31,42 +30,43 @@ var (
 	ErrInvalidDeviceFunction = errors.New("cuda: invalid device function")
 )
 
-const hostCallOverhead = 150 * time.Nanosecond
+// hostCall is the host cost of a cheap runtime call.
+var hostCall = hw.FixedCost(150 * time.Nanosecond)
 
 // Context is the per-device runtime state (the implicit primary context of the
 // CUDA runtime API).
 type Context struct {
-	host    *sim.Host
+	host    *hw.Host
 	dev     *hw.Device
 	drv     hw.DriverProfile
-	rec     *hw.Recorder
 	def     *Stream
 	streams int
 }
 
 // NewContext initialises the CUDA runtime on the device (cudaSetDevice plus
 // lazy context creation). It fails if the device has no CUDA driver, as is the
-// case for every non-NVIDIA platform in the paper.
-func NewContext(host *sim.Host, dev *hw.Device) (*Context, error) {
-	if host == nil || dev == nil {
+// case for every non-NVIDIA platform in the paper. The host must record a
+// CUDA run (hw.NewHost(dev, hw.APICUDA)).
+func NewContext(host *hw.Host, dev *hw.Device) (*Context, error) {
+	if host == nil || dev == nil || host.API() != hw.APICUDA {
 		return nil, ErrInvalidValue
 	}
 	drv, err := dev.Driver(hw.APICUDA)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoDevice, dev.Profile().Name)
 	}
-	ctx := &Context{host: host, dev: dev, drv: drv, rec: dev.Recorder()}
+	ctx := &Context{host: host, dev: dev, drv: drv}
 	hq, err := dev.Queue(hw.QueueCompute, 0)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoDevice, err)
 	}
 	ctx.def = &Stream{ctx: ctx, hw: hq, id: 0}
-	host.Spend("cudaSetDevice", 30*time.Microsecond)
+	host.Spend(hw.FixedCost(30 * time.Microsecond))
 	return ctx, nil
 }
 
 // Host returns the simulated host.
-func (c *Context) Host() *sim.Host { return c.host }
+func (c *Context) Host() *hw.Host { return c.host }
 
 // Device returns the underlying simulated device.
 func (c *Context) Device() *hw.Device { return c.dev }
@@ -86,7 +86,7 @@ type DeviceProperties struct {
 
 // GetDeviceProperties returns the device properties.
 func (c *Context) GetDeviceProperties() DeviceProperties {
-	c.host.Spend("cudaGetDeviceProperties", hostCallOverhead)
+	c.host.Spend(hostCall)
 	p := c.dev.Profile()
 	return DeviceProperties{
 		Name:                 p.Name,
@@ -122,8 +122,7 @@ func (c *Context) Malloc(size int64) (*DevicePtr, error) {
 	if size <= 0 {
 		return nil, ErrInvalidValue
 	}
-	c.rec.NextSpend(hw.KnobCost(hw.KnobAlloc))
-	c.host.Spend("cudaMalloc", c.drv.AllocOverhead)
+	c.host.Spend(hw.KnobCost(hw.KnobAlloc))
 	alloc, err := c.dev.Memory().Allocate(hw.HeapDeviceLocal, size)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMemoryAllocation, err)
@@ -136,7 +135,7 @@ func (c *Context) Free(p *DevicePtr) error {
 	if p == nil {
 		return ErrInvalidDevicePointer
 	}
-	c.host.Spend("cudaFree", hostCallOverhead)
+	c.host.Spend(hostCall)
 	return c.dev.Memory().Free(p.alloc)
 }
 
@@ -149,11 +148,9 @@ func (c *Context) MemcpyHtoD(dst *DevicePtr, src kernels.Words) error {
 	if len(src) > len(dst.alloc.Words()) {
 		return fmt.Errorf("%w: copy of %d words into allocation of %d words", ErrInvalidValue, len(src), len(dst.alloc.Words()))
 	}
-	c.host.Spend("cudaMemcpy(HtoD)", hostCallOverhead)
+	c.host.Spend(hostCall)
 	copy(dst.alloc.Words(), src)
-	_, end := c.def.hw.ExecuteTransfer(c.host.Now(), int64(len(src))*4)
-	c.rec.WaitQueue(c.def.hw.Slot())
-	c.host.WaitUntil(end)
+	c.host.Wait(c.def.hw.ExecuteTransfer(int64(len(src)) * 4))
 	return nil
 }
 
@@ -165,11 +162,9 @@ func (c *Context) MemcpyDtoH(dst kernels.Words, src *DevicePtr) error {
 	if len(dst) > len(src.alloc.Words()) {
 		return fmt.Errorf("%w: copy of %d words from allocation of %d words", ErrInvalidValue, len(dst), len(src.alloc.Words()))
 	}
-	c.host.Spend("cudaMemcpy(DtoH)", hostCallOverhead)
+	c.host.Spend(hostCall)
 	copy(dst, src.alloc.Words())
-	_, end := c.def.hw.ExecuteTransfer(c.host.Now(), int64(len(dst))*4)
-	c.rec.WaitQueue(c.def.hw.Slot())
-	c.host.WaitUntil(end)
+	c.host.Wait(c.def.hw.ExecuteTransfer(int64(len(dst)) * 4))
 	return nil
 }
 
@@ -181,7 +176,7 @@ type Module struct {
 
 // LoadModule returns the module of kernels linked into the application.
 func (c *Context) LoadModule() *Module {
-	c.host.Spend("cuModuleLoad", 40*time.Microsecond)
+	c.host.Spend(hw.FixedCost(40 * time.Microsecond))
 	return &Module{ctx: c}
 }
 
@@ -193,7 +188,7 @@ type Kernel struct {
 
 // GetKernel resolves a __global__ function by name.
 func (m *Module) GetKernel(name string) (*Kernel, error) {
-	m.ctx.host.Spend("cuModuleGetFunction", hostCallOverhead)
+	m.ctx.host.Spend(hostCall)
 	prog, err := kernels.Lookup(name)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidDeviceFunction, err)
@@ -224,7 +219,7 @@ func (c *Context) DefaultStream() *Stream { return c.def }
 // StreamCreate creates an additional stream. Streams beyond the number of
 // hardware compute queues share the last queue.
 func (c *Context) StreamCreate() (*Stream, error) {
-	c.host.Spend("cudaStreamCreate", hostCallOverhead)
+	c.host.Spend(hostCall)
 	c.streams++
 	idx := c.streams
 	if idx >= c.dev.QueueCount(hw.QueueCompute) {
@@ -263,10 +258,9 @@ func (s *Stream) Launch(k *Kernel, grid kernels.Dim3, block kernels.Dim3, args A
 		}
 		buffers[i] = b.alloc.Words()
 	}
-	s.ctx.rec.NextSpend(hw.KnobCost(hw.KnobKernelLaunch))
-	s.ctx.host.Spend("cudaLaunchKernel", s.ctx.drv.KernelLaunchOverhead)
+	s.ctx.host.Spend(hw.KnobCost(hw.KnobKernelLaunch))
 	cfg := kernels.DispatchConfig{Groups: grid, Buffers: buffers, Push: args.Values}
-	_, err := s.hw.ExecuteKernel(s.ctx.host.Now(), hw.APICUDA, k.prog, cfg, hw.KnobCost(hw.KnobPipelineBind))
+	_, err := s.hw.ExecuteKernel(k.prog, cfg, hw.KnobCost(hw.KnobPipelineBind))
 	if err != nil {
 		// %w on the cause as well: fault classification must survive the
 		// API-level error translation.
@@ -280,47 +274,41 @@ func (s *Stream) Launch(k *Kernel, grid kernels.Dim3, block kernels.Dim3, args A
 // (interrupt delivery, thread wake-up), which the multi-kernel method incurs
 // once per iteration.
 func (s *Stream) Synchronize() {
-	s.ctx.host.Spend("cudaStreamSynchronize", hostCallOverhead)
-	s.ctx.rec.WaitQueue(s.hw.Slot())
-	s.ctx.host.WaitUntil(s.hw.AvailableAt())
-	s.ctx.rec.NextSpend(hw.KnobCost(hw.KnobSync))
-	s.ctx.host.Spend("sync-latency", s.ctx.drv.SyncLatency)
+	s.ctx.host.Spend(hostCall)
+	s.ctx.host.WaitQueue(s.hw)
+	s.ctx.host.Spend(hw.KnobCost(hw.KnobSync))
 }
 
 // DeviceSynchronize blocks until all streams drain.
 func (c *Context) DeviceSynchronize() {
-	c.host.Spend("cudaDeviceSynchronize", hostCallOverhead)
+	c.host.Spend(hostCall)
 	for i := 0; i < c.dev.QueueCount(hw.QueueCompute); i++ {
 		q, err := c.dev.Queue(hw.QueueCompute, i)
 		if err == nil {
-			c.rec.WaitQueue(q.Slot())
-			c.host.WaitUntil(q.AvailableAt())
+			c.host.WaitQueue(q)
 		}
 	}
-	c.rec.NextSpend(hw.KnobCost(hw.KnobSync))
-	c.host.Spend("sync-latency", c.drv.SyncLatency)
+	c.host.Spend(hw.KnobCost(hw.KnobSync))
 }
 
 // Event marks a point in a stream, usable for device-side timing
-// (cudaEventElapsedTime).
+// (cudaEventElapsedTime): the stream's latest work when it was recorded.
 type Event struct {
 	ctx  *Context
-	when time.Duration
 	mark int32
 	set  bool
 }
 
 // EventCreate creates an event.
 func (c *Context) EventCreate() *Event {
-	c.host.Spend("cudaEventCreate", hostCallOverhead)
+	c.host.Spend(hostCall)
 	return &Event{ctx: c}
 }
 
 // Record records the event at the current end of the stream.
 func (e *Event) Record(s *Stream) {
-	e.ctx.host.Spend("cudaEventRecord", hostCallOverhead)
-	e.when = s.hw.AvailableAt()
-	e.mark = e.ctx.rec.QueueMark(s.hw.Slot())
+	e.ctx.host.Spend(hostCall)
+	e.mark = s.hw.Last()
 	e.set = true
 }
 
@@ -329,7 +317,5 @@ func (e *Event) Elapsed(since *Event) (time.Duration, error) {
 	if !e.set || !since.set {
 		return 0, fmt.Errorf("%w: elapsed time of unrecorded events", ErrInvalidValue)
 	}
-	v := e.when - since.when
-	e.ctx.rec.ReadEndDiff(since.mark, e.mark, v)
-	return v, nil
+	return e.ctx.host.ReadEndDiff(since.mark, e.mark), nil
 }

@@ -8,10 +8,10 @@ import (
 
 	"vcomputebench/internal/bench"
 	"vcomputebench/internal/cuda"
+	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
 	"vcomputebench/internal/micro"
 	"vcomputebench/internal/platforms"
-	"vcomputebench/internal/sim"
 )
 
 func newEnv(t *testing.T) *bench.CUDAEnv {
@@ -20,7 +20,7 @@ func newEnv(t *testing.T) *bench.CUDAEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := bench.SetupCUDA(sim.NewHost(), dev)
+	env, err := bench.SetupCUDA(hw.NewHost(dev, hw.APICUDA), dev)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"vcomputebench/internal/platforms"
 	"vcomputebench/internal/report"
 	"vcomputebench/internal/rodinia"
-	"vcomputebench/internal/sim"
 )
 
 // iterativeAdd is a small iterative workload (repeated vector additions with a
@@ -68,7 +67,7 @@ func runIterativeAdd(p *platforms.Platform, seed int64, n, iters int, separate b
 		return 0, err
 	}
 	ctx := &core.RunContext{
-		Host:     sim.NewHost(),
+		Host:     hw.NewHost(dev, hw.APIVulkan),
 		Device:   dev,
 		Platform: p,
 		API:      hw.APIVulkan,

@@ -5,25 +5,22 @@ import (
 	"time"
 
 	"vcomputebench/internal/kernels"
-	"vcomputebench/internal/sim"
 )
 
 // Device is a simulated GPU: a validated profile, a memory system, and a set
 // of queues (execution engines).
 type Device struct {
-	profile  Profile
-	mem      *MemorySystem
-	timeline sim.Timeline
-	queues   map[QueueKind][]*Queue
+	profile Profile
+	mem     *MemorySystem
+	queues  map[QueueKind][]*Queue
 	// dispatchParallelism caps the host worker goroutines each functional
 	// dispatch fans out across (0 = GOMAXPROCS). The suite runner sets it to
 	// its per-cell core budget so concurrent benchmark cells do not
 	// oversubscribe the machine; counters are identical for any value.
 	dispatchParallelism int
-	// rec, when non-nil, captures every unit of device work as a symbolic
-	// trace event for later replay (see trace.go). Queue methods record
-	// through it; nil disables recording at zero cost.
-	rec *Recorder
+	// host is the run's host NewHost attached: queue work is recorded into
+	// its trace and scheduled on its timeline.
+	host *Host
 	// faultHook, when non-nil, is consulted before every kernel dispatch; a
 	// non-nil return aborts the dispatch with that error, exactly as a driver
 	// failure would. The runner installs it to enforce per-cell deadlines and
@@ -60,18 +57,12 @@ func (d *Device) addQueue(kind QueueKind) *Queue {
 		slot += len(qs)
 	}
 	if slot >= maxQueueSlots {
-		// The trace recorder and replay index per-queue state by slot in
-		// fixed-size arrays; failing here keeps a future many-queue profile
-		// from panicking deep inside a recorded run instead.
+		// The timeline indexes per-queue state by slot in a fixed-size
+		// array; failing here keeps a future many-queue profile from
+		// panicking deep inside a recorded run instead.
 		panic(fmt.Sprintf("hw: device %q exceeds the %d trace queue slots", d.profile.Name, maxQueueSlots))
 	}
-	q := &Queue{
-		dev:    d,
-		kind:   kind,
-		index:  idx,
-		slot:   uint8(slot),
-		engine: sim.NewEngine(fmt.Sprintf("%s:%s%d", d.profile.Name, kind, idx), &d.timeline),
-	}
+	q := &Queue{dev: d, kind: kind, index: idx, slot: uint8(slot)}
 	d.queues[kind] = append(d.queues[kind], q)
 	return q
 }
@@ -91,15 +82,6 @@ func (d *Device) SetDispatchParallelism(n int) {
 // DispatchParallelism returns the per-dispatch worker budget (0 = GOMAXPROCS).
 func (d *Device) DispatchParallelism() int { return d.dispatchParallelism }
 
-// SetRecorder attaches a trace recorder: every kernel, transfer and occupy
-// scheduled on the device's queues is captured for replay. nil detaches.
-func (d *Device) SetRecorder(r *Recorder) { d.rec = r }
-
-// Recorder returns the attached trace recorder (nil when not recording). API
-// front ends fetch it once at context/device creation and record host-side
-// events (knob-tagged spends, waits, readings) through it.
-func (d *Device) Recorder() *Recorder { return d.rec }
-
 // SetFaultHook installs (or, with nil, removes) the pre-dispatch hook every
 // ExecuteKernel consults. The hook runs on the dispatching goroutine before
 // any functional work; returning an error fails the dispatch through the same
@@ -108,9 +90,6 @@ func (d *Device) SetFaultHook(h func() error) { d.faultHook = h }
 
 // Memory returns the device's memory system.
 func (d *Device) Memory() *MemorySystem { return d.mem }
-
-// Timeline returns the device activity trace.
-func (d *Device) Timeline() *sim.Timeline { return &d.timeline }
 
 // QueueCount reports how many queues of the given kind the device exposes.
 func (d *Device) QueueCount(kind QueueKind) int { return len(d.queues[kind]) }
@@ -134,34 +113,19 @@ func (d *Device) Driver(api API) (DriverProfile, error) {
 	return drv, nil
 }
 
-// Reset clears all queue occupancy and the device timeline. The benchmark
-// runner uses it between repetitions so measurements start from an idle
-// device.
-func (d *Device) Reset() {
-	for _, qs := range d.queues {
-		for _, q := range qs {
-			q.engine.Reset()
-		}
-	}
-	d.timeline.Reset()
-}
-
 // KernelRun reports the outcome of executing one dispatch on a queue.
 type KernelRun struct {
-	Program  string
-	Start    time.Duration
-	End      time.Duration
-	Exec     time.Duration
+	// Event is the dispatch's index in the run's trace.
+	Event    int32
 	Counters kernels.Counters
 }
 
 // Queue is an in-order execution engine of the device.
 type Queue struct {
-	dev    *Device
-	kind   QueueKind
-	index  int
-	slot   uint8
-	engine *sim.Engine
+	dev   *Device
+	kind  QueueKind
+	index int
+	slot  uint8
 }
 
 // Kind returns the queue's functionality class.
@@ -170,24 +134,31 @@ func (q *Queue) Kind() QueueKind { return q.kind }
 // Index returns the queue index within its family.
 func (q *Queue) Index() int { return q.index }
 
-// Slot returns the queue's device-wide trace slot (its position in device
-// queue-creation order), used to key recorded events and waits.
-func (q *Queue) Slot() uint8 { return q.slot }
-
 // Device returns the owning device.
 func (q *Queue) Device() *Device { return q.dev }
 
+// Last returns the trace index of the latest work scheduled on the queue, or
+// -1 while it is empty. The index denotes "the work this queue has accepted
+// so far": waiting on it drains the queue, and event timers snapshot it
+// (cudaEventRecord).
+func (q *Queue) Last() int32 { return q.dev.host.tl.last[q.slot] }
+
 // AvailableAt reports when the queue becomes idle.
-func (q *Queue) AvailableAt() time.Duration { return q.engine.AvailableAt() }
+func (q *Queue) AvailableAt() time.Duration { return q.dev.host.tl.availableAt(q.slot) }
+
+// schedule records work on this queue into the attached host and returns its
+// trace index. Work starts no earlier than the host's current time.
+func (q *Queue) schedule(ev TraceEvent) int32 {
+	ev.Queue = q.slot
+	return q.dev.host.record(ev)
+}
 
 // ExecuteKernel functionally executes the program on the device and schedules
 // its simulated duration (plus extra, the symbolic cost of API-layer device
-// work such as pipeline binds or barriers) on this queue, starting no earlier
-// than earliest. It returns the run record. When a trace recorder is attached
-// the dispatch is captured — program, counters and the symbolic extra cost —
-// so replay can recompute its duration under any driver profile.
-func (q *Queue) ExecuteKernel(earliest time.Duration, api API, prog *kernels.Program,
-	cfg kernels.DispatchConfig, extra Cost) (KernelRun, error) {
+// work such as pipeline binds or barriers) on this queue. The dispatch is
+// recorded — program, counters and the symbolic extra cost — so replay can
+// recompute its duration under any driver profile.
+func (q *Queue) ExecuteKernel(prog *kernels.Program, cfg kernels.DispatchConfig, extra Cost) (KernelRun, error) {
 	if h := q.dev.faultHook; h != nil {
 		if err := h(); err != nil {
 			return KernelRun{}, err
@@ -196,9 +167,8 @@ func (q *Queue) ExecuteKernel(earliest time.Duration, api API, prog *kernels.Pro
 	if q.kind != QueueCompute && q.kind != QueueGraphics {
 		return KernelRun{}, fmt.Errorf("hw: queue %s%d cannot execute compute work", q.kind, q.index)
 	}
-	drv, err := q.dev.Driver(api)
-	if err != nil {
-		return KernelRun{}, err
+	if host := q.dev.host; !host.drv.Supported {
+		return KernelRun{}, fmt.Errorf("hw: device %q does not support %s", q.dev.profile.Name, host.API())
 	}
 	if cfg.WarpSize == 0 {
 		cfg.WarpSize = q.dev.profile.WarpSize
@@ -216,33 +186,16 @@ func (q *Queue) ExecuteKernel(earliest time.Duration, api API, prog *kernels.Pro
 	if err != nil {
 		return KernelRun{}, err
 	}
-	exec := KernelDuration(&q.dev.profile, &drv, prog, counters) + extra.Duration(&drv)
-	q.dev.rec.Kernel(q.slot, prog, counters, extra)
-	start, end := q.engine.Schedule(prog.Name, earliest, exec)
-	return KernelRun{
-		Program:  prog.Name,
-		Start:    start,
-		End:      end,
-		Exec:     exec,
-		Counters: *counters,
-	}, nil
+	ref := q.schedule(TraceEvent{Kind: EvKernel, Prog: prog, Counters: *counters, Cost: extra})
+	return KernelRun{Event: ref, Counters: *counters}, nil
 }
 
 // ExecuteTransfer schedules a host<->device copy of n bytes on this queue and
-// returns its start and end times.
-func (q *Queue) ExecuteTransfer(earliest time.Duration, n int64) (start, end time.Duration) {
-	d := TransferDuration(&q.dev.profile, n)
-	q.dev.rec.Transfer(q.slot, n)
-	return q.engine.Schedule("transfer", earliest, d)
+// returns its trace index.
+func (q *Queue) ExecuteTransfer(n int64) int32 {
+	return q.schedule(TraceEvent{Kind: EvTransfer, Bytes: n})
 }
 
 // Occupy schedules opaque device-side work (e.g. a barrier's drain time) of
-// the given symbolic cost on the queue and returns its start and end times.
-func (q *Queue) Occupy(name string, earliest time.Duration, c Cost, api API) (start, end time.Duration) {
-	d := c.Fixed
-	if drv, ok := q.dev.profile.Driver(api); ok {
-		d = c.Duration(&drv)
-	}
-	q.dev.rec.Occupy(q.slot, c)
-	return q.engine.Schedule(name, earliest, d)
-}
+// the given symbolic cost on the queue.
+func (q *Queue) Occupy(c Cost) { q.schedule(TraceEvent{Kind: EvOccupy, Cost: c}) }

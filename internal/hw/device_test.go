@@ -33,12 +33,13 @@ func TestDispatchParallelismBudget(t *testing.T) {
 		if got := dev.DispatchParallelism(); got != budget {
 			t.Fatalf("DispatchParallelism = %d after Set(%d)", got, budget)
 		}
+		hw.NewHost(dev, hw.APIVulkan)
 		q, err := dev.Queue(hw.QueueCompute, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		buf := make(kernels.Words, 32*64)
-		run, err := q.ExecuteKernel(0, hw.APIVulkan, prog,
+		run, err := q.ExecuteKernel(prog,
 			kernels.DispatchConfig{Groups: kernels.D1(32), Buffers: []kernels.Words{buf}}, hw.Cost{})
 		if err != nil {
 			t.Fatal(err)

@@ -1,0 +1,87 @@
+package hw
+
+import (
+	"testing"
+	"time"
+)
+
+const us = time.Microsecond
+
+// queueTimeline is a host and one compute queue on a fresh device. occupy
+// enqueues one Occupy of d and returns its event index.
+type queueTimeline struct {
+	host *Host
+	q    *Queue
+}
+
+func newQueueTimeline(t *testing.T) *queueTimeline {
+	t.Helper()
+	dev, err := NewDevice(*codecTestProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := NewHost(dev, APIVulkan)
+	q, err := dev.Queue(QueueCompute, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &queueTimeline{host: host, q: q}
+}
+
+func (qt *queueTimeline) occupy(d time.Duration) int32 {
+	qt.q.Occupy(FixedCost(d))
+	return qt.q.Last()
+}
+
+// check replays the host's trace and requires every replayed span to equal
+// the executed one, and the executed spans named in want to match it.
+func (qt *queueTimeline) check(t *testing.T, want map[int32]span) {
+	t.Helper()
+	rp, err := qt.host.Trace().Replay(qt.q.Device().Profile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rp.tl.spans) != len(qt.host.tl.spans) {
+		t.Fatalf("replay stepped %d events, execution %d", len(rp.tl.spans), len(qt.host.tl.spans))
+	}
+	for i, executed := range qt.host.tl.spans {
+		if replayed := rp.tl.spans[i]; replayed != executed {
+			t.Fatalf("event %d: executed %v, replayed %v", i, executed, replayed)
+		}
+		if w, ok := want[int32(i)]; ok && executed != w {
+			t.Fatalf("event %d spans [%v, %v], want [%v, %v]", i, executed.start, executed.end, w.start, w.end)
+		}
+	}
+}
+
+// TestTimelineOrdersQueueWork pins the ordering rules of the timeline step,
+// by execution and by Trace.Replay of the same trace: work on one queue runs
+// in order, and work starts no earlier than the host's current time.
+func TestTimelineOrdersQueueWork(t *testing.T) {
+	qt := newQueueTimeline(t)
+	want := map[int32]span{}
+	want[qt.occupy(10*us)] = span{0, 10 * us}
+	// The queue is busy until 10µs, so work enqueued at host time 0 waits.
+	want[qt.occupy(5*us)] = span{10 * us, 15 * us}
+	// After a host spend past the queue's end, work starts at host time.
+	qt.host.Spend(FixedCost(20 * us))
+	want[qt.occupy(us)] = span{20 * us, 21 * us}
+	qt.check(t, want)
+}
+
+// TestTimelineClampsNegativeQueueCost pins the clamp of the timeline step, by
+// execution and by Trace.Replay of the same trace: a negative cost is a
+// zero-length span that leaves the queue's availability unchanged, and later
+// work still starts where the queue was free.
+func TestTimelineClampsNegativeQueueCost(t *testing.T) {
+	qt := newQueueTimeline(t)
+	want := map[int32]span{}
+	want[qt.occupy(10*us)] = span{0, 10 * us}
+	before := qt.q.AvailableAt()
+	want[qt.occupy(-us)] = span{10 * us, 10 * us}
+	if got := qt.q.AvailableAt(); got != before {
+		t.Fatalf("a negative cost moved the queue's availability from %v to %v", before, got)
+	}
+	want[qt.occupy(us)] = span{10 * us, 11 * us}
+	qt.check(t, want)
+}

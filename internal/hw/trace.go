@@ -7,15 +7,17 @@ import (
 	"vcomputebench/internal/kernels"
 )
 
-// This file is the execute/replay seam of the simulator: while a benchmark
-// runs, a Recorder captures every host-clock advance and every unit of device
-// work as a symbolic TraceEvent whose duration is a *function of the driver
-// profile*, not a number. Replaying the trace under any DriverProfile then
-// reproduces the run's timeline bit-identically to a fresh execution — without
-// re-executing a single workgroup. The expensive part of a measurement
-// (functional kernel execution producing kernels.Counters) is invariant under
-// every timing knob, so a recorded trace turns a calibration sweep of E
-// candidate profiles from E executions into 1 execution + E analytic replays.
+// This file is the execute/replay seam of the simulator. A run's Host records
+// every host-clock advance and every unit of device work as a symbolic
+// TraceEvent whose duration is a *function of the driver profile*, not a
+// number, and steps the run's timeline over each event as it is recorded.
+// Replaying the trace under any DriverProfile steps a fresh timeline over the
+// same events with the same step function, so replay equals execution by
+// construction — without re-executing a single workgroup. The expensive part
+// of a measurement (functional kernel execution producing kernels.Counters) is
+// invariant under every timing knob, so a recorded trace turns a calibration
+// sweep of E candidate profiles from E executions into 1 execution + E
+// analytic replays.
 //
 // What is profile-dependent and what is not:
 //
@@ -80,9 +82,9 @@ func (k Knob) value(drv *DriverProfile) time.Duration {
 }
 
 // Cost is a symbolic duration: a fixed part plus integer counts of driver
-// knobs. Valuation multiplies each count by the knob's current profile value,
-// exactly mirroring how the API layers compute the same durations inline
-// (e.g. time.Duration(n) * drv.JITCompileTime).
+// knobs. Valuation multiplies each count by the knob's current profile value.
+// A Host values every cost itself, under the driver of its run's API, so no
+// duration travels next to its cost.
 type Cost struct {
 	Fixed  time.Duration
 	Counts [knobCount]int32
@@ -142,15 +144,15 @@ type EventKind uint8
 
 // Trace event kinds.
 const (
-	// EvSpend advances the host clock by Cost (clamped at zero, like
-	// sim.Host.Spend ignores non-positive durations).
+	// EvSpend advances the host clock by Cost (a non-positive valuation
+	// leaves it where it is).
 	EvSpend EventKind = iota
 	// EvKernel schedules KernelDuration(prog, counters) + Cost on a queue.
 	EvKernel
 	// EvTransfer schedules TransferDuration(bytes) on a queue.
 	EvTransfer
-	// EvOccupy schedules Cost on a queue (clamped at zero, like
-	// sim.Engine.Schedule clamps negative durations).
+	// EvOccupy schedules Cost on a queue (a negative valuation is a
+	// zero-length span).
 	EvOccupy
 	// EvWait advances the host clock to the end of event Ref (no-op for a
 	// negative Ref, which denotes an empty queue at record time).
@@ -200,177 +202,9 @@ type Reading struct {
 	Value time.Duration
 }
 
-// Recorder captures the trace of one benchmark run. All methods are safe on a
-// nil receiver (no-ops), so instrumented code paths need no conditionals. A
-// Recorder is not safe for concurrent use; a benchmark run's host code is
-// single-threaded, which is what it records.
-type Recorder struct {
-	api         API
-	events      []TraceEvent
-	readings    []Reading
-	lastByQueue [maxQueueSlots]int32
-	next        Cost // pending symbolic tag for the next HostSpend
-	nextSet     bool
-}
-
 // maxQueueSlots bounds the number of device queues a trace distinguishes
 // (devices expose 3; slots beyond the bound would be a programming error).
 const maxQueueSlots = 8
-
-// NewRecorder returns an empty recorder for a run using the given API.
-func NewRecorder(api API) *Recorder {
-	r := &Recorder{api: api}
-	for i := range r.lastByQueue {
-		r.lastByQueue[i] = -1
-	}
-	return r
-}
-
-// NextSpend tags the next host Spend with a symbolic cost. API layers call it
-// immediately before a host.Spend whose duration is a driver-knob valuation;
-// untagged spends are recorded as fixed costs by HostSpend.
-func (r *Recorder) NextSpend(c Cost) {
-	if r == nil {
-		return
-	}
-	r.next = c
-	r.nextSet = true
-}
-
-// HostSpend implements sim.TraceSink: every host-clock advance lands here.
-func (r *Recorder) HostSpend(d time.Duration) {
-	if r == nil {
-		return
-	}
-	c := FixedCost(d)
-	if r.nextSet {
-		c = r.next
-		r.nextSet = false
-	}
-	r.events = append(r.events, TraceEvent{Kind: EvSpend, Cost: c})
-}
-
-// schedule appends a queue event and tracks it as the queue's latest.
-func (r *Recorder) schedule(ev TraceEvent) int32 {
-	idx := int32(len(r.events))
-	r.events = append(r.events, ev)
-	r.lastByQueue[ev.Queue] = idx
-	return idx
-}
-
-// Kernel records one dispatch: program, counters and the API layer's extra
-// device-time cost.
-func (r *Recorder) Kernel(queue uint8, prog *kernels.Program, counters *kernels.Counters, extra Cost) {
-	if r == nil {
-		return
-	}
-	r.schedule(TraceEvent{Kind: EvKernel, Queue: queue, Prog: prog, Counters: *counters, Cost: extra})
-}
-
-// Transfer records one host<->device copy.
-func (r *Recorder) Transfer(queue uint8, bytes int64) {
-	if r == nil {
-		return
-	}
-	r.schedule(TraceEvent{Kind: EvTransfer, Queue: queue, Bytes: bytes})
-}
-
-// Occupy records opaque device-side work of symbolic duration.
-func (r *Recorder) Occupy(queue uint8, c Cost) {
-	if r == nil {
-		return
-	}
-	r.schedule(TraceEvent{Kind: EvOccupy, Queue: queue, Cost: c})
-}
-
-// QueueMark returns the index of the latest event scheduled on the queue, or
-// -1 when the queue is still empty. The index denotes "the work this queue
-// has accepted so far": waiting on it reproduces AvailableAt()-based
-// synchronisation, and event timers snapshot it (cudaEventRecord).
-func (r *Recorder) QueueMark(queue uint8) int32 {
-	if r == nil {
-		return -1
-	}
-	return r.lastByQueue[queue]
-}
-
-// Wait records a host wait until the end of the referenced event.
-func (r *Recorder) Wait(ref int32) {
-	if r == nil {
-		return
-	}
-	r.events = append(r.events, TraceEvent{Kind: EvWait, Ref: ref})
-}
-
-// WaitQueue records a host wait until the queue's current work drains.
-func (r *Recorder) WaitQueue(queue uint8) {
-	if r == nil {
-		return
-	}
-	r.Wait(r.QueueMark(queue))
-}
-
-// Mark appends a host-time sample point and returns its event index, or -1 on
-// a nil recorder.
-func (r *Recorder) Mark() int32 {
-	if r == nil {
-		return -1
-	}
-	idx := int32(len(r.events))
-	r.events = append(r.events, TraceEvent{Kind: EvMark})
-	return idx
-}
-
-// ReadHostMark records an absolute host-time observation at mark a.
-func (r *Recorder) ReadHostMark(a int32, v time.Duration) {
-	if r == nil {
-		return
-	}
-	r.readings = append(r.readings, Reading{Kind: ReadHostMark, A: a, Value: v})
-}
-
-// ReadMarkDiff records a stopwatch observation between marks a and b.
-func (r *Recorder) ReadMarkDiff(a, b int32, v time.Duration) {
-	if r == nil {
-		return
-	}
-	r.readings = append(r.readings, Reading{Kind: ReadMarkDiff, A: a, B: b, Value: v})
-}
-
-// ReadSpanSum records an observation of the summed occupancy of the given
-// scheduled events (e.g. a Vulkan submission's per-dispatch execution times).
-func (r *Recorder) ReadSpanSum(refs []int32, v time.Duration) {
-	if r == nil {
-		return
-	}
-	r.readings = append(r.readings, Reading{Kind: ReadSpanSum, Refs: refs, Value: v})
-}
-
-// ReadSpan records an observation of one scheduled event's occupancy (an
-// OpenCL profiling event's start-to-end duration).
-func (r *Recorder) ReadSpan(ref int32, v time.Duration) {
-	if r == nil {
-		return
-	}
-	r.ReadSpanSum([]int32{ref}, v)
-}
-
-// ReadEndDiff records an observation of end(b) - end(a) (device event
-// timers); a or b may be -1 for "queue was empty", i.e. time zero.
-func (r *Recorder) ReadEndDiff(a, b int32, v time.Duration) {
-	if r == nil {
-		return
-	}
-	r.readings = append(r.readings, Reading{Kind: ReadEndDiff, A: a, B: b, Value: v})
-}
-
-// Trace returns the recorded trace. The recorder must not be used afterwards.
-func (r *Recorder) Trace() *Trace {
-	if r == nil {
-		return nil
-	}
-	return &Trace{API: r.api, Events: r.events, Readings: r.readings}
-}
 
 // Trace is the immutable timing trace of one benchmark run: the event
 // sequence plus the readings benchmarks derived from it.
@@ -388,20 +222,112 @@ func (t *Trace) AddSpanSumReading(refs []int32, v time.Duration) int {
 	return len(t.Readings) - 1
 }
 
+// span is one event's interval on the timeline: the host interval of a spend
+// or a wait, the queue occupancy of scheduled work, the instant of a mark.
+type span struct{ start, end time.Duration }
+
+// timeline is the simulated time of one run: the host clock, each queue's
+// latest event and every event's span. Execution (Host) and replay
+// (Trace.Replay) advance it through the same step function, so the timing
+// rules are stated once.
+type timeline struct {
+	now   time.Duration
+	last  [maxQueueSlots]int32 // each queue's latest event, -1 while empty
+	spans []span
+}
+
+// newTimeline returns a timeline at time zero with n event spans.
+func newTimeline(n int) timeline {
+	tl := timeline{spans: make([]span, n)}
+	for i := range tl.last {
+		tl.last[i] = -1
+	}
+	return tl
+}
+
+// availableAt reports when the queue drains: the end of its latest event, or
+// time zero while it is empty.
+func (tl *timeline) availableAt(queue uint8) time.Duration {
+	if i := tl.last[queue]; i >= 0 {
+		return tl.spans[i].end
+	}
+	return 0
+}
+
+// step advances the timeline over event i, valuing its duration under the
+// profile and driver. These are the timing rules of the simulator:
+//
+//   - a spend advances the host clock by its cost; a non-positive valuation
+//     leaves the clock where it is;
+//   - queue work starts once both the host and the queue are ready and runs
+//     for its duration, a negative one clamped to zero;
+//   - a wait advances the host clock to the end of its event, if later (-1
+//     waits on nothing);
+//   - a mark samples the host clock.
+func (tl *timeline) step(i int32, ev *TraceEvent, p *Profile, drv *DriverProfile) {
+	s := span{start: tl.now, end: tl.now}
+	switch ev.Kind {
+	case EvSpend:
+		if d := ev.Cost.Duration(drv); d > 0 {
+			s.end += d
+		}
+		tl.now = s.end
+	case EvKernel, EvTransfer, EvOccupy:
+		var d time.Duration
+		switch ev.Kind {
+		case EvKernel:
+			d = KernelDuration(p, drv, ev.Prog, &ev.Counters) + ev.Cost.Duration(drv)
+		case EvTransfer:
+			d = TransferDuration(p, ev.Bytes)
+		case EvOccupy:
+			d = ev.Cost.Duration(drv)
+		}
+		s.start = max(s.start, tl.availableAt(ev.Queue))
+		s.end = s.start + max(d, 0)
+		tl.last[ev.Queue] = i
+	case EvWait:
+		if ev.Ref >= 0 {
+			s.end = max(s.end, tl.spans[ev.Ref].end)
+		}
+		tl.now = s.end
+	}
+	tl.spans[i] = s
+}
+
+// value evaluates a reading on the timeline.
+func (tl *timeline) value(r *Reading) time.Duration {
+	end := func(ref int32) time.Duration {
+		if ref < 0 {
+			return 0
+		}
+		return tl.spans[ref].end
+	}
+	switch r.Kind {
+	case ReadHostMark:
+		return end(r.A)
+	case ReadMarkDiff, ReadEndDiff:
+		return end(r.B) - end(r.A)
+	case ReadSpanSum:
+		var sum time.Duration
+		for _, ref := range r.Refs {
+			sum += tl.spans[ref].end - tl.spans[ref].start
+		}
+		return sum
+	}
+	return 0
+}
+
 // Replayed is the outcome of replaying a trace under a profile: the replayed
 // timeline, exposed through the quantities readings need.
 type Replayed struct {
 	trace *Trace
-	// start/end are per-event schedule times (zero for non-schedule events);
-	// marks are host-time samples at EvMark events.
-	start, end []time.Duration
-	marks      []time.Duration
-	final      time.Duration
+	tl    timeline
 }
 
-// Replay recomputes the trace's timeline under the given profile. It is a
-// pure function of (trace, profile): no device or host state is touched, so
-// it is safe to call concurrently on a shared trace. The profile must be
+// Replay recomputes the trace's timeline under the given profile, stepping a
+// fresh timeline over the recorded events exactly as the run's Host did. It
+// is a pure function of (trace, profile): no device or host state is touched,
+// so it is safe to call concurrently on a shared trace. The profile must be
 // execution-compatible with the one the trace was recorded under (same
 // ExecutionFingerprint); only timing fields — every DriverProfile knob and
 // the device-side timing parameters — may differ.
@@ -410,51 +336,10 @@ func (t *Trace) Replay(p *Profile) (*Replayed, error) {
 	if !ok {
 		return nil, fmt.Errorf("hw: replay of a %s trace on a profile without a %s driver", t.API, t.API)
 	}
-	rp := &Replayed{
-		trace: t,
-		start: make([]time.Duration, len(t.Events)),
-		end:   make([]time.Duration, len(t.Events)),
-		marks: make([]time.Duration, len(t.Events)),
-	}
-	var host time.Duration
-	var avail [maxQueueSlots]time.Duration
+	rp := &Replayed{trace: t, tl: newTimeline(len(t.Events))}
 	for i := range t.Events {
-		ev := &t.Events[i]
-		switch ev.Kind {
-		case EvSpend:
-			// sim.Host.Spend ignores non-positive durations.
-			if d := ev.Cost.Duration(&drv); d > 0 {
-				host += d
-			}
-		case EvKernel, EvTransfer, EvOccupy:
-			var d time.Duration
-			switch ev.Kind {
-			case EvKernel:
-				d = KernelDuration(p, &drv, ev.Prog, &ev.Counters) + ev.Cost.Duration(&drv)
-			case EvTransfer:
-				d = TransferDuration(p, ev.Bytes)
-			case EvOccupy:
-				d = ev.Cost.Duration(&drv)
-			}
-			if d < 0 {
-				d = 0 // sim.Engine.Schedule clamps negative durations
-			}
-			start := avail[ev.Queue]
-			if host > start {
-				start = host // every schedule site passes host.Now() as earliest
-			}
-			rp.start[i] = start
-			rp.end[i] = start + d
-			avail[ev.Queue] = rp.end[i]
-		case EvWait:
-			if ev.Ref >= 0 && rp.end[ev.Ref] > host {
-				host = rp.end[ev.Ref]
-			}
-		case EvMark:
-			rp.marks[i] = host
-		}
+		rp.tl.step(int32(i), &t.Events[i], p, &drv)
 	}
-	rp.final = host
 	return rp, nil
 }
 
@@ -464,29 +349,10 @@ func (rp *Replayed) Reading(i int) (time.Duration, error) {
 		return 0, fmt.Errorf("hw: replay has no reading %d", i)
 	}
 	r := &rp.trace.Readings[i]
-	switch r.Kind {
-	case ReadHostMark:
-		return rp.marks[r.A], nil
-	case ReadMarkDiff:
-		return rp.marks[r.B] - rp.marks[r.A], nil
-	case ReadSpanSum:
-		var sum time.Duration
-		for _, ref := range r.Refs {
-			sum += rp.end[ref] - rp.start[ref]
-		}
-		return sum, nil
-	case ReadEndDiff:
-		var a, b time.Duration
-		if r.A >= 0 {
-			a = rp.end[r.A]
-		}
-		if r.B >= 0 {
-			b = rp.end[r.B]
-		}
-		return b - a, nil
-	default:
+	if r.Kind > ReadEndDiff {
 		return 0, fmt.Errorf("hw: unknown reading kind %d", r.Kind)
 	}
+	return rp.tl.value(r), nil
 }
 
 // ExecutionFingerprint summarises every profile field that can change a run's

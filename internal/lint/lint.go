@@ -92,7 +92,6 @@ func DefaultConfig() Config {
 			"internal/micro",
 			"internal/opencl",
 			"internal/rodinia/...",
-			"internal/sim",
 			"internal/spirv",
 			"internal/vulkan/...",
 		},
@@ -126,7 +125,6 @@ func DefaultConfig() Config {
 			"internal/micro",
 			"internal/opencl",
 			"internal/rodinia/...",
-			"internal/sim",
 			"internal/spirv",
 			"internal/vulkan/...",
 		},

@@ -17,7 +17,6 @@ import (
 
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
-	"vcomputebench/internal/sim"
 )
 
 // Errors mirroring cl_int error codes.
@@ -33,11 +32,12 @@ var (
 	ErrInvalidArgIndex     = errors.New("opencl: CL_INVALID_ARG_INDEX")
 )
 
-const hostCallOverhead = 200 * time.Nanosecond
+// hostCall is the host cost of a cheap runtime call.
+var hostCall = hw.FixedCost(200 * time.Nanosecond)
 
 // Platform is an OpenCL platform (one per vendor runtime installed).
 type Platform struct {
-	host    *sim.Host
+	host    *hw.Host
 	name    string
 	devices []*Device
 }
@@ -48,9 +48,10 @@ func (p *Platform) Name() string { return p.name }
 // GetPlatforms enumerates the OpenCL platforms backed by the given simulated
 // devices. Devices without an OpenCL driver are not exposed. On the Nexus
 // Player the library is not even called libOpenCL.so (paper footnote 3); the
-// platform name records the vendor runtime.
-func GetPlatforms(host *sim.Host, devices ...*hw.Device) ([]*Platform, error) {
-	if host == nil {
+// platform name records the vendor runtime. The host must record an OpenCL
+// run (hw.NewHost(dev, hw.APIOpenCL)).
+func GetPlatforms(host *hw.Host, devices ...*hw.Device) ([]*Platform, error) {
+	if host == nil || host.API() != hw.APIOpenCL {
 		return nil, ErrInvalidValue
 	}
 	byVendor := map[string]*Platform{}
@@ -68,7 +69,7 @@ func GetPlatforms(host *sim.Host, devices ...*hw.Device) ([]*Platform, error) {
 		}
 		p.devices = append(p.devices, &Device{host: host, hw: d})
 	}
-	host.Spend("clGetPlatformIDs", hostCallOverhead)
+	host.Spend(hostCall)
 	if len(order) == 0 {
 		return nil, ErrDeviceNotFound
 	}
@@ -81,13 +82,13 @@ func GetPlatforms(host *sim.Host, devices ...*hw.Device) ([]*Platform, error) {
 
 // Device is an OpenCL device.
 type Device struct {
-	host *sim.Host
+	host *hw.Host
 	hw   *hw.Device
 }
 
 // GetDevices returns the platform's devices.
 func (p *Platform) GetDevices() ([]*Device, error) {
-	p.host.Spend("clGetDeviceIDs", hostCallOverhead)
+	p.host.Spend(hostCall)
 	if len(p.devices) == 0 {
 		return nil, ErrDeviceNotFound
 	}
@@ -114,10 +115,8 @@ func (d *Device) HW() *hw.Device { return d.hw }
 
 // Context is an OpenCL context over one device.
 type Context struct {
-	host *sim.Host
+	host *hw.Host
 	dev  *Device
-	drv  hw.DriverProfile
-	rec  *hw.Recorder
 }
 
 // CreateContext creates a context for the device.
@@ -125,16 +124,15 @@ func CreateContext(d *Device) (*Context, error) {
 	if d == nil {
 		return nil, ErrInvalidValue
 	}
-	drv, err := d.hw.Driver(hw.APIOpenCL)
-	if err != nil {
+	if _, err := d.hw.Driver(hw.APIOpenCL); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrDeviceNotFound, err)
 	}
-	d.host.Spend("clCreateContext", 40*time.Microsecond)
-	return &Context{host: d.host, dev: d, drv: drv, rec: d.hw.Recorder()}, nil
+	d.host.Spend(hw.FixedCost(40 * time.Microsecond))
+	return &Context{host: d.host, dev: d}, nil
 }
 
 // Host returns the simulated host.
-func (c *Context) Host() *sim.Host { return c.host }
+func (c *Context) Host() *hw.Host { return c.host }
 
 // MemFlags are cl_mem_flags.
 type MemFlags uint32
@@ -171,8 +169,7 @@ func (c *Context) CreateBuffer(flags MemFlags, size int64, hostData kernels.Word
 	if flags&MemCopyHostPtr != 0 && len(hostData) > kernels.WordsForBytes(int(size)) {
 		return nil, fmt.Errorf("%w: %d words of host data for a buffer of %d bytes", ErrInvalidValue, len(hostData), size)
 	}
-	c.rec.NextSpend(hw.KnobCost(hw.KnobAlloc))
-	c.host.Spend("clCreateBuffer", c.drv.AllocOverhead)
+	c.host.Spend(hw.KnobCost(hw.KnobAlloc))
 	alloc, err := c.dev.hw.Memory().Allocate(hw.HeapDeviceLocal, size)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMemObjectAllocation, err)
@@ -186,7 +183,7 @@ func (c *Context) CreateBuffer(flags MemFlags, size int64, hostData kernels.Word
 
 // Release releases the buffer.
 func (m *Mem) Release() error {
-	m.ctx.host.Spend("clReleaseMemObject", hostCallOverhead)
+	m.ctx.host.Spend(hostCall)
 	return m.ctx.dev.hw.Memory().Free(m.alloc)
 }
 
@@ -205,7 +202,7 @@ func (c *Context) CreateProgramWithSource(sources ...string) (*Program, error) {
 	if len(sources) == 0 {
 		return nil, ErrInvalidValue
 	}
-	c.host.Spend("clCreateProgramWithSource", hostCallOverhead)
+	c.host.Spend(hostCall)
 	return &Program{ctx: c, sources: sources}, nil
 }
 
@@ -226,8 +223,7 @@ func (p *Program) Build(options string) error {
 	}
 	p.names = names
 	p.built = true
-	p.ctx.rec.NextSpend(hw.KnobCostN(hw.KnobJITCompile, len(names)))
-	p.ctx.host.Spend("clBuildProgram", time.Duration(len(names))*p.ctx.drv.JITCompileTime)
+	p.ctx.host.Spend(hw.KnobCostN(hw.KnobJITCompile, len(names)))
 	return nil
 }
 
@@ -271,7 +267,7 @@ type Kernel struct {
 
 // CreateKernel creates a kernel object for one entry point of a built program.
 func (p *Program) CreateKernel(name string) (*Kernel, error) {
-	p.ctx.host.Spend("clCreateKernel", hostCallOverhead)
+	p.ctx.host.Spend(hostCall)
 	if !p.built {
 		return nil, fmt.Errorf("%w: program is not built", ErrInvalidValue)
 	}
@@ -305,8 +301,7 @@ func (k *Kernel) Program() *kernels.Program { return k.kp }
 // SetArgBuffer sets argument index to a buffer. Buffer arguments occupy
 // indices [0, Bindings).
 func (k *Kernel) SetArgBuffer(index int, m *Mem) error {
-	k.prog.ctx.rec.NextSpend(hw.KnobCost(hw.KnobDescriptorUpdate))
-	k.prog.ctx.host.Spend("clSetKernelArg", k.prog.ctx.drv.DescriptorUpdateOverhead)
+	k.prog.ctx.host.Spend(hw.KnobCost(hw.KnobDescriptorUpdate))
 	if index < 0 || index >= len(k.buffers) {
 		return fmt.Errorf("%w: buffer argument index %d out of range [0,%d)", ErrInvalidArgIndex, index, len(k.buffers))
 	}
@@ -321,8 +316,7 @@ func (k *Kernel) SetArgBuffer(index int, m *Mem) error {
 // SetArgU32 sets a 32-bit scalar argument. Scalar arguments occupy indices
 // [Bindings, Bindings+PushConstantWords).
 func (k *Kernel) SetArgU32(index int, v uint32) error {
-	k.prog.ctx.rec.NextSpend(hw.KnobCost(hw.KnobPushConstant))
-	k.prog.ctx.host.Spend("clSetKernelArg", k.prog.ctx.drv.PushConstantOverhead)
+	k.prog.ctx.host.Spend(hw.KnobCost(hw.KnobPushConstant))
 	vi := index - k.kp.Bindings
 	if vi < 0 || vi >= len(k.values) {
 		return fmt.Errorf("%w: scalar argument index %d out of range [%d,%d)",
@@ -359,31 +353,21 @@ func (c *Context) CreateCommandQueue(props CommandQueueProperties) (*CommandQueu
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrOutOfResources, err)
 	}
-	c.host.Spend("clCreateCommandQueue", hostCallOverhead)
+	c.host.Spend(hostCall)
 	return &CommandQueue{ctx: c, hw: hq, profiling: props.Profiling}, nil
 }
 
-// Event carries profiling information about an enqueued command.
+// Event carries profiling information about an enqueued command: the
+// command's index in the run's trace.
 type Event struct {
-	Queued time.Duration
-	Submit time.Duration
-	Start  time.Duration
-	End    time.Duration
-
-	rec *hw.Recorder
-	ref int32
+	host *hw.Host
+	ref  int32
 }
 
-// Duration returns the device execution time (start to end). Under trace
-// recording each call is captured as a span reading, so a kernel time summed
-// from profiling events can be rebound during replay.
-func (e *Event) Duration() time.Duration {
-	v := e.End - e.Start
-	if e.rec != nil && e.ref >= 0 {
-		e.rec.ReadSpan(e.ref, v)
-	}
-	return v
-}
+// Duration returns the device execution time (start to end). Each call is
+// recorded as a span reading, so a kernel time summed from profiling events
+// can be rebound during replay.
+func (e *Event) Duration() time.Duration { return e.host.ReadSpan(e.ref) }
 
 // EnqueueWriteBuffer copies host words into a buffer. When blocking, the host
 // waits for the transfer to complete. Data longer than the buffer is
@@ -395,16 +379,9 @@ func (q *CommandQueue) EnqueueWriteBuffer(m *Mem, blocking bool, data kernels.Wo
 	if len(data) > len(m.alloc.Words()) {
 		return nil, fmt.Errorf("%w: write of %d words into a buffer of %d words", ErrInvalidValue, len(data), len(m.alloc.Words()))
 	}
-	q.ctx.host.Spend("clEnqueueWriteBuffer", hostCallOverhead)
-	queued := q.ctx.host.Now()
+	q.ctx.host.Spend(hostCall)
 	copy(m.alloc.Words(), data)
-	start, end := q.hw.ExecuteTransfer(queued, int64(len(data))*4)
-	ref := q.ctx.rec.QueueMark(q.hw.Slot())
-	if blocking {
-		q.ctx.rec.Wait(ref)
-		q.ctx.host.WaitUntil(end)
-	}
-	return &Event{Queued: queued, Submit: queued, Start: start, End: end, rec: q.ctx.rec, ref: ref}, nil
+	return q.transfer(int64(len(data))*4, blocking), nil
 }
 
 // EnqueueReadBuffer copies a buffer into host words. Host words longer than
@@ -416,16 +393,19 @@ func (q *CommandQueue) EnqueueReadBuffer(m *Mem, blocking bool, data kernels.Wor
 	if len(data) > len(m.alloc.Words()) {
 		return nil, fmt.Errorf("%w: read of %d words from a buffer of %d words", ErrInvalidValue, len(data), len(m.alloc.Words()))
 	}
-	q.ctx.host.Spend("clEnqueueReadBuffer", hostCallOverhead)
-	queued := q.ctx.host.Now()
+	q.ctx.host.Spend(hostCall)
 	copy(data, m.alloc.Words())
-	start, end := q.hw.ExecuteTransfer(queued, int64(len(data))*4)
-	ref := q.ctx.rec.QueueMark(q.hw.Slot())
+	return q.transfer(int64(len(data))*4, blocking), nil
+}
+
+// transfer schedules a copy of n bytes; when blocking, the host waits for it
+// to complete.
+func (q *CommandQueue) transfer(n int64, blocking bool) *Event {
+	ref := q.hw.ExecuteTransfer(n)
 	if blocking {
-		q.ctx.rec.Wait(ref)
-		q.ctx.host.WaitUntil(end)
+		q.ctx.host.Wait(ref)
 	}
-	return &Event{Queued: queued, Submit: queued, Start: start, End: end, rec: q.ctx.rec, ref: ref}, nil
+	return &Event{host: q.ctx.host, ref: ref}
 }
 
 // EnqueueNDRangeKernel enqueues one kernel execution over the global NDRange.
@@ -463,35 +443,30 @@ func (q *CommandQueue) EnqueueNDRangeKernel(k *Kernel, global, local kernels.Dim
 	for i, m := range k.buffers {
 		buffers[i] = m.alloc.Words()
 	}
-	q.ctx.rec.NextSpend(hw.KnobCost(hw.KnobKernelLaunch))
-	q.ctx.host.Spend("clEnqueueNDRangeKernel", q.ctx.drv.KernelLaunchOverhead)
-	queued := q.ctx.host.Now()
+	q.ctx.host.Spend(hw.KnobCost(hw.KnobKernelLaunch))
 	groups := kernels.Dim3{X: global.X / local.X, Y: global.Y / local.Y, Z: global.Z / local.Z}
 	cfg := kernels.DispatchConfig{Groups: groups, Buffers: buffers, Push: k.values}
-	run, err := q.hw.ExecuteKernel(queued, hw.APIOpenCL, k.kp, cfg, hw.KnobCost(hw.KnobPipelineBind))
+	run, err := q.hw.ExecuteKernel(k.kp, cfg, hw.KnobCost(hw.KnobPipelineBind))
 	if err != nil {
 		// %w on the cause as well: fault classification must survive the
 		// API-level error translation.
 		return nil, fmt.Errorf("%w: %w", ErrOutOfResources, err)
 	}
-	ref := q.ctx.rec.QueueMark(q.hw.Slot())
-	return &Event{Queued: queued, Submit: queued, Start: run.Start, End: run.End, rec: q.ctx.rec, ref: ref}, nil
+	return &Event{host: q.ctx.host, ref: run.Event}, nil
 }
 
 // Finish blocks the host until the queue drains (clFinish). Beyond waiting for
 // the device it pays the driver's synchronisation latency, which the
 // multi-kernel method incurs once per iteration.
 func (q *CommandQueue) Finish() {
-	q.ctx.host.Spend("clFinish", hostCallOverhead)
-	q.ctx.rec.WaitQueue(q.hw.Slot())
-	q.ctx.host.WaitUntil(q.hw.AvailableAt())
-	q.ctx.rec.NextSpend(hw.KnobCost(hw.KnobSync))
-	q.ctx.host.Spend("sync-latency", q.ctx.drv.SyncLatency)
+	q.ctx.host.Spend(hostCall)
+	q.ctx.host.WaitQueue(q.hw)
+	q.ctx.host.Spend(hw.KnobCost(hw.KnobSync))
 }
 
 // Flush is a no-op for the simulated in-order queue (clFlush).
 func (q *CommandQueue) Flush() {
-	q.ctx.host.Spend("clFlush", hostCallOverhead)
+	q.ctx.host.Spend(hostCall)
 }
 
 func f32bits(v float32) uint32 {

@@ -7,11 +7,11 @@ import (
 	"testing"
 
 	"vcomputebench/internal/bench"
+	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
 	"vcomputebench/internal/micro"
 	"vcomputebench/internal/opencl"
 	"vcomputebench/internal/platforms"
-	"vcomputebench/internal/sim"
 )
 
 func newEnv(t *testing.T) *bench.CLEnv {
@@ -20,7 +20,7 @@ func newEnv(t *testing.T) *bench.CLEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := bench.SetupOpenCL(sim.NewHost(), dev, micro.KernelVectorAdd)
+	env, err := bench.SetupOpenCL(hw.NewHost(dev, hw.APIOpenCL), dev, micro.KernelVectorAdd)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,12 +24,12 @@ func (d *Device) CreateCommandPool(info CommandPoolCreateInfo) (*CommandPool, er
 	if info.QueueFamilyIndex < 0 || info.QueueFamilyIndex >= len(families) {
 		return nil, fmt.Errorf("%w: queue family %d out of range", ErrValidation, info.QueueFamilyIndex)
 	}
-	d.host.Spend("vkCreateCommandPool", hostCallOverhead)
+	d.host.Spend(hostCall)
 	return &CommandPool{device: d, family: info.QueueFamilyIndex}, nil
 }
 
 // Destroy destroys the pool.
-func (p *CommandPool) Destroy() { p.device.host.Spend("vkDestroyCommandPool", hostCallOverhead) }
+func (p *CommandPool) Destroy() { p.device.host.Spend(hostCall) }
 
 // CommandBufferState tracks the command buffer lifecycle.
 type CommandBufferState int
@@ -99,7 +99,7 @@ func (d *Device) AllocateCommandBuffers(info CommandBufferAllocateInfo) ([]*Comm
 	if info.Count <= 0 {
 		return nil, fmt.Errorf("%w: command buffer count must be positive", ErrValidation)
 	}
-	d.host.Spend("vkAllocateCommandBuffers", hostCallOverhead)
+	d.host.Spend(hostCall)
 	out := make([]*CommandBuffer, info.Count)
 	for i := range out {
 		out[i] = &CommandBuffer{device: d, pool: info.CommandPool}
@@ -114,7 +114,7 @@ func (cb *CommandBuffer) Begin() error {
 	}
 	cb.state = CommandBufferRecording
 	cb.commands = cb.commands[:0]
-	cb.device.host.Spend("vkBeginCommandBuffer", hostCallOverhead)
+	cb.device.host.Spend(hostCall)
 	return nil
 }
 
@@ -124,7 +124,7 @@ func (cb *CommandBuffer) End() error {
 		return fmt.Errorf("%w: vkEndCommandBuffer on a command buffer that is not recording", ErrValidation)
 	}
 	cb.state = CommandBufferExecutable
-	cb.device.host.Spend("vkEndCommandBuffer", hostCallOverhead)
+	cb.device.host.Spend(hostCall)
 	return nil
 }
 
@@ -133,7 +133,7 @@ func (cb *CommandBuffer) End() error {
 func (cb *CommandBuffer) Reset() {
 	cb.state = CommandBufferInitial
 	cb.commands = nil
-	cb.device.host.Spend("vkResetCommandBuffer", hostCallOverhead)
+	cb.device.host.Spend(hostCall)
 }
 
 // State returns the lifecycle state.
@@ -147,8 +147,7 @@ func (cb *CommandBuffer) record(c command) error {
 		return fmt.Errorf("%w: command recorded outside Begin/End", ErrValidation)
 	}
 	cb.commands = append(cb.commands, c)
-	cb.device.rec.NextSpend(hw.KnobCost(hw.KnobCommandRecord))
-	cb.device.host.Spend("vkCmd*", cb.device.driver.CommandRecordOverhead)
+	cb.device.host.Spend(hw.KnobCost(hw.KnobCommandRecord))
 	return nil
 }
 

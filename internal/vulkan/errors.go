@@ -8,9 +8,10 @@
 // The package intentionally preserves Vulkan's verbosity (the paper's §VI-A
 // point): creating a buffer requires creating the buffer object, querying its
 // memory requirements, choosing a heap, allocating memory and binding the two,
-// exactly as in Listing 1 of the paper. Host-side costs of each call and
-// device-side costs of pipeline binds, barriers and dispatches are charged to
-// the simulated clocks according to the platform's driver profile.
+// exactly as in Listing 1 of the paper. Each call records its cost — a host
+// spend, a wait, the device-side cost of pipeline binds, barriers and
+// dispatches — as one event in the run's hw.Host, which values it under the
+// platform's driver profile and steps the run's timeline.
 package vulkan
 
 import "errors"

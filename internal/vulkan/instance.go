@@ -5,12 +5,14 @@ import (
 	"time"
 
 	"vcomputebench/internal/hw"
-	"vcomputebench/internal/sim"
 )
 
 // hostCallOverhead is the nominal host cost of a cheap API call (object
 // creation, queries). Expensive calls use the driver profile's figures.
 const hostCallOverhead = 200 * time.Nanosecond
+
+// hostCall is the cost of one cheap API call.
+var hostCall = hw.FixedCost(hostCallOverhead)
 
 // LayerValidation is the name of the standard validation layer. Enabling it
 // adds host-side checking cost, modelling the "tooling layers ... present
@@ -27,7 +29,7 @@ type InstanceCreateInfo struct {
 // Instance is the loader state: it knows about the installed drivers
 // (physical devices) and the enabled layers.
 type Instance struct {
-	host            *sim.Host
+	host            *hw.Host
 	info            InstanceCreateInfo
 	physicalDevices []*PhysicalDevice
 	destroyed       bool
@@ -36,9 +38,10 @@ type Instance struct {
 // CreateInstance initialises the loader over the given simulated devices.
 // Devices whose platform does not ship a Vulkan driver are not enumerated,
 // matching the loader's behaviour of only exposing ICDs that are installed.
-func CreateInstance(host *sim.Host, info InstanceCreateInfo, devices ...*hw.Device) (*Instance, error) {
-	if host == nil {
-		return nil, fmt.Errorf("%w: nil host", ErrInitializationFailed)
+// The host must record a Vulkan run (hw.NewHost(dev, hw.APIVulkan)).
+func CreateInstance(host *hw.Host, info InstanceCreateInfo, devices ...*hw.Device) (*Instance, error) {
+	if host == nil || host.API() != hw.APIVulkan {
+		return nil, fmt.Errorf("%w: the host does not record a Vulkan run", ErrInitializationFailed)
 	}
 	inst := &Instance{host: host, info: info}
 	for _, d := range devices {
@@ -51,7 +54,7 @@ func CreateInstance(host *sim.Host, info InstanceCreateInfo, devices ...*hw.Devi
 		inst.physicalDevices = append(inst.physicalDevices, &PhysicalDevice{instance: inst, hw: d})
 	}
 	// The loader initialises enabled layers and the ICDs.
-	host.Spend("vkCreateInstance", 25*time.Microsecond+time.Duration(len(info.EnabledLayers))*5*time.Microsecond)
+	host.Spend(hw.FixedCost(25*time.Microsecond + time.Duration(len(info.EnabledLayers))*5*time.Microsecond))
 	if len(devices) > 0 && len(inst.physicalDevices) == 0 {
 		return nil, ErrIncompatibleDriver
 	}
@@ -74,7 +77,7 @@ func (i *Instance) EnumeratePhysicalDevices() ([]*PhysicalDevice, error) {
 	if i.destroyed {
 		return nil, fmt.Errorf("%w: instance destroyed", ErrValidation)
 	}
-	i.host.Spend("vkEnumeratePhysicalDevices", hostCallOverhead)
+	i.host.Spend(hostCall)
 	if len(i.physicalDevices) == 0 {
 		return nil, ErrIncompatibleDriver
 	}
@@ -86,7 +89,7 @@ func (i *Instance) EnumeratePhysicalDevices() ([]*PhysicalDevice, error) {
 // Destroy releases the instance.
 func (i *Instance) Destroy() {
 	i.destroyed = true
-	i.host.Spend("vkDestroyInstance", hostCallOverhead)
+	i.host.Spend(hostCall)
 }
 
 // PhysicalDeviceProperties reports device identity and limits, the subset of
@@ -174,7 +177,7 @@ type PhysicalDevice struct {
 
 // Properties returns the device properties.
 func (pd *PhysicalDevice) Properties() PhysicalDeviceProperties {
-	pd.instance.host.Spend("vkGetPhysicalDeviceProperties", hostCallOverhead)
+	pd.instance.host.Spend(hostCall)
 	prof := pd.hw.Profile()
 	drv, _ := prof.Driver(hw.APIVulkan)
 	return PhysicalDeviceProperties{
@@ -195,7 +198,7 @@ func (pd *PhysicalDevice) Properties() PhysicalDeviceProperties {
 // compute+transfer capable, family 1 is a dedicated transfer family, matching
 // the queue model of §III-B.
 func (pd *PhysicalDevice) QueueFamilyProperties() []QueueFamilyProperties {
-	pd.instance.host.Spend("vkGetPhysicalDeviceQueueFamilyProperties", hostCallOverhead)
+	pd.instance.host.Spend(hostCall)
 	return []QueueFamilyProperties{
 		{Flags: QueueComputeBit | QueueTransferBit, QueueCount: pd.hw.QueueCount(hw.QueueCompute)},
 		{Flags: QueueTransferBit, QueueCount: pd.hw.QueueCount(hw.QueueTransfer)},
@@ -206,7 +209,7 @@ func (pd *PhysicalDevice) QueueFamilyProperties() []QueueFamilyProperties {
 // DEVICE_LOCAL, type 1 is HOST_VISIBLE|HOST_COHERENT; on unified-memory
 // devices type 0 additionally reports HOST_VISIBLE.
 func (pd *PhysicalDevice) MemoryProperties() PhysicalDeviceMemoryProperties {
-	pd.instance.host.Spend("vkGetPhysicalDeviceMemoryProperties", hostCallOverhead)
+	pd.instance.host.Spend(hostCall)
 	prof := pd.hw.Profile()
 	deviceLocalProps := MemoryPropertyDeviceLocalBit
 	if prof.UnifiedMemory {

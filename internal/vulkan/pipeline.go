@@ -30,7 +30,7 @@ func (d *Device) CreateShaderModule(info ShaderModuleCreateInfo) (*ShaderModule,
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidShader, err)
 	}
-	d.host.Spend("vkCreateShaderModule", hostCallOverhead*3)
+	d.host.Spend(hw.FixedCost(3 * hostCallOverhead))
 	return &ShaderModule{device: d, module: mod, code: info.Code}, nil
 }
 
@@ -38,7 +38,7 @@ func (d *Device) CreateShaderModule(info ShaderModuleCreateInfo) (*ShaderModule,
 func (s *ShaderModule) EntryPoint() string { return s.module.EntryPoint }
 
 // Destroy destroys the module.
-func (s *ShaderModule) Destroy() { s.device.host.Spend("vkDestroyShaderModule", hostCallOverhead) }
+func (s *ShaderModule) Destroy() { s.device.host.Spend(hostCall) }
 
 // ShaderStageFlags identifies pipeline stages.
 type ShaderStageFlags uint32
@@ -94,12 +94,12 @@ func (d *Device) CreatePipelineLayout(info PipelineLayoutCreateInfo) (*PipelineL
 		return nil, fmt.Errorf("%w: push constant range of %d bytes exceeds device limit of %d bytes",
 			ErrValidation, pushBytes, limit)
 	}
-	d.host.Spend("vkCreatePipelineLayout", hostCallOverhead)
+	d.host.Spend(hostCall)
 	return &PipelineLayout{device: d, setLayouts: info.SetLayouts, pushBytes: pushBytes}, nil
 }
 
 // Destroy destroys the layout.
-func (l *PipelineLayout) Destroy() { l.device.host.Spend("vkDestroyPipelineLayout", hostCallOverhead) }
+func (l *PipelineLayout) Destroy() { l.device.host.Spend(hostCall) }
 
 // ComputePipelineCreateInfo configures CreateComputePipelines.
 type ComputePipelineCreateInfo struct {
@@ -120,7 +120,7 @@ type Pipeline struct {
 func (p *Pipeline) Program() *kernels.Program { return p.program }
 
 // Destroy destroys the pipeline.
-func (p *Pipeline) Destroy() { p.device.host.Spend("vkDestroyPipeline", hostCallOverhead) }
+func (p *Pipeline) Destroy() { p.device.host.Spend(hostCall) }
 
 // CreateComputePipelines compiles one compute pipeline per create info. This
 // is where the driver's SPIR-V compiler runs; its cost comes from the driver
@@ -162,8 +162,7 @@ func (d *Device) CreateComputePipelines(infos ...ComputePipelineCreateInfo) ([]*
 			return nil, fmt.Errorf("%w: kernel %q needs %d push constant bytes, layout provides %d",
 				ErrValidation, prog.Name, prog.PushConstantWords*4, info.Layout.pushBytes)
 		}
-		d.rec.NextSpend(hw.KnobCost(hw.KnobPipelineCreate))
-		d.host.Spend("vkCreateComputePipelines", d.driver.PipelineCreateTime)
+		d.host.Spend(hw.KnobCost(hw.KnobPipelineCreate))
 		pipelines = append(pipelines, &Pipeline{device: d, layout: info.Layout, program: prog, module: mod})
 	}
 	return pipelines, nil

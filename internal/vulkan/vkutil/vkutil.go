@@ -16,7 +16,6 @@ import (
 	"vcomputebench/internal/glsl"
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
-	"vcomputebench/internal/sim"
 	"vcomputebench/internal/vulkan"
 )
 
@@ -45,7 +44,7 @@ type Env struct {
 // Setup initialises Vulkan on the device following the sequence of Listing 1:
 // instance, physical device enumeration, logical device with one compute
 // queue, plus a descriptor pool and a command pool for later use.
-func Setup(host *sim.Host, dev *hw.Device) (*Env, error) {
+func Setup(host *hw.Host, dev *hw.Device) (*Env, error) {
 	inst, err := vulkan.CreateInstance(host, vulkan.InstanceCreateInfo{ApplicationName: "vcomputebench"}, dev)
 	if err != nil {
 		return nil, err

@@ -6,20 +6,20 @@ import (
 	"testing"
 
 	"vcomputebench/internal/bench"
+	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
 	"vcomputebench/internal/micro"
 	"vcomputebench/internal/platforms"
-	"vcomputebench/internal/sim"
 	"vcomputebench/internal/vulkan/vkutil"
 )
 
-func newEnv(t *testing.T) (*vkutil.Env, *sim.Host) {
+func newEnv(t *testing.T) (*vkutil.Env, *hw.Host) {
 	t.Helper()
 	dev, err := platforms.GTX1050Ti().NewDevice()
 	if err != nil {
 		t.Fatal(err)
 	}
-	host := sim.NewHost()
+	host := hw.NewHost(dev, hw.APIVulkan)
 	env, err := vkutil.Setup(host, dev)
 	if err != nil {
 		t.Fatal(err)

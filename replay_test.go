@@ -15,13 +15,13 @@ import (
 )
 
 // replayBenchmarks are the benchmarks the replay-determinism tests cover:
-// vectoradd measures with a host stopwatch, membandwidth derives its kernel
-// time from device-side observables (a Vulkan submission's dispatch-time sum,
-// CUDA event timers, a loop summing OpenCL profiling events) plus a
-// throughput extra, and bfs is the iterative worst case — a data-dependent
-// phase loop with mid-measurement device readbacks. Between them every
-// reading kind and binding path of the snapshot layer is exercised.
-var replayBenchmarks = []string{"vectoradd", "membandwidth", "bfs"}
+// every registered benchmark at its smallest workload, so every front-end
+// call a benchmark makes is pinned. Between them they exercise every reading
+// kind and binding path of the snapshot layer: host stopwatches (vectoradd),
+// device-side observables (a Vulkan submission's dispatch-time sum, CUDA
+// event timers, a loop summing OpenCL profiling events in membandwidth) and
+// iterative phase loops with mid-measurement device readbacks (bfs).
+var replayBenchmarks = core.Names()
 
 func smallestWorkload(t *testing.T, b core.Benchmark, class hw.Class) core.Workload {
 	t.Helper()
@@ -121,17 +121,25 @@ func TestReplayMatchesExecution(t *testing.T) {
 }
 
 // perturbKnobs returns a clone of the platform with every sweepable timing
-// knob moved, exactly as a calibration sweep's candidate profiles do. The
-// execution fingerprint is unchanged, so a snapshot recorded on the original
-// platform replays under the clone.
+// knob moved, exactly as a calibration sweep's candidate profiles do. Each of
+// the 11 cost knobs moves by its own additive offset, so knobs whose value is
+// zero move too and a spend valued under the wrong knob shows. The execution
+// fingerprint is unchanged, so a snapshot recorded on the original platform
+// replays under the clone.
 func perturbKnobs(p *platforms.Platform) *platforms.Platform {
 	cand := calibrate.ClonePlatform(p)
 	for api, drv := range cand.Profile.Drivers {
 		if !drv.Supported {
 			continue
 		}
-		drv.KernelLaunchOverhead = drv.KernelLaunchOverhead * 13 / 10
-		drv.SyncLatency = drv.SyncLatency * 3 / 4
+		for i, knob := range []*time.Duration{
+			&drv.KernelLaunchOverhead, &drv.SyncLatency, &drv.SubmitOverhead,
+			&drv.CommandRecordOverhead, &drv.PipelineBindOverhead, &drv.BarrierOverhead,
+			&drv.DescriptorUpdateOverhead, &drv.PushConstantOverhead, &drv.JITCompileTime,
+			&drv.PipelineCreateTime, &drv.AllocOverhead,
+		} {
+			*knob += time.Duration(i+1) * 1300 * time.Nanosecond
+		}
 		drv.CompilerEfficiency *= 0.9
 		drv.MemoryEfficiency *= 0.85
 		if drv.ScatteredMemoryEfficiency > 0 {
