@@ -2,7 +2,7 @@ GO ?= go
 # bash for pipefail in the bench recipe (dash has no pipefail).
 SHELL := /bin/bash
 
-.PHONY: all build vet test lint race chaos bench bench-dispatch bench-suite bench-serve bench-compare bench-tables results check check-warm calibrate calibrate-sweep clean
+.PHONY: all build vet test lint race chaos bench bench-dispatch bench-suite bench-serve bench-replay bench-compare bench-tables results check check-warm calibrate calibrate-sweep clean
 
 all: build lint test
 
@@ -34,12 +34,13 @@ race:
 chaos:
 	$(GO) test -race -run Chaos -timeout 30m ./...
 
-# Perf tracking: the dispatch-engine microbenchmarks (BENCH_dispatch.json)
-# plus the suite-level wall-time benchmarks of the counter-replay snapshot
-# cache (BENCH_suite.json). Each file's "baseline" section is the first
+# Perf tracking: the dispatch-engine microbenchmarks (BENCH_dispatch.json),
+# the suite-level wall-time benchmarks of the counter-replay snapshot cache
+# (BENCH_suite.json), the serve hot paths (BENCH_serve.json) and the layers of
+# the warm replay path (BENCH_replay.json). Each file's "baseline" section is the first
 # recorded reference and is preserved across runs; "current" is overwritten
 # every time, so the perf trajectory is reviewable in the diff.
-bench: bench-dispatch bench-suite bench-serve
+bench: bench-dispatch bench-suite bench-serve bench-replay
 
 bench-dispatch:
 	set -o pipefail; $(GO) test -run '^$$' -bench '^BenchmarkExecute' -benchmem ./internal/kernels \
@@ -63,6 +64,14 @@ bench-serve:
 	set -o pipefail; $(GO) test -run '^$$' -bench '^BenchmarkServe' -benchmem ./internal/serve \
 		| $(GO) run ./cmd/benchjson -update BENCH_serve.json
 
+# Per-layer costs of the warm replay path (BENCH_replay.json), on two real
+# cells recorded once through a disk store (gaussian 448 through OpenCL, the
+# largest stored entry, and backprop 64K through Vulkan, a median one): the
+# disk-tier read with its decode, the snapshot decode alone, and the replay.
+bench-replay:
+	set -o pipefail; $(GO) test -run '^$$' -bench '^BenchmarkReplayPath$$' -benchmem . \
+		| $(GO) run ./cmd/benchjson -update BENCH_replay.json
+
 # Regression gate over the tracked perf files: fails when `current` exceeds
 # `baseline` beyond the tolerances. allocs/op is deterministic for the
 # single-dispatch microbenchmarks (exact); whole-suite allocation counts vary
@@ -71,6 +80,7 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -compare BENCH_dispatch.json -tol-ns 0.5 -tol-allocs 0
 	$(GO) run ./cmd/benchjson -compare BENCH_suite.json -tol-ns 0.5 -tol-allocs 0.1
 	$(GO) run ./cmd/benchjson -compare BENCH_serve.json -tol-ns 0.5 -tol-allocs 0.1
+	$(GO) run ./cmd/benchjson -compare BENCH_replay.json -tol-ns 0.5 -tol-allocs 0.1
 
 # Regenerate every table and figure once.
 bench-tables:

@@ -224,6 +224,8 @@ func regenHint(path string) string {
 		return "make bench-suite"
 	case "BENCH_serve.json":
 		return "make bench-serve"
+	case "BENCH_replay.json":
+		return "make bench-replay"
 	default:
 		return "make bench"
 	}

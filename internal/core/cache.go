@@ -11,7 +11,10 @@ import (
 // DefaultSnapshotCacheEntries bounds a SnapshotCache built with size 0. It
 // comfortably covers the full -run all grid (every platform × benchmark ×
 // workload × API cell of every figure) while keeping worst-case trace memory
-// bounded.
+// bounded: the largest trace a full reproduction records (about 7,300
+// events and 900 dispatches) holds about 0.3 MB — 24-byte events, a
+// 120-byte record per dispatch, each distinct cost once — so even 512 such
+// entries stay under 160 MB.
 const DefaultSnapshotCacheEntries = 512
 
 // SnapshotKey identifies one measurement cell up to everything that can

@@ -6,8 +6,6 @@ import (
 	"sync"
 
 	"vcomputebench/internal/hw"
-	"vcomputebench/internal/kernels"
-	"vcomputebench/internal/platforms"
 )
 
 // Family groups workloads by their role in the study: the nine Rodinia ports
@@ -266,39 +264,3 @@ func Names() []string {
 // ExtraBandwidthGBps is the Result.Extra key under which bandwidth-oriented
 // workloads report achieved GB/s (useful bytes over kernel time).
 const ExtraBandwidthGBps = "bandwidth_gbps"
-
-// TraceCounters executes one run of the benchmark and returns the
-// per-dispatch kernel counters summed over every kernel event of its trace,
-// along with the number of kernel dispatches observed. It is the measurement
-// side of TrafficModel validation: tests compare the returned
-// GlobalLoadBytes/GlobalStoreBytes and dispatch count against the analytic
-// model.
-func TraceCounters(p *platforms.Platform, b Benchmark, api hw.API, w Workload, seed int64) (kernels.Counters, int, error) {
-	dev, err := p.NewDevice()
-	if err != nil {
-		return kernels.Counters{}, 0, fmt.Errorf("core: creating device for %s: %w", p.ID, err)
-	}
-	host := hw.NewHost(dev, api)
-	ctx := &RunContext{
-		Host:     host,
-		Device:   dev,
-		Platform: p,
-		API:      api,
-		Workload: w,
-		Seed:     seed,
-	}
-	if _, err := b.Run(ctx); err != nil {
-		return kernels.Counters{}, 0, err
-	}
-	var sum kernels.Counters
-	dispatches := 0
-	for _, ev := range host.Trace().Events {
-		if ev.Kind != hw.EvKernel {
-			continue
-		}
-		c := ev.Counters
-		sum.Add(&c)
-		dispatches++
-	}
-	return sum, dispatches, nil
-}

@@ -11,12 +11,13 @@ import (
 
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
+	"vcomputebench/internal/platforms"
 )
 
 // storeTestRegistry returns a fresh registry with the programs the synthetic
 // snapshots below reference (the disk store re-binds programs from it at
 // decode time).
-func storeTestRegistry(t *testing.T) *kernels.Registry {
+func storeTestRegistry(t testing.TB) *kernels.Registry {
 	t.Helper()
 	reg := kernels.NewRegistry()
 	if err := reg.Register(&kernels.Program{
@@ -32,20 +33,22 @@ func storeTestRegistry(t *testing.T) *kernels.Registry {
 
 // storeTestSnapshot builds a fully-populated snapshot around a synthetic
 // trace, the way runner.executeAttempt would from a real execution.
-func storeTestSnapshot(t *testing.T, reg *kernels.Registry) *Snapshot {
+func storeTestSnapshot(t testing.TB, reg *kernels.Registry) *Snapshot {
 	t.Helper()
 	prog, err := reg.Lookup("store_test_kernel")
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := &hw.Trace{
-		API: hw.APIVulkan,
+		API:   hw.APIVulkan,
+		Costs: []hw.Cost{hw.KnobCost(hw.KnobKernelLaunch)},
+		Kernels: []hw.KernelRecord{{Prog: prog, Counters: kernels.Counters{
+			Invocations: 256, Workgroups: 4, ALUOps: 1024,
+			GlobalLoadBytes: 4096, GlobalStoreBytes: 2048,
+		}}},
 		Events: []hw.TraceEvent{
 			{Kind: hw.EvMark},
-			{Kind: hw.EvKernel, Prog: prog, Counters: kernels.Counters{
-				Invocations: 256, Workgroups: 4, ALUOps: 1024,
-				GlobalLoadBytes: 4096, GlobalStoreBytes: 2048,
-			}, Cost: hw.KnobCost(hw.KnobKernelLaunch)},
+			{Kind: hw.EvKernel, Cost: 0, Kernel: 0},
 			{Kind: hw.EvMark},
 		},
 		Readings: []hw.Reading{
@@ -101,13 +104,31 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(snap, got) {
 		t.Fatalf("decoded snapshot differs:\n  want %+v\n  got  %+v", snap, got)
 	}
-	if got.trace.Events[1].Prog != snap.trace.Events[1].Prog {
+	if got.trace.Kernels[0].Prog != snap.trace.Kernels[0].Prog {
 		t.Fatal("decoded program is not the registry entry")
 	}
 }
 
+// replayDecoded replays a decoded snapshot on the GTX 1050 Ti: its trace
+// under the platform's profile with every reading evaluated, then the
+// snapshot itself, which refuses a different execution fingerprint. Errors
+// are allowed; a panic fails the calling test.
+func replayDecoded(t testing.TB, s *Snapshot) {
+	p, err := platforms.ByID(platforms.IDGTX1050Ti)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rp, err := s.trace.Replay(&p.Profile); err == nil {
+		for i := range s.trace.Readings {
+			_, _ = rp.Reading(i)
+		}
+	}
+	_, _ = s.Replay(p)
+}
+
 // TestSnapshotCodecRejectsCorruption: every truncation errors, every byte
-// flip decodes or errors but never panics.
+// flip decodes or errors but never panics, and a flipped stream that decodes
+// also replays without a panic.
 func TestSnapshotCodecRejectsCorruption(t *testing.T) {
 	reg := storeTestRegistry(t)
 	data, err := EncodeSnapshot(storeTestSnapshot(t, reg))
@@ -122,7 +143,9 @@ func TestSnapshotCodecRejectsCorruption(t *testing.T) {
 	for i := range data {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0x5a
-		_, _ = DecodeSnapshot(mut, reg) // must not panic
+		if s, err := DecodeSnapshot(mut, reg); err == nil {
+			replayDecoded(t, s)
+		}
 	}
 }
 

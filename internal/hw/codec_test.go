@@ -2,6 +2,7 @@ package hw
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,7 +10,7 @@ import (
 )
 
 // codecTestRegistry holds the programs the synthetic traces below reference.
-func codecTestRegistry(t *testing.T) *kernels.Registry {
+func codecTestRegistry(t testing.TB) *kernels.Registry {
 	t.Helper()
 	reg := kernels.NewRegistry()
 	for _, name := range []string{"codec_k1", "codec_k2"} {
@@ -26,8 +27,9 @@ func codecTestRegistry(t *testing.T) *kernels.Registry {
 }
 
 // syntheticTrace builds a trace exercising every event kind, every reading
-// kind, knob-tagged and fixed costs, and both registered programs.
-func syntheticTrace(t *testing.T, reg *kernels.Registry) *Trace {
+// kind, knob-tagged, fixed and zero costs, and both registered programs, one
+// of them dispatched twice.
+func syntheticTrace(t testing.TB, reg *kernels.Registry) *Trace {
 	t.Helper()
 	k1, err := reg.Lookup("codec_k1")
 	if err != nil {
@@ -46,16 +48,28 @@ func syntheticTrace(t *testing.T, reg *kernels.Registry) *Trace {
 	}
 	return &Trace{
 		API: APIVulkan,
+		Costs: []Cost{
+			KnobCost(KnobKernelLaunch).Plus(FixedCost(3 * time.Microsecond)),
+			KnobCostN(KnobSubmit, 2),
+			FixedCost(5 * time.Microsecond),
+			{},
+		},
+		Kernels: []KernelRecord{
+			{Prog: k1, Counters: counters},
+			{Prog: k2, Counters: counters},
+			{Prog: k1, Counters: counters},
+		},
 		Events: []TraceEvent{
-			{Kind: EvSpend, Cost: KnobCost(KnobKernelLaunch).Plus(FixedCost(3 * time.Microsecond))},
+			{Kind: EvSpend, Cost: 0},
 			{Kind: EvMark},
-			{Kind: EvKernel, Queue: 0, Prog: k1, Counters: counters, Cost: KnobCostN(KnobSubmit, 2)},
+			{Kind: EvKernel, Queue: 0, Cost: 1, Kernel: 0},
 			{Kind: EvTransfer, Queue: 1, Bytes: 1 << 20},
-			{Kind: EvOccupy, Queue: 2, Cost: FixedCost(5 * time.Microsecond)},
-			{Kind: EvKernel, Queue: 0, Prog: k2, Counters: counters, Cost: Cost{}},
+			{Kind: EvOccupy, Queue: 2, Cost: 2},
+			{Kind: EvKernel, Queue: 0, Cost: 3, Kernel: 1},
 			{Kind: EvWait, Ref: 5},
 			{Kind: EvWait, Ref: -1},
 			{Kind: EvMark},
+			{Kind: EvKernel, Queue: 1, Cost: 1, Kernel: 2},
 		},
 		Readings: []Reading{
 			{Kind: ReadHostMark, A: 8, Value: 90 * time.Microsecond},
@@ -106,8 +120,10 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 	}
 	// Program pointers must be the registry's entries, not copies: replay
 	// depends on registry identity for e.g. LocalMemCandidate handling.
-	if got.Events[2].Prog != tr.Events[2].Prog || got.Events[5].Prog != tr.Events[5].Prog {
-		t.Fatal("decoded programs are not the registry entries")
+	for i := range tr.Kernels {
+		if got.Kernels[i].Prog != tr.Kernels[i].Prog {
+			t.Fatalf("decoded kernel %d's program is not the registry entry", i)
+		}
 	}
 
 	p := codecTestProfile()
@@ -134,9 +150,24 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// replayDecoded replays a decoded trace under the test profile and evaluates
+// every reading. Errors are allowed (a corrupted API names no driver); a
+// panic fails the calling test.
+func replayDecoded(tr *Trace) {
+	rp, err := tr.Replay(codecTestProfile())
+	if err != nil {
+		return
+	}
+	for i := range tr.Readings {
+		_, _ = rp.Reading(i)
+	}
+}
+
 // TestTraceCodecRejectsCorruption walks every truncation point and a byte
 // flip at every offset: the decoder must return an error or succeed — never
-// panic — and a full-length unflipped stream must still decode.
+// panic — and a full-length unflipped stream must still decode. A flipped
+// stream that decodes must also replay, every reading evaluated, without a
+// panic.
 func TestTraceCodecRejectsCorruption(t *testing.T) {
 	reg := codecTestRegistry(t)
 	data, err := EncodeTrace(syntheticTrace(t, reg))
@@ -151,7 +182,70 @@ func TestTraceCodecRejectsCorruption(t *testing.T) {
 	for i := range data {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0x5a
-		_, _ = DecodeTrace(mut, reg) // must not panic; error or not is data-dependent
+		if tr, err := DecodeTrace(mut, reg); err == nil { // error or not is data-dependent
+			replayDecoded(tr)
+		}
+	}
+}
+
+// TestTraceCodecRejectsBadIndices pins the bounds checks of the flat tables:
+// an event's cost or kernel index, a kernel's program index, and a reading
+// claiming more refs than the stream declared each fail decoding, so a bad
+// index can never reach Replay.
+func TestTraceCodecRejectsBadIndices(t *testing.T) {
+	reg := codecTestRegistry(t)
+	k1, err := reg.Lookup("codec_k1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(tr *Trace) []byte {
+		t.Helper()
+		data, err := EncodeTrace(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	oneCost := []Cost{FixedCost(time.Microsecond)}
+	oneKernel := []KernelRecord{{Prog: k1}}
+	cases := map[string][]byte{
+		"cost index": encode(&Trace{API: APIVulkan, Costs: oneCost,
+			Events: []TraceEvent{{Kind: EvSpend, Cost: 1}}}),
+		"kernel index": encode(&Trace{API: APIVulkan, Costs: oneCost, Kernels: oneKernel,
+			Events: []TraceEvent{{Kind: EvKernel, Cost: 0, Kernel: 1}}}),
+	}
+
+	// The encoder derives a kernel's program index and the declared ref
+	// total, so those two are patched into valid streams.
+	patch := func(tr *Trace, fromEnd int, want, to byte) []byte {
+		t.Helper()
+		data := encode(tr)
+		if _, err := DecodeTrace(data, reg); err != nil {
+			t.Fatalf("the unpatched stream does not decode: %v", err)
+		}
+		if at := len(data) - fromEnd; data[at] != want {
+			t.Fatalf("unexpected layout: byte %d from the end is %d, want %d", fromEnd, data[at], want)
+		}
+		data[len(data)-fromEnd] = to
+		return data
+	}
+	// With no events or readings the stream ends in the kernel record
+	// (program index, counters) and three zero table lengths.
+	cases["program index"] = patch(&Trace{API: APIVulkan, Kernels: oneKernel}, 4+8*counterFields, 0, 1)
+	// One two-ref reading of value 0 follows the declared total in 7 bytes.
+	cases["reading refs"] = patch(&Trace{API: APIVulkan, Costs: oneCost,
+		Events:   []TraceEvent{{Kind: EvOccupy}},
+		Readings: []Reading{{Kind: ReadSpanSum, Refs: []int32{0, 0}}}}, 8, 2, 1)
+
+	for name, data := range cases {
+		_, err := DecodeTrace(data, reg)
+		if err == nil {
+			t.Errorf("a stream with an out-of-range %s decoded without error", name)
+			continue
+		}
+		if want := strings.Fields(name)[0]; !strings.Contains(err.Error(), want) {
+			t.Errorf("out-of-range %s: error %q does not name the %s", name, err, want)
+		}
 	}
 }
 
@@ -169,10 +263,11 @@ func TestTraceCodecRejectsUnknownProgram(t *testing.T) {
 	}
 }
 
-// TestTraceCodecRejectsNilProgram: kernel events without a registry name
-// cannot be persisted and must be rejected at encode time.
+// TestTraceCodecRejectsNilProgram: dispatches without a registry name cannot
+// be persisted and must be rejected at encode time.
 func TestTraceCodecRejectsNilProgram(t *testing.T) {
-	tr := &Trace{API: APIVulkan, Events: []TraceEvent{{Kind: EvKernel}}}
+	tr := &Trace{API: APIVulkan, Costs: []Cost{{}}, Kernels: []KernelRecord{{}},
+		Events: []TraceEvent{{Kind: EvKernel}}}
 	if _, err := EncodeTrace(tr); err == nil {
 		t.Fatal("encoding a kernel event without a program succeeded")
 	}

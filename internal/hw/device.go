@@ -167,7 +167,8 @@ func (q *Queue) ExecuteKernel(prog *kernels.Program, cfg kernels.DispatchConfig,
 	if q.kind != QueueCompute && q.kind != QueueGraphics {
 		return KernelRun{}, fmt.Errorf("hw: queue %s%d cannot execute compute work", q.kind, q.index)
 	}
-	if host := q.dev.host; !host.drv.Supported {
+	host := q.dev.host
+	if !host.drv.Supported {
 		return KernelRun{}, fmt.Errorf("hw: device %q does not support %s", q.dev.profile.Name, host.API())
 	}
 	if cfg.WarpSize == 0 {
@@ -186,7 +187,7 @@ func (q *Queue) ExecuteKernel(prog *kernels.Program, cfg kernels.DispatchConfig,
 	if err != nil {
 		return KernelRun{}, err
 	}
-	ref := q.schedule(TraceEvent{Kind: EvKernel, Prog: prog, Counters: *counters, Cost: extra})
+	ref := q.schedule(TraceEvent{Kind: EvKernel, Kernel: host.dispatch(prog, counters), Cost: host.intern(extra)})
 	return KernelRun{Event: ref, Counters: *counters}, nil
 }
 
@@ -198,4 +199,4 @@ func (q *Queue) ExecuteTransfer(n int64) int32 {
 
 // Occupy schedules opaque device-side work (e.g. a barrier's drain time) of
 // the given symbolic cost on the queue.
-func (q *Queue) Occupy(c Cost) { q.schedule(TraceEvent{Kind: EvOccupy, Cost: c}) }
+func (q *Queue) Occupy(c Cost) { q.schedule(TraceEvent{Kind: EvOccupy, Cost: q.dev.host.intern(c)}) }

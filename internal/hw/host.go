@@ -1,6 +1,10 @@
 package hw
 
-import "time"
+import (
+	"time"
+
+	"vcomputebench/internal/kernels"
+)
 
 // Host is the simulated CPU of one run, and the run's one timing state: the
 // trace being recorded (events and readings) and the timeline stepped over
@@ -8,7 +12,9 @@ import "time"
 // work scheduled by the attached device — appends one event and steps the
 // timeline through the same function Trace.Replay runs, so a replay of the
 // trace equals the execution by construction. Every reading takes its value
-// from the timeline by event index.
+// from the timeline by event index. Each cost an event uses is interned in
+// the trace's cost table and valued once, beside the timeline, as Replay
+// values it.
 //
 // A Host is not safe for concurrent use: a run's host code is
 // single-threaded, and that is what it records.
@@ -42,13 +48,34 @@ func (h *Host) record(ev TraceEvent) int32 {
 	i := int32(len(h.trace.Events))
 	h.trace.Events = append(h.trace.Events, ev)
 	h.tl.spans = append(h.tl.spans, span{})
-	h.tl.step(i, &h.trace.Events[i], &h.dev.profile, &h.drv)
+	h.tl.step(&h.trace, i, &h.dev.profile, &h.drv)
 	return i
+}
+
+// intern returns the index of the cost in the trace's cost table, adding it
+// (and its valuation under the run's driver) on first use. A run uses a
+// handful of distinct costs, so a linear scan beats a map.
+func (h *Host) intern(c Cost) uint32 {
+	for i := range h.trace.Costs {
+		if h.trace.Costs[i] == c {
+			return uint32(i)
+		}
+	}
+	h.trace.Costs = append(h.trace.Costs, c)
+	h.tl.costs = append(h.tl.costs, c.Duration(&h.drv))
+	return uint32(len(h.trace.Costs) - 1)
+}
+
+// dispatch adds a dispatch's program and counters to the trace's kernel
+// table and returns its index.
+func (h *Host) dispatch(prog *kernels.Program, c *kernels.Counters) uint32 {
+	h.trace.Kernels = append(h.trace.Kernels, KernelRecord{Prog: prog, Counters: *c})
+	return uint32(len(h.trace.Kernels) - 1)
 }
 
 // Spend advances the host clock by the cost of CPU-side work: API
 // validation, command recording, driver bookkeeping.
-func (h *Host) Spend(c Cost) { h.record(TraceEvent{Kind: EvSpend, Cost: c}) }
+func (h *Host) Spend(c Cost) { h.record(TraceEvent{Kind: EvSpend, Cost: h.intern(c)}) }
 
 // Wait blocks the host until the recorded event ref completes (a fence or a
 // blocking transfer); -1 waits on nothing.

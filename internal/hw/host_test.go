@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -84,4 +85,38 @@ func TestTimelineClampsNegativeQueueCost(t *testing.T) {
 	}
 	want[qt.occupy(us)] = span{10 * us, 11 * us}
 	qt.check(t, want)
+}
+
+// TestHostInternsCosts pins the cost table: a host that spends and occupies
+// with the same few costs many times stores each distinct cost once, and
+// Trace.Replay, which values each of them once, reproduces every span the
+// host stepped.
+func TestHostInternsCosts(t *testing.T) {
+	qt := newQueueTimeline(t)
+	costs := []Cost{
+		FixedCost(3 * us),
+		KnobCost(KnobKernelLaunch),
+		KnobCostN(KnobSync, 2).Plus(FixedCost(us)),
+	}
+	for i := 0; i < 50; i++ {
+		c := costs[i%len(costs)]
+		if i%2 == 0 {
+			qt.host.Spend(c)
+		} else {
+			qt.q.Occupy(c)
+		}
+	}
+	tr := qt.host.Trace()
+	if len(tr.Events) != 50 {
+		t.Fatalf("recorded %d events, want 50", len(tr.Events))
+	}
+	if !reflect.DeepEqual(tr.Costs, costs) {
+		t.Fatalf("cost table = %v, want each distinct cost once in order of first use: %v", tr.Costs, costs)
+	}
+	for i, ev := range tr.Events {
+		if want := costs[i%len(costs)]; tr.Costs[ev.Cost] != want {
+			t.Fatalf("event %d refers to cost %v, want %v", i, tr.Costs[ev.Cost], want)
+		}
+	}
+	qt.check(t, nil)
 }

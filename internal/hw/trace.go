@@ -24,12 +24,19 @@ import (
 //   - EvSpend / EvOccupy durations are Costs: a fixed part plus counts of
 //     DriverProfile duration knobs, revalued at replay time.
 //   - EvKernel durations are KernelDuration(profile, driver, prog, counters),
-//     recomputed from the recorded counters (plus a Cost for the API layer's
-//     extra device time).
+//     recomputed from the dispatch's recorded counters (plus a Cost for the
+//     API layer's extra device time).
 //   - EvTransfer durations are TransferDuration(profile, bytes).
 //   - The event *sequence* (control flow, dispatch grids, byte volumes,
 //     counters) is invariant under DriverProfile changes; it does depend on
 //     the structural profile fields summarised by ExecutionFingerprint.
+//
+// A trace is a set of flat tables. A run uses a handful of distinct costs
+// (no recorded trace has more than 15), so each is stored once in
+// Trace.Costs and valued once per profile; a dispatch's program and counters
+// are stored once in Trace.Kernels. An event holds indices into both, which
+// keeps it small and free of pointers: a trace of thousands of events is one
+// allocation the garbage collector never scans.
 
 // Knob identifies one DriverProfile duration field a recorded cost refers to
 // symbolically, so replay can revalue it under a different profile.
@@ -161,17 +168,22 @@ const (
 	EvMark
 )
 
-// TraceEvent is one timed step of a recorded run.
+// TraceEvent is one timed step of a recorded run. It holds no pointer, so a
+// trace's event table is never scanned by the garbage collector.
 type TraceEvent struct {
-	Kind  EventKind
-	Queue uint8 // queue slot for EvKernel/EvTransfer/EvOccupy
-	Ref   int32 // EvWait target event index (-1 = wait on nothing)
-	Bytes int64 // EvTransfer byte count
+	Kind   EventKind
+	Queue  uint8  // queue slot for EvKernel/EvTransfer/EvOccupy
+	Ref    int32  // EvWait target event index (-1 = wait on nothing)
+	Cost   uint32 // EvSpend / EvOccupy duration, EvKernel extra device time: index into Trace.Costs
+	Kernel uint32 // EvKernel dispatch: index into Trace.Kernels
+	Bytes  int64  // EvTransfer byte count
+}
 
-	Prog     *kernels.Program // EvKernel program (immutable registry entry)
-	Counters kernels.Counters // EvKernel execution counters (by value)
-
-	Cost Cost // EvSpend / EvOccupy duration; EvKernel extra device time
+// KernelRecord is the recorded work of one dispatch: its program and the
+// counters its functional execution produced.
+type KernelRecord struct {
+	Prog     *kernels.Program // immutable registry entry
+	Counters kernels.Counters
 }
 
 // ReadingKind discriminates Reading.
@@ -207,9 +219,12 @@ type Reading struct {
 const maxQueueSlots = 8
 
 // Trace is the immutable timing trace of one benchmark run: the event
-// sequence plus the readings benchmarks derived from it.
+// sequence, the distinct costs and the dispatches its events refer to, and
+// the readings benchmarks derived from it.
 type Trace struct {
 	API      API
+	Costs    []Cost // each distinct cost once, in order of first use
+	Kernels  []KernelRecord
 	Events   []TraceEvent
 	Readings []Reading
 }
@@ -227,13 +242,14 @@ func (t *Trace) AddSpanSumReading(refs []int32, v time.Duration) int {
 type span struct{ start, end time.Duration }
 
 // timeline is the simulated time of one run: the host clock, each queue's
-// latest event and every event's span. Execution (Host) and replay
-// (Trace.Replay) advance it through the same step function, so the timing
-// rules are stated once.
+// latest event, every event's span, and the trace's costs valued under the
+// run's driver. Execution (Host) and replay (Trace.Replay) advance it through
+// the same step function, so the timing rules are stated once.
 type timeline struct {
 	now   time.Duration
 	last  [maxQueueSlots]int32 // each queue's latest event, -1 while empty
 	spans []span
+	costs []time.Duration // Trace.Costs valued, index for index
 }
 
 // newTimeline returns a timeline at time zero with n event spans.
@@ -254,8 +270,8 @@ func (tl *timeline) availableAt(queue uint8) time.Duration {
 	return 0
 }
 
-// step advances the timeline over event i, valuing its duration under the
-// profile and driver. These are the timing rules of the simulator:
+// step advances the timeline over event i of the trace, valuing its duration
+// under the profile and driver. These are the timing rules of the simulator:
 //
 //   - a spend advances the host clock by its cost; a non-positive valuation
 //     leaves the clock where it is;
@@ -264,11 +280,12 @@ func (tl *timeline) availableAt(queue uint8) time.Duration {
 //   - a wait advances the host clock to the end of its event, if later (-1
 //     waits on nothing);
 //   - a mark samples the host clock.
-func (tl *timeline) step(i int32, ev *TraceEvent, p *Profile, drv *DriverProfile) {
+func (tl *timeline) step(t *Trace, i int32, p *Profile, drv *DriverProfile) {
+	ev := &t.Events[i]
 	s := span{start: tl.now, end: tl.now}
 	switch ev.Kind {
 	case EvSpend:
-		if d := ev.Cost.Duration(drv); d > 0 {
+		if d := tl.costs[ev.Cost]; d > 0 {
 			s.end += d
 		}
 		tl.now = s.end
@@ -276,11 +293,12 @@ func (tl *timeline) step(i int32, ev *TraceEvent, p *Profile, drv *DriverProfile
 		var d time.Duration
 		switch ev.Kind {
 		case EvKernel:
-			d = KernelDuration(p, drv, ev.Prog, &ev.Counters) + ev.Cost.Duration(drv)
+			k := &t.Kernels[ev.Kernel]
+			d = KernelDuration(p, drv, k.Prog, &k.Counters) + tl.costs[ev.Cost]
 		case EvTransfer:
 			d = TransferDuration(p, ev.Bytes)
 		case EvOccupy:
-			d = ev.Cost.Duration(drv)
+			d = tl.costs[ev.Cost]
 		}
 		s.start = max(s.start, tl.availableAt(ev.Queue))
 		s.end = s.start + max(d, 0)
@@ -325,20 +343,25 @@ type Replayed struct {
 }
 
 // Replay recomputes the trace's timeline under the given profile, stepping a
-// fresh timeline over the recorded events exactly as the run's Host did. It
-// is a pure function of (trace, profile): no device or host state is touched,
-// so it is safe to call concurrently on a shared trace. The profile must be
-// execution-compatible with the one the trace was recorded under (same
-// ExecutionFingerprint); only timing fields — every DriverProfile knob and
-// the device-side timing parameters — may differ.
+// fresh timeline over the recorded events exactly as the run's Host did. Each
+// distinct cost is valued once, not once per event. It is a pure function of
+// (trace, profile): no device or host state is touched, so it is safe to call
+// concurrently on a shared trace. The profile must be execution-compatible
+// with the one the trace was recorded under (same ExecutionFingerprint); only
+// timing fields — every DriverProfile knob and the device-side timing
+// parameters — may differ.
 func (t *Trace) Replay(p *Profile) (*Replayed, error) {
 	drv, ok := p.Driver(t.API)
 	if !ok {
 		return nil, fmt.Errorf("hw: replay of a %s trace on a profile without a %s driver", t.API, t.API)
 	}
 	rp := &Replayed{trace: t, tl: newTimeline(len(t.Events))}
+	rp.tl.costs = make([]time.Duration, len(t.Costs))
+	for i := range t.Costs {
+		rp.tl.costs[i] = t.Costs[i].Duration(&drv)
+	}
 	for i := range t.Events {
-		rp.tl.step(int32(i), &t.Events[i], p, &drv)
+		rp.tl.step(t, int32(i), p, &drv)
 	}
 	return rp, nil
 }
