@@ -103,6 +103,115 @@ func TestChaosPanicRecovery(t *testing.T) {
 	}
 }
 
+// TestChaosKernelPanicRecovery: a kernel body that indexes past its buffer
+// panics on a dispatch worker goroutine, where no recover of the runner can
+// reach it. kernels.Execute must re-raise the panic of the lowest-indexed
+// workgroup on the cell's goroutine, so it becomes a permanent CellError with
+// the same text at any dispatch parallelism, or a degraded entry under
+// KeepGoing, never a dead process. The panicking workgroups, left with
+// logged accesses and counted loads, must not leak into the next dispatch.
+func TestChaosKernelPanicRecovery(t *testing.T) {
+	p := platforms.GTX1050Ti()
+	// Four workgroups of 64, all sampled. Groups 2 and 3 panic mid-invocation,
+	// each with its own index, after every lane has loaded in range.
+	bad := &kernels.Program{
+		Name:      "chaos_out_of_range",
+		LocalSize: kernels.D1(64),
+		Bindings:  1,
+		Fn: func(wg *kernels.Workgroup) {
+			buf := wg.Buffer(0)
+			g := wg.GroupIndex()
+			wg.ForEach(func(inv *kernels.Invocation) {
+				buf.LoadU32(inv, inv.LocalIndex()%4)
+				if g >= 2 && inv.LocalIndex() == 40 {
+					buf.LoadU32(inv, 1000+g)
+				}
+			})
+		},
+	}
+	clean := &kernels.Program{
+		Name:      "chaos_in_range",
+		LocalSize: kernels.D1(64),
+		Bindings:  2,
+		Fn: func(wg *kernels.Workgroup) {
+			in, out := wg.Buffer(0), wg.Buffer(1)
+			wg.ForEach(func(inv *kernels.Invocation) {
+				out.StoreU32(inv, inv.GlobalX(), in.LoadU32(inv, inv.GlobalX()%4))
+			})
+		},
+	}
+	dispatch := func(parallelism int) kernels.DispatchConfig {
+		return kernels.DispatchConfig{
+			Groups:      kernels.D1(4),
+			Buffers:     []kernels.Words{make(kernels.Words, 4), make(kernels.Words, 4*64)},
+			Parallelism: parallelism,
+		}
+	}
+	want, err := kernels.Execute(clean, dispatch(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mkBench := func() *fakeBench {
+		b := &fakeBench{name: "oob", apis: []hw.API{hw.APIVulkan}, workloads: testWorkloads("w0", "w1", "w2")}
+		b.run = func(ctx *core.RunContext, _ int64) (*core.Result, error) {
+			q, err := ctx.Device.Queue(hw.QueueCompute, 0)
+			if err != nil {
+				return nil, err
+			}
+			prog := clean
+			if ctx.Workload.Label == "w1" {
+				prog = bad
+			}
+			if _, err := q.ExecuteKernel(prog, dispatch(0), hw.Cost{}); err != nil {
+				return nil, err
+			}
+			return &core.Result{KernelTime: time.Millisecond, TotalTime: time.Millisecond, Dispatches: 1, Checksum: 1}, nil
+		}
+		return b
+	}
+
+	var text string
+	for _, par := range []int{1, 4} {
+		b := mkBench()
+		r := &core.Runner{Repetitions: 1, Seed: 1, DispatchParallelism: par}
+		_, err := r.Run(p, b, hw.APIVulkan, b.workloads[1])
+		var ce *core.CellError
+		if !errors.As(err, &ce) {
+			t.Fatalf("dispatch parallelism %d: err = %v, want a CellError", par, err)
+		}
+		if ce.Class != core.FailurePermanent || !strings.Contains(ce.Error(), "index out of range [1002] with length 4") {
+			t.Fatalf("dispatch parallelism %d: CellError = %v (%s), want workgroup 2's permanent panic", par, ce, ce.Class)
+		}
+		if text == "" {
+			text = ce.Error()
+		} else if ce.Error() != text {
+			t.Fatalf("panic text depends on dispatch parallelism:\n  1: %s\n  %d: %s", text, par, ce.Error())
+		}
+
+		kg := &core.Runner{Repetitions: 1, Parallelism: 2, Seed: 1, KeepGoing: true, DispatchParallelism: par}
+		res, err := kg.RunSuite(p, []core.Benchmark{mkBench()}, []hw.API{hw.APIVulkan})
+		if err != nil {
+			t.Fatalf("dispatch parallelism %d keep-going: %v", par, err)
+		}
+		if len(res.Failed) != 1 || res.Failed[0].Workload != "w1" || res.Failed[0].Class != core.FailurePermanent {
+			t.Fatalf("dispatch parallelism %d keep-going: Failed = %+v, want the out-of-range cell", par, res.Failed)
+		}
+		if got := len(res.Results["oob"]); got != 2 {
+			t.Fatalf("dispatch parallelism %d keep-going: %d surviving workloads, want 2", par, got)
+		}
+
+		for i := 0; i < 4; i++ {
+			got, err := kernels.Execute(clean, dispatch(par))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got != *want {
+				t.Fatalf("dispatch parallelism %d: counters after a kernel panic\n  got  %+v\n  want %+v", par, *got, *want)
+			}
+		}
+	}
+}
+
 // TestChaosTransientRetryRecovers: transient faults within the retry budget
 // are absorbed; one past the budget surfaces with the full attempt count.
 func TestChaosTransientRetryRecovers(t *testing.T) {

@@ -94,6 +94,12 @@ func (p *PushBuilder) Bytes() int { return len(p.words) * 4 }
 // performed through a view update the workgroup's counters and, on sampled
 // workgroups, feed the coalescing model. Views are obtained from a Workgroup
 // and must not be shared across workgroups.
+//
+// Every accessor takes the *Invocation that ForEach passed to the kernel
+// body: buffers are touched only inside ForEach, which charges each access to
+// the invocation it is running. The plain loads and stores inline into kernel
+// bodies, so an access costs a counter increment on the workgroups that
+// record nothing (TestBufferAccessorsInline keeps it so).
 type BufferView struct {
 	data    Words
 	wg      *Workgroup
@@ -105,37 +111,37 @@ func (v BufferView) Len() int { return len(v.data) }
 
 // LoadF32 loads element i as a float32.
 func (v BufferView) LoadF32(inv *Invocation, i int) float32 {
-	v.wg.noteLoad(inv, v.binding, i)
+	v.wg.noteLoad(v.binding, i)
 	return math.Float32frombits(v.data[i])
 }
 
 // StoreF32 stores x into element i as a float32.
 func (v BufferView) StoreF32(inv *Invocation, i int, x float32) {
-	v.wg.noteStore(inv, v.binding, i)
+	v.wg.noteStore(v.binding, i)
 	v.data[i] = math.Float32bits(x)
 }
 
 // LoadI32 loads element i as an int32.
 func (v BufferView) LoadI32(inv *Invocation, i int) int32 {
-	v.wg.noteLoad(inv, v.binding, i)
+	v.wg.noteLoad(v.binding, i)
 	return int32(v.data[i])
 }
 
 // StoreI32 stores x into element i as an int32.
 func (v BufferView) StoreI32(inv *Invocation, i int, x int32) {
-	v.wg.noteStore(inv, v.binding, i)
+	v.wg.noteStore(v.binding, i)
 	v.data[i] = uint32(x)
 }
 
 // LoadU32 loads element i as a uint32.
 func (v BufferView) LoadU32(inv *Invocation, i int) uint32 {
-	v.wg.noteLoad(inv, v.binding, i)
+	v.wg.noteLoad(v.binding, i)
 	return v.data[i]
 }
 
 // StoreU32 stores x into element i as a uint32.
 func (v BufferView) StoreU32(inv *Invocation, i int, x uint32) {
-	v.wg.noteStore(inv, v.binding, i)
+	v.wg.noteStore(v.binding, i)
 	v.data[i] = x
 }
 
@@ -144,7 +150,7 @@ func (v BufferView) StoreU32(inv *Invocation, i int, x uint32) {
 // stop flag from every active invocation). Workgroups run on several
 // goroutines, so the store is atomic.
 func (v BufferView) StoreU32Shared(inv *Invocation, i int, x uint32) {
-	v.wg.noteStore(inv, v.binding, i)
+	v.wg.noteStore(v.binding, i)
 	atomic.StoreUint32(&v.data[i], x)
 }
 
@@ -153,8 +159,8 @@ func (v BufferView) StoreU32Shared(inv *Invocation, i int, x uint32) {
 // the Go memory level (a mutex in the dispatch), which is sufficient for the
 // flag-style atomics used by the Rodinia kernels.
 func (v BufferView) AtomicOrU32(inv *Invocation, i int, x uint32) uint32 {
-	v.wg.noteLoad(inv, v.binding, i)
-	v.wg.noteStore(inv, v.binding, i)
+	v.wg.noteLoad(v.binding, i)
+	v.wg.noteStore(v.binding, i)
 	v.wg.disp.atomicMu.Lock()
 	old := v.data[i]
 	v.data[i] = old | x
@@ -165,8 +171,8 @@ func (v BufferView) AtomicOrU32(inv *Invocation, i int, x uint32) uint32 {
 // AtomicAddI32 performs a read-modify-write add on element i and returns the
 // previous value.
 func (v BufferView) AtomicAddI32(inv *Invocation, i int, x int32) int32 {
-	v.wg.noteLoad(inv, v.binding, i)
-	v.wg.noteStore(inv, v.binding, i)
+	v.wg.noteLoad(v.binding, i)
+	v.wg.noteStore(v.binding, i)
 	v.wg.disp.atomicMu.Lock()
 	old := int32(v.data[i])
 	v.data[i] = uint32(old + x)
@@ -177,8 +183,8 @@ func (v BufferView) AtomicAddI32(inv *Invocation, i int, x int32) int32 {
 // AtomicMinF32 performs a read-modify-write minimum on element i interpreted
 // as float32 and returns the previous value.
 func (v BufferView) AtomicMinF32(inv *Invocation, i int, x float32) float32 {
-	v.wg.noteLoad(inv, v.binding, i)
-	v.wg.noteStore(inv, v.binding, i)
+	v.wg.noteLoad(v.binding, i)
+	v.wg.noteStore(v.binding, i)
 	v.wg.disp.atomicMu.Lock()
 	old := math.Float32frombits(v.data[i])
 	if x < old {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -122,7 +123,7 @@ func Execute(p *Program, cfg DispatchConfig) (*Counters, error) {
 	// in worker order after the pool drains. All counter values are integers
 	// (exactly representable in float64), so the split points cannot change
 	// the merged totals.
-	partials := make([]Counters, workers)
+	partials := make([]workerResult, workers)
 	var wgWait sync.WaitGroup
 	groupsPerWorker := (executedGroups + workers - 1) / workers
 	for w := 0; w < workers; w++ {
@@ -135,10 +136,19 @@ func Execute(p *Program, cfg DispatchConfig) (*Counters, error) {
 			continue
 		}
 		wgWait.Add(1)
-		go func(w, start, end int) {
+		go func(res *workerResult, start, end int) {
 			defer wgWait.Done()
 			wg := getWorkgroup(d)
-			defer putWorkgroup(wg)
+			defer func() {
+				// A kernel panic stops the worker at its first panicking
+				// workgroup and leaves the Workgroup mid-group, with dirty
+				// accumulators, log and recorder: it is dropped, not pooled.
+				if v := recover(); v != nil {
+					res.panic = v
+					return
+				}
+				putWorkgroup(wg)
+			}()
 			for e := start; e < end; e++ {
 				groupIndex := e * stride
 				wg.beginGroup(groupIndex, unlinearIndex(groupIndex, cfg.Groups), e%sampleEvery == 0)
@@ -146,12 +156,21 @@ func Execute(p *Program, cfg DispatchConfig) (*Counters, error) {
 				wg.endGroup()
 			}
 			wg.ctr.Workgroups += float64(end - start)
-			partials[w] = wg.ctr
-		}(w, start, end)
+			res.ctr = wg.ctr
+		}(&partials[w], start, end)
 	}
 	wgWait.Wait()
+	// Workers own ascending group ranges, so the first recorded panic is the
+	// lowest-indexed panicking workgroup's, whatever the Parallelism. It is
+	// re-raised here, on the caller's goroutine, where the caller can recover
+	// it; on a worker goroutine it would kill the process.
 	for w := range partials {
-		d.counters.Add(&partials[w])
+		if v := partials[w].panic; v != nil {
+			panic(v)
+		}
+	}
+	for w := range partials {
+		d.counters.Add(&partials[w].ctr)
 	}
 
 	d.counters.Scale(scale)
@@ -167,6 +186,13 @@ func Execute(p *Program, cfg DispatchConfig) (*Counters, error) {
 	}
 	out := d.counters
 	return &out, nil
+}
+
+// workerResult is what one dispatch worker hands back: its partial counters,
+// or the value its kernel panicked with.
+type workerResult struct {
+	ctr   Counters
+	panic any
 }
 
 // recSlot collects the cache lines touched by one (warp, access-ordinal) pair
@@ -193,20 +219,27 @@ func (r *recorder) ensureWarps(n int) {
 	}
 }
 
-func (r *recorder) record(warp, ordinal int, line uint64) {
+// record folds the access log of one invocation of the given warp into the
+// warp's slots. An access's position in the log is its ordinal within the
+// invocation, so the i-th access of every lane meets in slot i.
+func (r *recorder) record(warp int, log []access, lineBytes uint64) {
 	ws := r.slots[warp]
-	for ordinal >= len(ws) {
+	for len(ws) < len(log) {
 		ws = append(ws, recSlot{})
-		r.slots[warp] = ws
 	}
-	s := &ws[ordinal]
-	s.count++
-	for _, l := range s.lines {
-		if l == line {
-			return
+	r.slots[warp] = ws
+	for ordinal, a := range log {
+		line := uint64(a.binding)<<40 | uint64(a.index)*4/lineBytes
+		s := &ws[ordinal]
+		s.count++
+		// Neighbouring lanes mostly share a line: check the last one first.
+		if n := len(s.lines); n > 0 && s.lines[n-1] == line {
+			continue
+		}
+		if !slices.Contains(s.lines, line) {
+			s.lines = append(s.lines, line)
 		}
 	}
-	s.lines = append(s.lines, line)
 }
 
 // flush folds the recorded sample into ctr and resets every slot for reuse,
@@ -235,9 +268,11 @@ func (r *recorder) flush(ctr *Counters, lineBytes float64) {
 var workgroupPool = sync.Pool{New: func() any { return new(Workgroup) }}
 
 // getWorkgroup checks a Workgroup out of the pool and binds it to the
-// dispatch. Accumulators are already zero (endGroup flushes them) and pooled
+// dispatch. Accumulators are already zero (endGroup flushes them), the access
+// log is empty (ForEach folds it after every invocation) and pooled
 // recorder/scratch buffers are reset on reuse, so only the counters and the
-// invocation back-pointer need refreshing.
+// invocation back-pointer need refreshing. A Workgroup whose kernel panicked
+// never returns to the pool, so this holds for every pooled one.
 func getWorkgroup(d *Dispatch) *Workgroup {
 	wg := workgroupPool.Get().(*Workgroup)
 	wg.disp = d
@@ -259,7 +294,6 @@ type Workgroup struct {
 	id         Dim3
 	groupIndex int
 	ctr        Counters
-	recording  bool
 	rec        *recorder
 	inv        Invocation
 	sharedUsed int
@@ -272,6 +306,12 @@ type Workgroup struct {
 	accStores int64
 	accALU    int64
 	accLocal  int64
+
+	// On a sampled (recording) workgroup every global access of the running
+	// invocation is appended to log; ForEach folds it into rec when the
+	// invocation returns.
+	recording bool
+	log       []access
 
 	// Pooled shared-memory scratch, recycled (zeroed, not reallocated)
 	// between workgroups.
@@ -424,22 +464,26 @@ func (wg *Workgroup) Barrier() { wg.ctr.Barriers++ }
 
 // ForEach runs fn once per invocation in the workgroup. Successive ForEach
 // calls form barrier-separated phases. The *Invocation passed to fn is reused
-// between invocations and must not be retained.
+// between invocations and must not be retained. Kernel bodies touch buffers
+// only inside fn: on a sampled workgroup the accesses an invocation logged
+// are folded into the coalescing recorder as soon as fn returns for it.
 func (wg *Workgroup) ForEach(fn func(inv *Invocation)) {
 	local := wg.disp.local
+	base := Dim3{X: wg.id.X * local.X, Y: wg.id.Y * local.Y, Z: wg.id.Z * local.Z}
 	inv := &wg.inv
+	inv.localIndex = 0
 	for z := 0; z < local.Z; z++ {
+		inv.local.Z, inv.global.Z = z, base.Z+z
 		for y := 0; y < local.Y; y++ {
+			inv.local.Y, inv.global.Y = y, base.Y+y
 			for x := 0; x < local.X; x++ {
-				inv.local = Dim3{X: x, Y: y, Z: z}
-				inv.localIndex = (z*local.Y+y)*local.X + x
-				inv.global = Dim3{
-					X: wg.id.X*local.X + x,
-					Y: wg.id.Y*local.Y + y,
-					Z: wg.id.Z*local.Z + z,
-				}
-				inv.ordinal = 0
+				inv.local.X, inv.global.X = x, base.X+x
 				fn(inv)
+				if wg.recording {
+					wg.rec.record(inv.localIndex/wg.disp.cfg.WarpSize, wg.log, uint64(wg.disp.cfg.CacheLineBytes))
+					wg.log = wg.log[:0]
+				}
+				inv.localIndex++
 			}
 		}
 	}
@@ -447,32 +491,30 @@ func (wg *Workgroup) ForEach(fn func(inv *Invocation)) {
 	wg.flushAccums()
 }
 
-// noteLoad records one 4-byte global load by inv at element index idx of the
-// given binding. The access ordinal is only consumed by the coalescing
-// recorder, so it is maintained only on sampled workgroups — on the ~97% of
-// workgroups that do not record, the hot path is a single counter increment.
-func (wg *Workgroup) noteLoad(inv *Invocation, binding, idx int) {
+// access is one logged global access: element index of a binding.
+type access struct {
+	binding, index int
+}
+
+// noteLoad counts one 4-byte global load of element idx of the given binding.
+// On a sampled workgroup it also logs the access for the coalescing recorder,
+// which ForEach feeds once the invocation returns; on the ~97% of workgroups
+// that record nothing it is a single counter increment. It must stay small
+// enough that every plain BufferView accessor inlines into kernel bodies
+// (TestBufferAccessorsInline).
+func (wg *Workgroup) noteLoad(binding, idx int) {
 	wg.accLoads++
 	if wg.recording {
-		wg.recordAccess(inv, binding, idx)
-		inv.ordinal++
+		wg.log = append(wg.log, access{binding, idx})
 	}
 }
 
-// noteStore records one 4-byte global store.
-func (wg *Workgroup) noteStore(inv *Invocation, binding, idx int) {
+// noteStore counts one 4-byte global store, like noteLoad.
+func (wg *Workgroup) noteStore(binding, idx int) {
 	wg.accStores++
 	if wg.recording {
-		wg.recordAccess(inv, binding, idx)
-		inv.ordinal++
+		wg.log = append(wg.log, access{binding, idx})
 	}
-}
-
-func (wg *Workgroup) recordAccess(inv *Invocation, binding, idx int) {
-	warp := inv.localIndex / wg.disp.cfg.WarpSize
-	byteAddr := uint64(idx) * 4
-	line := uint64(binding)<<40 | byteAddr/uint64(wg.disp.cfg.CacheLineBytes)
-	wg.rec.record(warp, inv.ordinal, line)
 }
 
 // Invocation identifies a single work-item within a workgroup. The same
@@ -482,7 +524,6 @@ type Invocation struct {
 	local      Dim3
 	global     Dim3
 	localIndex int
-	ordinal    int
 }
 
 // LocalID returns the invocation's LocalInvocationId.

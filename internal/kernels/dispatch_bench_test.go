@@ -4,8 +4,9 @@ package kernels_test
 // (kernels.Execute) over representative kernels: the vectoradd
 // microbenchmark (both a sampled large dispatch and an exact small one),
 // the bfs frontier-expansion kernel (exact, irregular accesses), the
-// lud internal kernel (2-D grid, shared-memory tile model) and the
-// extension-family kernels (gemm's ALU-dense tiled multiply, reduction's
+// lud internal kernel (2-D grid, shared-memory tile model), the two heaviest
+// kernels of the mobile Rodinia figure (gaussian's Fan2 and hotspot, 2-D
+// 16x16 workgroups) and the extension-family kernels (gemm's ALU-dense tiled multiply, reduction's
 // barrier-heavy shared tree, srad's stencil loads).
 //
 // `make bench` runs these with -benchmem and folds the numbers into
@@ -22,6 +23,8 @@ import (
 	"vcomputebench/internal/kernels"
 	"vcomputebench/internal/micro"
 	_ "vcomputebench/internal/rodinia/bfs"
+	_ "vcomputebench/internal/rodinia/gaussian"
+	_ "vcomputebench/internal/rodinia/hotspot"
 	_ "vcomputebench/internal/rodinia/lud"
 )
 
@@ -225,4 +228,53 @@ func BenchmarkExecuteLUDInternal(b *testing.B) {
 	}
 	reset := func() { copy(mat, matInit) }
 	runExecute(b, p, cfg, reset)
+}
+
+// BenchmarkExecuteGaussianFan2 runs the first trailing-submatrix update of
+// Gaussian elimination at n=256, the largest mobile workload: a 16x16 grid of
+// 16x16 workgroups, three loads and one store per invocation plus the
+// right-hand-side column. Fan2 is the heaviest kernel of the mobile Rodinia
+// figure. The matrix drifts between iterations, but no index depends on it.
+func BenchmarkExecuteGaussianFan2(b *testing.B) {
+	p := mustLookup(b, "gaussian_fan2")
+	const n = 256
+	m := make(kernels.Words, n*n)
+	a := make(kernels.Words, n*n)
+	rhs := make(kernels.Words, n)
+	for i := range a {
+		a[i] = math.Float32bits(float32(i%29) + 1)
+		m[i] = math.Float32bits(float32(i%5) / 64)
+	}
+	for i := range rhs {
+		rhs[i] = math.Float32bits(1)
+	}
+	cfg := kernels.DispatchConfig{
+		Groups:      kernels.D2((n-1+15)/16, (n+15)/16),
+		Buffers:     []kernels.Words{m, a, rhs},
+		Push:        kernels.Words{n, 0},
+		Parallelism: benchParallelism,
+	}
+	runExecute(b, p, cfg, nil)
+}
+
+// BenchmarkExecuteHotspot advances a 256x256 temperature grid by one step (a
+// 16x16 grid of 16x16 workgroups): a five-point stencil with a power load and
+// one store per invocation, the largest mobile hotspot workload.
+func BenchmarkExecuteHotspot(b *testing.B) {
+	p := mustLookup(b, "hotspot_kernel")
+	const n = 256
+	power := make(kernels.Words, n*n)
+	temp := make(kernels.Words, n*n)
+	for i := range temp {
+		temp[i] = math.Float32bits(323 + float32(i%19))
+		power[i] = math.Float32bits(float32(i%11) / 11)
+	}
+	cfg := kernels.DispatchConfig{
+		Groups:  kernels.D2(n/16, n/16),
+		Buffers: []kernels.Words{power, temp, make(kernels.Words, n*n)},
+		Push: kernels.Words{n, math.Float32bits(0.5), math.Float32bits(2),
+			math.Float32bits(0.25), math.Float32bits(0.125)},
+		Parallelism: benchParallelism,
+	}
+	runExecute(b, p, cfg, nil)
 }
