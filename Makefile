@@ -102,11 +102,15 @@ check:
 
 # Warm-store smoke: populate a throwaway store, re-run the fidelity check
 # against it and require a pure-replay pass — the second run must execute
-# zero cells ("snapshot store: 0 executed" in the -cache-stats report).
+# zero cells ("snapshot store: 0 executed" in the -cache-stats report). The
+# key holds no repetition count, so a third check at the default -reps must
+# replay the -reps 1 store too.
 check-warm:
 	rm -rf .vcbench-store-smoke
 	$(GO) run ./cmd/vcbench -check all -reps 1 -store .vcbench-store-smoke
 	set -o pipefail; $(GO) run ./cmd/vcbench -check all -reps 1 -store .vcbench-store-smoke -cache-stats 2>&1 \
+		| grep 'snapshot store: 0 executed'
+	set -o pipefail; $(GO) run ./cmd/vcbench -check all -store .vcbench-store-smoke -cache-stats 2>&1 \
 		| grep 'snapshot store: 0 executed'
 	rm -rf .vcbench-store-smoke
 

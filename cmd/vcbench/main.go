@@ -8,7 +8,7 @@
 //	vcbench -list                         list experiments, benchmarks and platforms
 //	vcbench -run fig2a                    run one experiment (or "all")
 //	vcbench -run all -format json -o out/ write every experiment as versioned JSON
-//	vcbench -run all -warmup 1 -parallel 8  discard a warm-up run, fan the grid across 8 workers
+//	vcbench -run all -parallel 8          fan the experiment grid across 8 workers
 //	vcbench -check all                    compare results against the paper's published values
 //	vcbench -check all -baseline out/     additionally diff against a previous JSON run
 //	vcbench -bench bfs -platform rx560    run one benchmark across its workloads and APIs
@@ -60,8 +60,7 @@ func main() {
 		doSweep     = flag.Bool("sweep", false, "with -calibrate: run the deterministic driver-knob sweep and print proposed platform values (one suite execution per platform; candidates scored by replay)")
 		sweepPasses = flag.Int("sweep-passes", 1, "coordinate-descent passes of the -sweep")
 		platformID  = flag.String("platform", platforms.IDGTX1050Ti, "platform id for -bench")
-		reps        = flag.Int("reps", core.DefaultRepetitions, "repetitions per measurement")
-		warmup      = flag.Int("warmup", 0, "warm-up runs per measurement, excluded from statistics")
+		reps        = flag.Int("reps", core.DefaultRepetitions, "repetitions per measurement: the sample count results report (a cell executes once at any count)")
 		parallel    = flag.Int("parallel", runtime.NumCPU(), "suite worker goroutines (1 = serial; output is identical)")
 		dispatchN   = flag.Int("dispatch-parallel", 0, "worker goroutines per simulated dispatch (0 = budget cores across the suite pool; output is identical)")
 		seed        = flag.Int64("seed", 42, "input generation seed")
@@ -102,7 +101,6 @@ func main() {
 
 	opts := experiments.Options{
 		Repetitions:         *reps,
-		Warmup:              *warmup,
 		Parallelism:         *parallel,
 		DispatchParallelism: *dispatchN,
 		Seed:                *seed,
@@ -567,9 +565,7 @@ func runBenchmark(name, platformID string, opts experiments.Options) error {
 				}
 				return err
 			}
-			fmt.Printf("%-10s %-9s %28s %28s %10d\n", w.Label, api,
-				report.FormatDurationStats(res.KernelStats),
-				report.FormatDurationStats(res.TotalStats), res.Dispatches)
+			fmt.Printf("%-10s %-9s %28s %28s %10d\n", w.Label, api, res.KernelTime, res.TotalTime, res.Dispatches)
 		}
 	}
 	return nil

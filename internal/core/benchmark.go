@@ -1,8 +1,11 @@
 // Package core is the heart of VComputeBench: the benchmark abstraction, the
 // suite registry, the run context handed to benchmark host code, and the
-// runner that executes benchmarks repeatedly and averages their measurements
-// (mirroring §V of the paper: "we execute several times and report the average
-// of the obtained execution times").
+// runner that measures each cell. §V of the paper averages several runs ("we
+// execute several times and report the average of the obtained execution
+// times"); the simulator is deterministic, so the runner executes a cell once,
+// takes a replayable snapshot of that run, and reports the snapshot's replay
+// as the repetition count of equal samples. A stored snapshot replays the
+// same way, at any repetition count.
 package core
 
 import (
@@ -118,9 +121,9 @@ type Result struct {
 	// Checksum is a digest of the output buffers used for cross-API
 	// validation.
 	Checksum float64 `json:"checksum"`
-	// KernelStats and TotalStats summarise the spread of the measured
-	// repetitions (min/max/stddev alongside the mean; warm-up runs are
-	// excluded). KernelTime and TotalTime equal the respective means.
+	// KernelStats and TotalStats summarise the repetitions: N equal samples
+	// of the cell's one deterministic run, so min and max equal the mean and
+	// the stddev is 0. KernelTime and TotalTime equal the respective means.
 	KernelStats stats.DurationStats `json:"kernel_stats"`
 	TotalStats  stats.DurationStats `json:"total_stats"`
 	// Extra carries benchmark-specific metrics (e.g. achieved bandwidth in
@@ -214,10 +217,10 @@ func ChecksumWords(w kernels.Words) float64 {
 // Sentinel checksums for non-finite data. A kernel that overflows float32
 // leaves ±Inf (and, combined, NaN) in its output buffer; folding those through
 // the rounding path would either never terminate (Inf) or yield
-// platform-dependent garbage that breaks the repetition-equality check
-// (NaN != NaN). Each non-finite class collapses to a fixed finite value far
-// outside any achievable rounded checksum, so repeated runs still agree and
-// cross-API comparison still distinguishes +Inf from -Inf from NaN.
+// platform-dependent garbage that no comparison can match (NaN != NaN). Each
+// non-finite class collapses to a fixed finite value far outside any
+// achievable rounded checksum, so repeated runs still agree and cross-API
+// comparison still distinguishes +Inf from -Inf from NaN.
 const (
 	checksumNaN    = math.MaxFloat64
 	checksumPosInf = math.MaxFloat64 / 2

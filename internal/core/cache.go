@@ -21,10 +21,11 @@ const DefaultSnapshotCacheEntries = 512
 // change its execution trace. Crucially it does NOT include any timing-only
 // profile field: two platforms that differ only in DriverProfile knob values
 // (a calibration sweep's candidates) map to the same key and share one
-// executed snapshot, which is the entire point of the snapshot layer. The
-// counter-relevant structural fields are folded in via
-// hw.Profile.ExecutionFingerprint. The key is a comparable value, usable as a
-// map key by any SnapshotStore implementation.
+// executed snapshot, which is the entire point of the snapshot layer. Nor
+// does it include the repetition count: a cell executes once at any count,
+// so one entry serves every -reps. The counter-relevant structural fields
+// are folded in via hw.Profile.ExecutionFingerprint. The key is a comparable
+// value, usable as a map key by any SnapshotStore implementation.
 type SnapshotKey struct {
 	Platform    string
 	Fingerprint string
@@ -32,8 +33,6 @@ type SnapshotKey struct {
 	Workload    string
 	API         hw.API
 	Seed        int64
-	Reps        int
-	Warmup      int
 	Validate    bool
 }
 
@@ -193,14 +192,6 @@ func (r *Runner) CellKey(p *platforms.Platform, b Benchmark, api hw.API, w Workl
 
 // snapshotKey builds the store key of one cell under this runner's settings.
 func (r *Runner) snapshotKey(p *platforms.Platform, b Benchmark, api hw.API, w Workload) SnapshotKey {
-	reps := r.Repetitions
-	if reps <= 0 {
-		reps = 1
-	}
-	warmup := r.Warmup
-	if warmup < 0 {
-		warmup = 0
-	}
 	return SnapshotKey{
 		Platform:    p.ID,
 		Fingerprint: p.Profile.ExecutionFingerprint(),
@@ -208,8 +199,6 @@ func (r *Runner) snapshotKey(p *platforms.Platform, b Benchmark, api hw.API, w W
 		Workload:    w.Label,
 		API:         api,
 		Seed:        r.Seed,
-		Reps:        reps,
-		Warmup:      warmup,
 		Validate:    r.Validate,
 	}
 }

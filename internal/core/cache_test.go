@@ -39,8 +39,9 @@ func testKey(t *testing.T) (SnapshotKey, *platforms.Platform, Benchmark) {
 
 // TestSnapshotKeyDistinguishesCells pins that every field that can change a
 // cell's execution lands in the key: two cells differing in benchmark,
-// workload, API, seed, repetition scheme or platform structure must never
-// collide.
+// workload, API, seed, validation or platform structure must never collide.
+// The repetition count is not among them: a cell executes once at any count,
+// so one entry serves every -reps.
 func TestSnapshotKeyDistinguishesCells(t *testing.T) {
 	base, p, b := testKey(t)
 
@@ -63,8 +64,6 @@ func TestSnapshotKeyDistinguishesCells(t *testing.T) {
 	add("api", (&Runner{Repetitions: 3, Seed: 42}).snapshotKey(p, b, hw.APICUDA, w))
 	add("workload", (&Runner{Repetitions: 3, Seed: 42}).snapshotKey(p, b, hw.APIVulkan, w2))
 	add("seed", (&Runner{Repetitions: 3, Seed: 7}).snapshotKey(p, b, hw.APIVulkan, w))
-	add("reps", (&Runner{Repetitions: 5, Seed: 42}).snapshotKey(p, b, hw.APIVulkan, w))
-	add("warmup", (&Runner{Repetitions: 3, Warmup: 1, Seed: 42}).snapshotKey(p, b, hw.APIVulkan, w))
 	add("validate", (&Runner{Repetitions: 3, Seed: 42, Validate: true}).snapshotKey(p, b, hw.APIVulkan, w))
 
 	add("benchmark", (&Runner{Repetitions: 3, Seed: 42}).snapshotKey(p, keyBench{name: "other"}, hw.APIVulkan, w))
@@ -85,6 +84,11 @@ func TestSnapshotKeyDistinguishesCells(t *testing.T) {
 	}
 	if k := (&Runner{Repetitions: 3, Seed: 42}).snapshotKey(&timing, b, hw.APIVulkan, w); k != base {
 		t.Errorf("timing-only knob change altered the cache key:\n  %+v\n  %+v", k, base)
+	}
+	for _, reps := range []int{0, 1, 5} {
+		if k := (&Runner{Repetitions: reps, Seed: 42}).snapshotKey(p, b, hw.APIVulkan, w); k != base {
+			t.Errorf("repetition count %d altered the cache key:\n  %+v\n  %+v", reps, k, base)
+		}
 	}
 }
 

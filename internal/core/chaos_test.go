@@ -42,7 +42,7 @@ func dispatchBench(name string, apis []hw.API, workloads []core.Workload, dispat
 		Fn:        func(*kernels.Workgroup) {},
 	}
 	b := &fakeBench{name: name, apis: apis, workloads: workloads}
-	b.run = func(ctx *core.RunContext, _ int64) (*core.Result, error) {
+	b.run = func(ctx *core.RunContext) (*core.Result, error) {
 		q, err := ctx.Device.Queue(hw.QueueCompute, 0)
 		if err != nil {
 			return nil, err
@@ -54,7 +54,9 @@ func dispatchBench(name string, apis []hw.API, workloads []core.Workload, dispat
 		}
 		n := ctx.Workload.Param("n", 1)
 		base := time.Duration(n) * time.Microsecond
-		return &core.Result{KernelTime: base, TotalTime: 2 * base, Dispatches: dispatches, Checksum: float64(n)}, nil
+		res := measured(ctx, base, 2*base)
+		res.Dispatches, res.Checksum = dispatches, float64(n)
+		return res, nil
 	}
 	return b
 }
@@ -66,11 +68,11 @@ func TestChaosPanicRecovery(t *testing.T) {
 	p := platforms.GTX1050Ti()
 	mkBench := func() *fakeBench {
 		b := &fakeBench{name: "panicky", apis: []hw.API{hw.APIVulkan}, workloads: testWorkloads("w0", "w1", "w2")}
-		b.run = func(ctx *core.RunContext, _ int64) (*core.Result, error) {
+		b.run = func(ctx *core.RunContext) (*core.Result, error) {
 			if ctx.Workload.Label == "w1" {
 				panic("kernel walked off the grid")
 			}
-			return &core.Result{KernelTime: time.Millisecond, TotalTime: time.Millisecond, Checksum: 1}, nil
+			return measured(ctx, time.Millisecond, time.Millisecond), nil
 		}
 		return b
 	}
@@ -153,7 +155,7 @@ func TestChaosKernelPanicRecovery(t *testing.T) {
 	}
 	mkBench := func() *fakeBench {
 		b := &fakeBench{name: "oob", apis: []hw.API{hw.APIVulkan}, workloads: testWorkloads("w0", "w1", "w2")}
-		b.run = func(ctx *core.RunContext, _ int64) (*core.Result, error) {
+		b.run = func(ctx *core.RunContext) (*core.Result, error) {
 			q, err := ctx.Device.Queue(hw.QueueCompute, 0)
 			if err != nil {
 				return nil, err
@@ -165,7 +167,9 @@ func TestChaosKernelPanicRecovery(t *testing.T) {
 			if _, err := q.ExecuteKernel(prog, dispatch(0), hw.Cost{}); err != nil {
 				return nil, err
 			}
-			return &core.Result{KernelTime: time.Millisecond, TotalTime: time.Millisecond, Dispatches: 1, Checksum: 1}, nil
+			res := measured(ctx, time.Millisecond, time.Millisecond)
+			res.Dispatches = 1
+			return res, nil
 		}
 		return b
 	}
@@ -307,7 +311,7 @@ func TestChaosKeepGoingDeterministicOrder(t *testing.T) {
 func TestChaosCellTimeout(t *testing.T) {
 	p := platforms.GTX1050Ti()
 	b := &fakeBench{name: "stuck", apis: []hw.API{hw.APIVulkan}, workloads: testWorkloads("w0")}
-	b.run = func(ctx *core.RunContext, _ int64) (*core.Result, error) {
+	b.run = func(ctx *core.RunContext) (*core.Result, error) {
 		<-ctx.Ctx.Done() // honour the deadline like a cooperative host loop
 		return nil, ctx.Ctx.Err()
 	}

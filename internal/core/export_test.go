@@ -8,11 +8,13 @@ import (
 	"vcomputebench/internal/platforms"
 )
 
-// Exports for the external fuzz test, which links every registered kernel
+// Exports for the external fuzz tests, which link every registered kernel
 // program so that real recorded snapshots decode.
 var (
 	StoreTestRegistry = storeTestRegistry
 	ReplayDecoded     = replayDecoded
+	EncodeEntry       = encodeEntry
+	DecodeEntry       = decodeEntry
 )
 
 // TraceCounters executes one run of the benchmark and returns the

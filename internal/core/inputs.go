@@ -10,8 +10,8 @@ import (
 
 // Seeded input streams. Benchmarks draw their inputs from seeded generators,
 // and within one suite many cells draw the same inputs: every stride of the
-// bandwidth sweep reads a prefix of one array, and every API and repetition
-// of a cell draws its inputs again. A stream table draws each stream once,
+// bandwidth sweep reads a prefix of one array, and every API and retried
+// attempt of a cell draws its inputs again. A stream table draws each stream once,
 // extends it when a longer prefix is asked for, and hands every cell the same
 // words read-only. The generator makes one draw per element in order, so the
 // first n words of a stream do not depend on which lengths were asked for
@@ -40,7 +40,7 @@ func newStream(k streamKey) *stream {
 }
 
 // inputStreams is the stream table shared by the cells of one suite, or by
-// the repetitions of one Run or ExecuteCell call.
+// the attempts of one Run or ExecuteCell call.
 type inputStreams struct {
 	mu      sync.Mutex
 	streams map[streamKey]*stream

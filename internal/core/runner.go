@@ -32,16 +32,17 @@ func (e *ExclusionError) Error() string {
 // times and report the average of the obtained execution times".
 const DefaultRepetitions = 3
 
-// Runner executes benchmarks with repetitions and averages the results.
+// Runner measures benchmark cells. The simulator is deterministic, so a cell
+// executes once, on one fresh device, and its Result is the replay of the
+// snapshot taken from that run, reported as Repetitions equal samples: the
+// average of several runs is the one run. A store hit replays the same way,
+// so every Result is built by one code path.
 type Runner struct {
-	// Repetitions is the number of measured runs to average (the paper
+	// Repetitions is the sample count each Result reports (the paper
 	// executes several times and reports the average; default
-	// DefaultRepetitions).
+	// DefaultRepetitions). It sets the statistics' N; a cell still executes
+	// once.
 	Repetitions int
-	// Warmup is the number of extra runs executed before the measured
-	// repetitions and excluded from all statistics (driver warm-up, JIT
-	// caches). Default 0.
-	Warmup int
 	// Parallelism bounds the worker goroutines RunSuite fans the
 	// (benchmark, workload, API) grid out across: 0 means runtime.NumCPU(),
 	// 1 forces the serial path, higher values cap the pool size.
@@ -57,14 +58,12 @@ type Runner struct {
 	Seed int64
 	// Validate forwards the validation request to the benchmarks.
 	Validate bool
-	// Cache, when non-nil, decouples kernel execution from the timing model:
-	// the first run of a cell executes the benchmark once, recording its
-	// timing trace as a replayable Snapshot; subsequent runs of the same cell
-	// — including on platform clones that differ only in DriverProfile knob
-	// values, as a calibration sweep produces — replay the snapshot
-	// analytically instead of re-executing workgroups. Results are
-	// bit-identical either way. nil preserves the plain execution path.
-	// Snapshots are only recorded from clean first attempts: a faulted or
+	// Cache, when non-nil, keeps the snapshot of every executed cell: later
+	// runs of the same cell — including on platform clones that differ only
+	// in DriverProfile knob values, as a calibration sweep produces, and at
+	// any Repetitions — replay it analytically instead of re-executing
+	// workgroups. Results are bit-identical either way; nil executes every
+	// cell. Snapshots are only stored from clean first attempts: a faulted or
 	// retry-recovered execution is never stored. Each cell makes exactly one
 	// lookup (ReplayCell); execution (ExecuteCell) only writes. Any
 	// SnapshotStore works here: the in-memory SnapshotCache, a persistent
@@ -103,8 +102,9 @@ type Runner struct {
 // NewRunner returns a runner with the default repetition count.
 func NewRunner() *Runner { return &Runner{Repetitions: DefaultRepetitions, Seed: 42} }
 
-// Run executes the benchmark with the given API and workload on a fresh device
-// instance of the platform, repeating and averaging.
+// Run measures the benchmark with the given API and workload on the platform:
+// a replay of the stored snapshot on a hit, else one execution on a fresh
+// device.
 func (r *Runner) Run(p *platforms.Platform, b Benchmark, api hw.API, w Workload) (*Result, error) {
 	return r.run(r.baseContext(), p, b, api, w, r.DispatchParallelism, nil)
 }
@@ -126,8 +126,22 @@ func (r *Runner) ReplayCell(p *platforms.Platform, b Benchmark, api hw.API, w Wo
 	if !ok {
 		return nil, false, nil
 	}
-	res, err = snap.Replay(p)
+	res, err = r.replay(snap, p)
 	return res, true, err
+}
+
+// replay replays a snapshot under the platform and reports it as the
+// runner's repetition count of equal samples. It builds every Result the
+// runner returns, executed or stored.
+func (r *Runner) replay(s *Snapshot, p *platforms.Platform) (*Result, error) {
+	res, err := s.Replay(p)
+	if err != nil {
+		return nil, err
+	}
+	n := max(r.Repetitions, 1)
+	res.KernelStats.N = n
+	res.TotalStats.N = n
+	return res, nil
 }
 
 // ExecuteCell is the execution half of a cell whose lookup missed: the
@@ -187,7 +201,6 @@ func checkCell(p *platforms.Platform, b Benchmark, api hw.API) error {
 // cell deadline and its fault plan, storing a clean first attempt.
 func (r *Runner) execCell(ctx context.Context, p *platforms.Platform, b Benchmark, api hw.API, w Workload,
 	dispatchParallel int, streams *inputStreams) (*Result, error) {
-	record := r.Cache != nil
 	if streams == nil {
 		streams = newInputStreams()
 	}
@@ -202,7 +215,7 @@ func (r *Runner) execCell(ctx context.Context, p *platforms.Platform, b Benchmar
 				API: string(api), Attempt: attempt,
 			})
 		}
-		res, snap, err := r.executeAttempt(ctx, p, b, api, w, dispatchParallel, streams, record, plan)
+		res, snap, err := r.executeAttempt(ctx, p, b, api, w, dispatchParallel, streams, plan)
 		if err == nil && plan != nil && plan.Fired() {
 			// A fired fault that did not surface as an error means some layer
 			// swallowed it; trusting the result would defeat the fault model.
@@ -212,7 +225,7 @@ func (r *Runner) execCell(ctx context.Context, p *platforms.Platform, b Benchmar
 		if err == nil {
 			// Cache only clean first attempts: a recovered cell re-executes on
 			// the next run instead of risking a snapshot tainted by the fault.
-			if record && attempt == 0 && (plan == nil || !plan.Fired()) {
+			if r.Cache != nil && attempt == 0 && (plan == nil || !plan.Fired()) {
 				r.Cache.Put(r.snapshotKey(p, b, api, w), snap)
 			}
 			return res, nil
@@ -274,7 +287,7 @@ func (r *Runner) sleepBackoff(ctx context.Context, attempt int) {
 // executeAttempt runs one attempt of a cell under the per-cell deadline,
 // converting a panicking benchmark into an error instead of a dead process.
 func (r *Runner) executeAttempt(ctx context.Context, p *platforms.Platform, b Benchmark, api hw.API,
-	w Workload, dispatchParallel int, streams *inputStreams, record bool, plan *faults.Plan) (res *Result, snap *Snapshot, err error) {
+	w Workload, dispatchParallel int, streams *inputStreams, plan *faults.Plan) (res *Result, snap *Snapshot, err error) {
 	if r.CellTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.CellTimeout)
@@ -287,10 +300,10 @@ func (r *Runner) executeAttempt(ctx context.Context, p *platforms.Platform, b Be
 				&PanicError{Value: v, Stack: debug.Stack()})
 		}
 	}()
-	return r.execute(ctx, p, b, api, w, dispatchParallel, streams, record, plan)
+	return r.execute(ctx, p, b, api, w, dispatchParallel, streams, plan)
 }
 
-// faultHook builds the pre-dispatch hook installed on every device of one
+// faultHook builds the pre-dispatch hook installed on the device of one
 // attempt: it enforces the attempt's deadline and fires the planned fault at
 // its dispatch ordinal. nil when neither applies, keeping the clean fast
 // path untouched.
@@ -323,100 +336,49 @@ func faultHook(ctx context.Context, plan *faults.Plan) func() error {
 	}
 }
 
-// execute runs the benchmark's repetitions on fresh devices and averages the
-// measurements. With record set, the first measured repetition's timing trace
-// is kept and returned as a replayable Snapshot alongside the result.
-// The fault hook — shared by all repetitions of the attempt, so the planned
-// fault's dispatch ordinal counts across them — enforces ctx and plan at
-// every dispatch. Every repetition draws its inputs from the same streams.
+// execute runs the benchmark once on a fresh device and returns the replay of
+// the snapshot taken from that run's trace, with the snapshot. The replay
+// check fails the cell when the replay disagrees with what the run itself
+// measured: such a cell would give one answer executed and another stored.
+// The fault hook enforces ctx and plan at every dispatch.
 func (r *Runner) execute(ctx context.Context, p *platforms.Platform, b Benchmark, api hw.API, w Workload,
-	dispatchParallel int, streams *inputStreams, record bool, plan *faults.Plan) (*Result, *Snapshot, error) {
-	reps := r.Repetitions
-	if reps <= 0 {
-		reps = 1
+	dispatchParallel int, streams *inputStreams, plan *faults.Plan) (*Result, *Snapshot, error) {
+	dev, err := p.NewDevice()
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: creating device for %s: %w", p.ID, err)
 	}
-	warmup := r.Warmup
-	if warmup < 0 {
-		warmup = 0
+	dev.SetDispatchParallelism(dispatchParallel)
+	dev.SetFaultHook(faultHook(ctx, plan))
+	host := hw.NewHost(dev, api)
+	rctx := &RunContext{
+		Ctx:      ctx,
+		Host:     host,
+		Device:   dev,
+		Platform: p,
+		API:      api,
+		Workload: w,
+		Seed:     r.Seed,
+		Validate: r.Validate,
+		streams:  streams,
 	}
-	hook := faultHook(ctx, plan)
-
-	var kernelTimes, totalTimes []time.Duration
-	var last *Result
-	var trace *hw.Trace
-	var recKernel, recTotal time.Duration
-	for rep := 0; rep < warmup+reps; rep++ {
-		dev, err := p.NewDevice()
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: creating device for %s: %w", p.ID, err)
-		}
-		dev.SetDispatchParallelism(dispatchParallel)
-		dev.SetFaultHook(hook)
-		host := hw.NewHost(dev, api)
-		rctx := &RunContext{
-			Ctx:      ctx,
-			Host:     host,
-			Device:   dev,
-			Platform: p,
-			API:      api,
-			Workload: w,
-			Seed:     r.Seed,
-			Validate: r.Validate && rep == 0,
-			streams:  streams,
-		}
-		res, err := b.Run(rctx)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: %s/%s on %s (%s): %w", b.Name(), api, p.ID, w.Label, err)
-		}
-		res.Benchmark = b.Name()
-		res.API = api
-		res.Platform = p.ID
-		res.Workload = w.Label
-		if last != nil && last.Checksum != res.Checksum {
-			return nil, nil, fmt.Errorf("core: %s/%s on %s (%s): checksum changed between repetitions (%v vs %v)",
-				b.Name(), api, p.ID, w.Label, last.Checksum, res.Checksum)
-		}
-		last = res
-		if rep < warmup {
-			continue // warm-up runs are validated but never measured
-		}
-		if record && rep == warmup {
-			// Keep the first measured repetition's trace. The simulator is
-			// deterministic — every repetition of a cell is identical — so one
-			// trace stands for them all; the equality checks below keep that
-			// assumption honest.
-			trace = host.Trace()
-			recKernel, recTotal = res.KernelTime, res.TotalTime
-		}
-		if trace != nil && (res.KernelTime != recKernel || res.TotalTime != recTotal) {
-			return nil, nil, fmt.Errorf("core: %s/%s on %s (%s): repetitions diverged (%v/%v vs %v/%v); "+
-				"a non-deterministic benchmark cannot be snapshotted",
-				b.Name(), api, p.ID, w.Label, res.KernelTime, res.TotalTime, recKernel, recTotal)
-		}
-		kernelTimes = append(kernelTimes, res.KernelTime)
-		totalTimes = append(totalTimes, res.TotalTime)
+	run, err := b.Run(rctx)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: %s/%s on %s (%s): %w", b.Name(), api, p.ID, w.Label, err)
 	}
-	var snap *Snapshot
-	if record {
-		var err error
-		snap, err = newSnapshot(p, b, api, w, trace, last, recKernel, recTotal, reps)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	kernelStats, err := stats.SummarizeDurations(kernelTimes)
+	snap, err := newSnapshot(p, b, api, w, host.Trace(), run)
 	if err != nil {
 		return nil, nil, err
 	}
-	totalStats, err := stats.SummarizeDurations(totalTimes)
+	res, err := r.replay(snap, p)
 	if err != nil {
 		return nil, nil, err
 	}
-	last.KernelTime = kernelStats.Mean
-	last.TotalTime = totalStats.Mean
-	last.KernelStats = kernelStats
-	last.TotalStats = totalStats
-	return last, snap, nil
+	if res.KernelTime != run.KernelTime || res.TotalTime != run.TotalTime {
+		return nil, nil, fmt.Errorf("core: %s/%s on %s (%s): replay gives %v/%v where the run measured %v/%v; "+
+			"the trace does not capture how the benchmark measured",
+			b.Name(), api, p.ID, w.Label, res.KernelTime, res.TotalTime, run.KernelTime, run.TotalTime)
+	}
+	return res, snap, nil
 }
 
 // SuiteResult collects the results of running several benchmarks across APIs

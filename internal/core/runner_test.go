@@ -12,17 +12,20 @@ import (
 	"vcomputebench/internal/core"
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/platforms"
+	"vcomputebench/internal/stats"
 )
 
 // fakeBench is a deterministic in-memory benchmark: run derives the result
-// from the context (API, workload, call ordinal), so tests control timing,
-// checksums and failures without touching the simulator.
+// from the context (API, workload), so tests control timing, checksums and
+// failures without touching the simulator. Every executed cell is
+// snapshotted and replayed, so a run that returns times must measure them on
+// its host clock (see measured).
 type fakeBench struct {
 	name      string
 	apis      []hw.API
 	workloads []core.Workload
 	calls     atomic.Int64
-	run       func(ctx *core.RunContext, call int64) (*core.Result, error)
+	run       func(ctx *core.RunContext) (*core.Result, error)
 }
 
 func (f *fakeBench) Name() string                       { return f.name }
@@ -32,7 +35,8 @@ func (f *fakeBench) Description() string                { return "fake benchmark
 func (f *fakeBench) Workloads(hw.Class) []core.Workload { return f.workloads }
 func (f *fakeBench) APIs() []hw.API                     { return f.apis }
 func (f *fakeBench) Run(ctx *core.RunContext) (*core.Result, error) {
-	return f.run(ctx, f.calls.Add(1)-1)
+	f.calls.Add(1)
+	return f.run(ctx)
 }
 
 func testWorkloads(labels ...string) []core.Workload {
@@ -43,10 +47,25 @@ func testWorkloads(labels ...string) []core.Workload {
 	return ws
 }
 
+// measured spends kernel and then total-kernel on the run's host clock and
+// returns a Result holding what the run measured: the kernel time from a
+// stopwatch, the total time from ctx.Now. Measuring through the host, as a
+// real benchmark does, lets the runner bind both to trace readings and
+// replay them.
+func measured(ctx *core.RunContext, kernel, total time.Duration) *core.Result {
+	sw := ctx.Stopwatch()
+	ctx.Host.Spend(hw.FixedCost(kernel))
+	k := sw.Elapsed()
+	ctx.Host.Spend(hw.FixedCost(total - kernel))
+	return &core.Result{KernelTime: k, TotalTime: ctx.Now()}
+}
+
 // constantResult returns a run function with fixed timing and checksum.
-func constantResult(kernel, total time.Duration) func(*core.RunContext, int64) (*core.Result, error) {
-	return func(*core.RunContext, int64) (*core.Result, error) {
-		return &core.Result{KernelTime: kernel, TotalTime: total, Dispatches: 1, Checksum: 7}, nil
+func constantResult(kernel, total time.Duration) func(*core.RunContext) (*core.Result, error) {
+	return func(ctx *core.RunContext) (*core.Result, error) {
+		res := measured(ctx, kernel, total)
+		res.Dispatches, res.Checksum = 1, 7
+		return res, nil
 	}
 }
 
@@ -97,96 +116,67 @@ func TestRunExclusionPlatformQuirk(t *testing.T) {
 	}
 }
 
-func TestRunDetectsChecksumMismatch(t *testing.T) {
-	b := &fakeBench{
-		name:      "fake",
-		apis:      []hw.API{hw.APIVulkan},
-		workloads: testWorkloads("w0"),
-		run: func(_ *core.RunContext, call int64) (*core.Result, error) {
-			return &core.Result{KernelTime: time.Millisecond, TotalTime: time.Millisecond, Checksum: float64(call)}, nil
-		},
-	}
-	r := &core.Runner{Repetitions: 2, Seed: 1}
-	_, err := r.Run(platforms.GTX1050Ti(), b, hw.APIVulkan, b.workloads[0])
-	if err == nil || !strings.Contains(err.Error(), "checksum changed") {
-		t.Fatalf("expected checksum-mismatch error, got %v", err)
-	}
-}
-
-// coldStart times the first run of a benchmark instance slower than the rest,
-// mimicking a JIT / driver cache warm-up.
-func coldStart(cold, warm time.Duration) func(*core.RunContext, int64) (*core.Result, error) {
-	return func(_ *core.RunContext, call int64) (*core.Result, error) {
-		d := warm
-		if call == 0 {
-			d = cold
-		}
-		return &core.Result{KernelTime: d, TotalTime: 2 * d, Checksum: 7}, nil
-	}
-}
-
-func TestRunWarmupExcludedFromStatistics(t *testing.T) {
+// TestRunExecutesOncePerAttempt: a cell executes once whatever the
+// repetition count, with or without a store, and reports that run as every
+// repetition.
+func TestRunExecutesOncePerAttempt(t *testing.T) {
 	p := platforms.GTX1050Ti()
-	cold, warm := 100*time.Millisecond, 10*time.Millisecond
-
-	noWarm := &fakeBench{name: "fake", apis: []hw.API{hw.APIVulkan},
-		workloads: testWorkloads("w0"), run: coldStart(cold, warm)}
-	res, err := (&core.Runner{Repetitions: 3, Seed: 1}).Run(p, noWarm, hw.APIVulkan, noWarm.workloads[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (cold + 2*warm) / 3; res.KernelTime != want {
-		t.Fatalf("without warm-up: KernelTime = %v, want %v", res.KernelTime, want)
-	}
-	if res.KernelStats.Max != cold {
-		t.Fatalf("without warm-up: Max = %v, want the cold run %v", res.KernelStats.Max, cold)
-	}
-
-	warmed := &fakeBench{name: "fake", apis: []hw.API{hw.APIVulkan},
-		workloads: testWorkloads("w0"), run: coldStart(cold, warm)}
-	res, err = (&core.Runner{Repetitions: 2, Warmup: 1, Seed: 1}).Run(p, warmed, hw.APIVulkan, warmed.workloads[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.KernelTime != warm {
-		t.Fatalf("with warm-up: KernelTime = %v, want %v", res.KernelTime, warm)
-	}
-	if res.KernelStats.N != 2 || res.KernelStats.Max != warm || res.KernelStats.StdDev != 0 {
-		t.Fatalf("with warm-up: stats = %+v, want 2 identical warm samples", res.KernelStats)
-	}
-	if calls := warmed.calls.Load(); calls != 3 {
-		t.Fatalf("with warm-up: %d runs executed, want 3 (1 warm-up + 2 measured)", calls)
+	for _, store := range []core.SnapshotStore{nil, core.NewSnapshotCache(0)} {
+		b := &fakeBench{
+			name:      "fake",
+			apis:      []hw.API{hw.APIVulkan},
+			workloads: testWorkloads("w0"),
+			run:       constantResult(time.Millisecond, 2*time.Millisecond),
+		}
+		r := &core.Runner{Repetitions: 3, Seed: 1, Cache: store}
+		res, err := r.Run(p, b, hw.APIVulkan, b.workloads[0])
+		if err != nil {
+			t.Fatalf("store %T: %v", store, err)
+		}
+		if calls := b.calls.Load(); calls != 1 {
+			t.Fatalf("store %T: benchmark ran %d times for one Run at 3 repetitions, want 1", store, calls)
+		}
+		ms := time.Millisecond
+		if want := (stats.DurationStats{Mean: ms, Min: ms, Max: ms, N: 3}); res.KernelStats != want {
+			t.Fatalf("store %T: kernel stats = %+v, want %+v", store, res.KernelStats, want)
+		}
+		if res.KernelTime != ms || res.TotalTime != 2*ms || res.TotalStats.N != 3 {
+			t.Fatalf("store %T: result = %+v", store, res)
+		}
 	}
 }
 
-func TestRunCapturesVariance(t *testing.T) {
-	times := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
-	b := &fakeBench{
-		name:      "fake",
-		apis:      []hw.API{hw.APIVulkan},
-		workloads: testWorkloads("w0"),
-		run: func(_ *core.RunContext, call int64) (*core.Result, error) {
-			d := times[call%int64(len(times))]
-			return &core.Result{KernelTime: d, TotalTime: 2 * d, Checksum: 7}, nil
-		},
-	}
-	res, err := (&core.Runner{Repetitions: 3, Seed: 1}).Run(platforms.GTX1050Ti(), b, hw.APIVulkan, b.workloads[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ks := res.KernelStats
-	if ks.Mean != 20*time.Millisecond || ks.Min != times[0] || ks.Max != times[2] || ks.N != 3 {
-		t.Fatalf("kernel stats = %+v", ks)
-	}
-	// Population stddev of {10,20,30}ms is sqrt(200/3) ms ~= 8.165ms.
-	if wantSD := 8164965 * time.Nanosecond; ks.StdDev < wantSD-time.Microsecond || ks.StdDev > wantSD+time.Microsecond {
-		t.Fatalf("kernel stddev = %v, want ~%v", ks.StdDev, wantSD)
-	}
-	if res.KernelTime != ks.Mean || res.TotalTime != res.TotalStats.Mean {
-		t.Fatalf("mean fields disagree with stats: %+v", res)
-	}
-	if rsd := ks.RelStdDev(); rsd < 0.40 || rsd > 0.42 {
-		t.Fatalf("RelStdDev = %v, want ~0.408", rsd)
+// TestRunFailsWhenReplayDisagrees: a cell whose replay differs from what its
+// run measured fails, with or without a store, and is never stored, so a
+// later hit cannot disagree with the miss. The fake re-points its stopwatch
+// reading at a later mark after reading it, which the trace then replays.
+func TestRunFailsWhenReplayDisagrees(t *testing.T) {
+	p := platforms.GTX1050Ti()
+	for _, store := range []*core.SnapshotCache{nil, core.NewSnapshotCache(0)} {
+		b := &fakeBench{name: "fake", apis: []hw.API{hw.APIVulkan}, workloads: testWorkloads("w0")}
+		b.run = func(ctx *core.RunContext) (*core.Result, error) {
+			sw := ctx.Stopwatch()
+			ctx.Host.Spend(hw.FixedCost(time.Millisecond))
+			kernel := sw.Elapsed()
+			ctx.Host.Spend(hw.FixedCost(time.Millisecond))
+			later := ctx.Host.Mark()
+			readings := ctx.Host.Trace().Readings
+			readings[len(readings)-1].B = later
+			return &core.Result{KernelTime: kernel, TotalTime: ctx.Now(), Checksum: 7}, nil
+		}
+		r := &core.Runner{Repetitions: 3, Seed: 1}
+		if store != nil {
+			r.Cache = store
+		}
+		_, err := r.Run(p, b, hw.APIVulkan, b.workloads[0])
+		if err == nil || !strings.Contains(err.Error(), "replay gives 2ms/2ms where the run measured 1ms/2ms") {
+			t.Fatalf("store %v: err = %v, want the replay mismatch", store != nil, err)
+		}
+		if store != nil {
+			if st := store.Stats(); st.Entries != 0 {
+				t.Fatalf("a cell that failed its replay check was stored: %+v", st)
+			}
+		}
 	}
 }
 
@@ -194,13 +184,15 @@ func TestRunCapturesVariance(t *testing.T) {
 // identical no matter which worker runs the task or in what order.
 func gridBench(name string, apis []hw.API, workloads []core.Workload) *fakeBench {
 	b := &fakeBench{name: name, apis: apis, workloads: workloads}
-	b.run = func(ctx *core.RunContext, _ int64) (*core.Result, error) {
+	b.run = func(ctx *core.RunContext) (*core.Result, error) {
 		n := ctx.Workload.Param("n", 1)
 		base := time.Duration(n) * time.Microsecond
 		if ctx.API == hw.APIVulkan {
 			base /= 2
 		}
-		return &core.Result{KernelTime: base, TotalTime: 3 * base, Dispatches: n / 1000, Checksum: float64(n)}, nil
+		res := measured(ctx, base, 3*base)
+		res.Dispatches, res.Checksum = n/1000, float64(n)
+		return res, nil
 	}
 	return b
 }
@@ -285,11 +277,11 @@ func TestRunSuiteReturnsHardErrors(t *testing.T) {
 		name:      "bad",
 		apis:      []hw.API{hw.APIVulkan},
 		workloads: testWorkloads("w0", "w1"),
-		run: func(ctx *core.RunContext, _ int64) (*core.Result, error) {
+		run: func(ctx *core.RunContext) (*core.Result, error) {
 			if ctx.Workload.Label == "w1" {
 				return nil, boom
 			}
-			return &core.Result{KernelTime: time.Millisecond, TotalTime: time.Millisecond, Checksum: 1}, nil
+			return measured(ctx, time.Millisecond, time.Millisecond), nil
 		},
 	}
 	for _, par := range []int{1, 8} {

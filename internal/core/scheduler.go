@@ -78,7 +78,7 @@ func (r *Runner) dispatchBudget(workers int) int {
 }
 
 // runSuiteTasks executes every task and returns the outcomes indexed in grid
-// order. Each repetition creates a fresh simulated device. Sibling cells
+// order. Each execution creates a fresh simulated device. Sibling cells
 // share one thing: the suite's input stream table, whose words are read-only
 // and which extends a stream only under that stream's lock. So tasks fan out
 // across a worker pool; with one worker the tasks run inline. Both paths stop

@@ -1,10 +1,11 @@
-// Snapshot is the execute/replay boundary of a measurement: everything one
-// (platform, benchmark, workload, API, seed, reps) cell produced that does
-// not depend on the driver's timing knobs — the functional outcome (checksum,
-// dispatch count, timing-independent extras) plus the per-repetition timing
+// Snapshot is the execute/replay boundary of a measurement: everything the
+// one run of a (platform, benchmark, workload, API, seed) cell produced that
+// does not depend on the driver's timing knobs — the functional outcome
+// (checksum, dispatch count, timing-independent extras) plus the run's timing
 // trace — and the bindings that tie the Result's measured fields to readings
 // of that trace. Replaying a snapshot under any DriverProfile recomputes
-// durations, bandwidths and statistics bit-identically to a fresh execution.
+// durations and bandwidths bit-identically to a fresh execution; the runner
+// builds every Result, executed or stored, this way.
 //
 // Invalidation rules: a snapshot is valid only for platforms whose
 // hw.Profile.ExecutionFingerprint matches the one it was recorded under. Any
@@ -39,7 +40,6 @@ type Snapshot struct {
 	benchmark string
 	workload  string
 	api       hw.API
-	reps      int
 
 	kernelReading int
 	totalReading  int
@@ -51,16 +51,11 @@ type Snapshot struct {
 }
 
 // newSnapshot binds an executed run's Result fields to its recorded trace.
-// kernelTime and totalTime are the recorded repetition's raw per-rep values
-// (not the averaged statistics). It fails loudly when a Result field cannot
-// be tied to a trace reading — that means a benchmark derived a measurement
-// in a way the trace instrumentation does not capture, which would make
-// replay silently wrong.
-func newSnapshot(p *platforms.Platform, b Benchmark, api hw.API, w Workload,
-	tr *hw.Trace, res *Result, kernelTime, totalTime time.Duration, reps int) (*Snapshot, error) {
-	if tr == nil {
-		return nil, fmt.Errorf("core: snapshot of %s/%s without a recorded trace", b.Name(), api)
-	}
+// It fails loudly when a Result field cannot be tied to a trace reading —
+// that means a benchmark derived a measurement in a way the trace
+// instrumentation does not capture, which would make replay silently wrong.
+func newSnapshot(p *platforms.Platform, b Benchmark, api hw.API, w Workload, tr *hw.Trace, res *Result) (*Snapshot, error) {
+	kernelTime, totalTime := res.KernelTime, res.TotalTime
 	kIdx, err := bindDurationReading(tr, kernelTime)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s/%s on %s (%s): cannot bind kernel time %v (%w); "+
@@ -79,7 +74,6 @@ func newSnapshot(p *platforms.Platform, b Benchmark, api hw.API, w Workload,
 		benchmark:     b.Name(),
 		workload:      w.Label,
 		api:           api,
-		reps:          reps,
 		kernelReading: kIdx,
 		totalReading:  tIdx,
 		dispatches:    res.Dispatches,
@@ -178,9 +172,10 @@ func bindHostMarkReading(tr *hw.Trace, want time.Duration) (int, bool) {
 
 // Replay recomputes the cell's Result under the platform's current profile —
 // typically a clone of the recorded platform with different DriverProfile
-// knob values. It is a pure function: safe for concurrent use on a shared
-// snapshot, and bit-identical to executing the cell afresh on the same
-// platform (the determinism tests pin this equivalence).
+// knob values — as one sample; the runner reports it as its repetition
+// count of equal samples. It is a pure function: safe for concurrent use on
+// a shared snapshot, and bit-identical to executing the cell afresh on the
+// same platform (the determinism tests pin this equivalence).
 func (s *Snapshot) Replay(p *platforms.Platform) (*Result, error) {
 	if fp := p.Profile.ExecutionFingerprint(); fp != s.fingerprint {
 		return nil, fmt.Errorf("core: snapshot of %s/%s was recorded under a different execution fingerprint\n  have %s\n  want %s",
@@ -199,34 +194,17 @@ func (s *Snapshot) Replay(p *platforms.Platform) (*Result, error) {
 		return nil, err
 	}
 
-	// The simulator is deterministic: every measured repetition of a cell is
-	// identical, so the statistics are those of reps equal samples, computed
-	// through the same stats code path as a fresh run.
-	kernelTimes := make([]time.Duration, s.reps)
-	totalTimes := make([]time.Duration, s.reps)
-	for i := 0; i < s.reps; i++ {
-		kernelTimes[i] = kernelTime
-		totalTimes[i] = totalTime
-	}
-	kernelStats, err := stats.SummarizeDurations(kernelTimes)
-	if err != nil {
-		return nil, err
-	}
-	totalStats, err := stats.SummarizeDurations(totalTimes)
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
 		Benchmark:   s.benchmark,
 		API:         s.api,
 		Platform:    p.ID,
 		Workload:    s.workload,
-		KernelTime:  kernelStats.Mean,
-		TotalTime:   totalStats.Mean,
+		KernelTime:  kernelTime,
+		TotalTime:   totalTime,
 		Dispatches:  s.dispatches,
 		Checksum:    s.checksum,
-		KernelStats: kernelStats,
-		TotalStats:  totalStats,
+		KernelStats: oneSample(kernelTime),
+		TotalStats:  oneSample(totalTime),
 	}
 	//lint:allow(SetExtra inserts into a map keyed by name; iteration order cannot reach output)
 	for name, v := range s.extras {
@@ -237,4 +215,9 @@ func (s *Snapshot) Replay(p *platforms.Platform) (*Result, error) {
 		res.SetExtraThroughput(name, bytes, kernelTime)
 	}
 	return res, nil
+}
+
+// oneSample is the statistics of a single measurement.
+func oneSample(d time.Duration) stats.DurationStats {
+	return stats.DurationStats{Mean: d, Min: d, Max: d, N: 1}
 }

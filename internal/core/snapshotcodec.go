@@ -19,7 +19,7 @@ import (
 // decoding (never panics), which stores degrade to a miss.
 
 // SnapshotCodecVersion is the current wire-format version of EncodeSnapshot.
-const SnapshotCodecVersion = 1
+const SnapshotCodecVersion = 2
 
 var snapshotMagic = [4]byte{'V', 'C', 'S', 'N'}
 
@@ -39,7 +39,6 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	b = appendString(b, s.benchmark)
 	b = appendString(b, s.workload)
 	b = appendString(b, string(s.api))
-	b = binary.AppendUvarint(b, uint64(s.reps))
 	b = binary.AppendUvarint(b, uint64(s.kernelReading))
 	b = binary.AppendUvarint(b, uint64(s.totalReading))
 	b = binary.AppendVarint(b, int64(s.dispatches))
@@ -69,7 +68,6 @@ func DecodeSnapshot(data []byte, reg *kernels.Registry) (*Snapshot, error) {
 	s.benchmark = d.str()
 	s.workload = d.str()
 	s.api = hw.API(d.str())
-	s.reps = int(d.uvarint())
 	s.kernelReading = int(d.uvarint())
 	s.totalReading = int(d.uvarint())
 	s.dispatches = int(d.varint())
@@ -89,9 +87,6 @@ func DecodeSnapshot(data []byte, reg *kernels.Registry) (*Snapshot, error) {
 		return nil, err
 	}
 	s.trace = tr
-	if s.reps <= 0 {
-		return nil, fmt.Errorf("core: snapshot has non-positive repetition count %d", s.reps)
-	}
 	if s.kernelReading >= len(tr.Readings) || s.totalReading >= len(tr.Readings) {
 		return nil, fmt.Errorf("core: snapshot binds readings %d/%d of a trace with %d",
 			s.kernelReading, s.totalReading, len(tr.Readings))
@@ -155,12 +150,14 @@ func (d *snapReader) bytes(n int) []byte {
 	return b
 }
 
+// uvarint reads a canonical uvarint: an overlong encoding, whose last byte
+// is zero, is rejected, so every value has one encoding.
 func (d *snapReader) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && d.data[d.off+n-1] == 0 {
 		d.fail("bad uvarint at offset %d", d.off)
 		return 0
 	}
@@ -168,17 +165,10 @@ func (d *snapReader) uvarint() uint64 {
 	return v
 }
 
+// varint reads a canonical zigzag varint.
 func (d *snapReader) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.data[d.off:])
-	if n <= 0 {
-		d.fail("bad varint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // length reads a collection size bounded by the remaining bytes.

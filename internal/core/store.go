@@ -32,7 +32,7 @@ import (
 
 // StoreEntryVersion is the on-disk entry envelope version (the envelope wraps
 // a SnapshotCodecVersion-stamped snapshot stream).
-const StoreEntryVersion = 1
+const StoreEntryVersion = 2
 
 var storeEntryMagic = [4]byte{'V', 'C', 'S', 'E'}
 
@@ -125,25 +125,23 @@ func entryDigest(codeVersion string, k SnapshotKey) string {
 		}
 	}
 	w(codeVersion, k.Platform, k.Fingerprint, k.Benchmark, k.Workload, string(k.API))
-	fmt.Fprintf(h, "%d\x00%d\x00%d\x00%t\x00", k.Seed, k.Reps, k.Warmup, k.Validate)
+	fmt.Fprintf(h, "%d\x00%t\x00", k.Seed, k.Validate)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // encodeEntry wraps an encoded snapshot in the store envelope: magic,
 // versions, the key (so GC and debugging tools can attribute entries without
 // reversing the digest), and a CRC over the snapshot stream.
-func (s *DiskStore) encodeEntry(k SnapshotKey, blob []byte) []byte {
+func encodeEntry(codeVersion string, k SnapshotKey, blob []byte) []byte {
 	b := append([]byte(nil), storeEntryMagic[:]...)
 	b = binary.AppendUvarint(b, StoreEntryVersion)
-	b = appendString(b, s.codeVersion)
+	b = appendString(b, codeVersion)
 	b = appendString(b, k.Platform)
 	b = appendString(b, k.Fingerprint)
 	b = appendString(b, k.Benchmark)
 	b = appendString(b, k.Workload)
 	b = appendString(b, string(k.API))
 	b = binary.AppendVarint(b, k.Seed)
-	b = binary.AppendUvarint(b, uint64(k.Reps))
-	b = binary.AppendUvarint(b, uint64(k.Warmup))
 	if k.Validate {
 		b = append(b, 1)
 	} else {
@@ -156,7 +154,8 @@ func (s *DiskStore) encodeEntry(k SnapshotKey, blob []byte) []byte {
 
 // decodeEntry unwraps the envelope, returning the embedded code version, key
 // and CRC-verified snapshot stream. Any malformation is an error; callers
-// degrade it to a miss.
+// degrade it to a miss. Only canonical envelopes decode, so an envelope that
+// decodes re-encodes to the same bytes.
 func decodeEntry(data []byte) (codeVersion string, k SnapshotKey, blob []byte, err error) {
 	d := &snapReader{data: data}
 	var magic [4]byte
@@ -174,11 +173,12 @@ func decodeEntry(data []byte) (codeVersion string, k SnapshotKey, blob []byte, e
 	k.Workload = d.str()
 	k.API = hw.API(d.str())
 	k.Seed = d.varint()
-	k.Reps = int(d.uvarint())
-	k.Warmup = int(d.uvarint())
 	validate := d.bytes(1)
 	if len(validate) == 1 {
-		k.Validate = validate[0] != 0
+		if validate[0] > 1 {
+			d.fail("store entry validate flag %d is not 0 or 1", validate[0])
+		}
+		k.Validate = validate[0] == 1
 	}
 	crcBytes := d.bytes(4)
 	var wantCRC uint32
@@ -255,7 +255,7 @@ func (s *DiskStore) Put(k SnapshotKey, snap *Snapshot) {
 		s.droppedPuts.Add(1)
 		return
 	}
-	entry := s.encodeEntry(k, blob)
+	entry := encodeEntry(s.codeVersion, k, blob)
 	path := s.entryPath(k)
 	tmp, err := os.CreateTemp(s.dir, filepath.Base(path)+".*"+tmpExt)
 	if err != nil {

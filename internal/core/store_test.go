@@ -62,7 +62,6 @@ func storeTestSnapshot(t testing.TB, reg *kernels.Registry) *Snapshot {
 		benchmark:       "storetest",
 		workload:        "small",
 		api:             hw.APIVulkan,
-		reps:            3,
 		kernelReading:   0,
 		totalReading:    1,
 		dispatches:      4,
@@ -75,7 +74,7 @@ func storeTestSnapshot(t testing.TB, reg *kernels.Registry) *Snapshot {
 func storeTestKey(bench string) SnapshotKey {
 	return SnapshotKey{
 		Platform: "p", Fingerprint: "test-fingerprint", Benchmark: bench,
-		Workload: "small", API: hw.APIVulkan, Seed: 42, Reps: 3,
+		Workload: "small", API: hw.APIVulkan, Seed: 42,
 	}
 }
 

@@ -21,11 +21,9 @@ import (
 
 // Options configures an experiment run.
 type Options struct {
-	// Repetitions per measurement (the paper averages several runs).
+	// Repetitions per measurement (the paper averages several runs): the
+	// sample count each result reports. A cell executes once whatever it is.
 	Repetitions int
-	// Warmup runs per measurement, executed first and excluded from the
-	// reported statistics.
-	Warmup int
 	// Parallelism bounds the suite scheduler's worker pool: 0 means
 	// runtime.NumCPU(), 1 forces serial execution. Output is identical
 	// either way.
@@ -78,7 +76,6 @@ func (o Options) defaults() Options {
 func (o Options) Runner() *core.Runner {
 	return &core.Runner{
 		Repetitions:         o.Repetitions,
-		Warmup:              o.Warmup,
 		Parallelism:         o.Parallelism,
 		DispatchParallelism: o.DispatchParallelism,
 		Seed:                o.Seed,
@@ -250,9 +247,6 @@ func BandwidthDocument(id string, p *platforms.Platform, apis []hw.API, opts Opt
 		// The stride-1 plateau is the paper's "achieved bandwidth".
 		doc.AddMetric(report.MetricAchievedBandwidth(api.String()), "GB/s", series.Get(api.String(), 0))
 		doc.Results = append(doc.Results, apiResults...)
-		if note, ok := spreadNote(api, apiResults); ok {
-			doc.Notes = append(doc.Notes, note)
-		}
 	}
 	doc.Notes = append(doc.Notes,
 		fmt.Sprintf("theoretical peak bandwidth: %.1f GB/s", p.Profile.PeakBandwidthGBps))
@@ -306,30 +300,6 @@ func missingResultError(s *core.SuiteResult, bench, workload string, api hw.API)
 		}
 	}
 	return fmt.Errorf("experiments: missing result for %s/%s (%s)", bench, api, workload)
-}
-
-// spreadNote reports the worst kernel-time coefficient of variation an API
-// showed across the given results, making repetition noise visible in every
-// output format. It is omitted for single-repetition runs and when every
-// repetition agreed exactly (the deterministic-simulator case), where there
-// is no spread to report.
-func spreadNote(api hw.API, results []*core.Result) (string, bool) {
-	worst, n := 0.0, 0
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		if r.KernelStats.N > n {
-			n = r.KernelStats.N
-		}
-		if rsd := r.KernelStats.RelStdDev(); rsd > worst {
-			worst = rsd
-		}
-	}
-	if n <= 1 || worst == 0 {
-		return "", false
-	}
-	return fmt.Sprintf("kernel-time spread %s: max %.1f%% rel. stddev over %d reps", api, worst*100, n), true
 }
 
 // figSpeedups builds the Rodinia speedup experiment for one platform. The
@@ -396,9 +366,6 @@ func speedupDocument(id string, p *platforms.Platform, benchmarks []core.Benchma
 			}
 		}
 		doc.Results = append(doc.Results, apiResults...)
-		if note, ok := spreadNote(api, apiResults); ok {
-			doc.Notes = append(doc.Notes, note)
-		}
 	}
 	for _, api := range apis[1:] {
 		if g, err := suiteRes.GeoMeanSpeedup(api, baseline); err == nil {

@@ -3,8 +3,10 @@ package experiments_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"vcomputebench/internal/experiments"
+	"vcomputebench/internal/stats"
 )
 
 // renderAll runs one experiment and returns its text and CSV renderings.
@@ -52,31 +54,41 @@ func TestSerialParallelOutputIdentical(t *testing.T) {
 	}
 }
 
-// TestNoSpreadNoteForDeterministicRuns: the simulator is deterministic, so
-// repeated runs agree exactly and the spread note must stay suppressed (it
-// only appears when real measurement noise exists; see spread_test.go for
-// that path).
+// TestNoSpreadNoteForDeterministicRuns: the simulator is deterministic, so a
+// cell executes once and reports that run as every repetition. -reps sets
+// only the sample count: every result's statistics are the one measurement
+// with no spread, and the rendering neither shows a spread nor changes.
 func TestNoSpreadNoteForDeterministicRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full experiments; skipped with -short")
 	}
+	e, err := experiments.ByID("fig3a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var texts []string
 	for _, reps := range []int{1, 2} {
-		text, _ := renderAll(t, "fig3a", experiments.Options{Repetitions: reps, Seed: 42})
-		if strings.Contains(text, "kernel-time spread") {
+		doc, err := e.Run(experiments.Options{Repetitions: reps, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range doc.Results {
+			for _, st := range []struct {
+				d time.Duration
+				s stats.DurationStats
+			}{{res.KernelTime, res.KernelStats}, {res.TotalTime, res.TotalStats}} {
+				if want := (stats.DurationStats{Mean: st.d, Min: st.d, Max: st.d, N: reps}); st.s != want {
+					t.Fatalf("%d reps: %s/%s/%s stats = %+v, want %+v", reps, res.Benchmark, res.API, res.Workload, st.s, want)
+				}
+			}
+		}
+		text := doc.Render()
+		if strings.Contains(text, "spread") {
 			t.Errorf("deterministic %d-rep run must not emit a spread note, got:\n%s", reps, text)
 		}
+		texts = append(texts, text)
 	}
-}
-
-// TestWarmupDoesNotChangeDeterministicOutput: the simulator is deterministic,
-// so a warm-up run must be dropped from the statistics without altering them.
-func TestWarmupDoesNotChangeDeterministicOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full experiments; skipped with -short")
-	}
-	base, _ := renderAll(t, "fig3a", experiments.Options{Repetitions: 1, Seed: 42})
-	warmed, _ := renderAll(t, "fig3a", experiments.Options{Repetitions: 1, Warmup: 1, Seed: 42})
-	if base != warmed {
-		t.Errorf("warm-up changed deterministic output:\n--- base ---\n%s\n--- warmed ---\n%s", base, warmed)
+	if texts[0] != texts[1] {
+		t.Errorf("-reps changed the rendering:\n--- 1 rep ---\n%s\n--- 2 reps ---\n%s", texts[0], texts[1])
 	}
 }

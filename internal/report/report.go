@@ -12,18 +12,7 @@ import (
 	"strings"
 
 	"vcomputebench/internal/core"
-	"vcomputebench/internal/stats"
 )
-
-// FormatDurationStats renders repeated-measurement statistics as
-// "mean ±stddev [min..max]". With a single sample, or when the repetitions
-// agreed exactly, only the mean is shown.
-func FormatDurationStats(s stats.DurationStats) string {
-	if s.N <= 1 || s.Min == s.Max {
-		return s.Mean.String()
-	}
-	return fmt.Sprintf("%v ±%v [%v..%v]", s.Mean, s.StdDev, s.Min, s.Max)
-}
 
 // Table is a titled grid of cells.
 type Table struct {

@@ -88,7 +88,6 @@ type Config struct {
 	// Runner knobs, mirroring the CLI flags of the same names. Every request
 	// shares one runner, so these are server-wide policy, not per-request.
 	Repetitions  int
-	Warmup       int
 	Seed         int64
 	Validate     bool
 	CellTimeout  time.Duration
@@ -194,7 +193,6 @@ func New(cfg Config) (*Server, error) {
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 	s.runner = &core.Runner{
 		Repetitions:  cfg.Repetitions,
-		Warmup:       cfg.Warmup,
 		Seed:         cfg.Seed,
 		Validate:     cfg.Validate,
 		Cache:        s.store,

@@ -812,3 +812,44 @@ func TestServeDiskTierServesAcrossProcesses(t *testing.T) {
 		t.Fatalf("warm disk store executed %d cells, want 0 (pure replay)", got)
 	}
 }
+
+// TestServeReplaysStoreAtAnyReps: the store key holds no repetition count, so
+// a server at the default -reps replays an entry another process stored at
+// -reps 1 instead of executing the cell again, and answers with its own
+// sample count.
+func TestServeReplaysStoreAtAnyReps(t *testing.T) {
+	dir := t.TempDir()
+	disk, err := core.OpenDiskStore(dir, "reps-test", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := platforms.ByID(platforms.IDGTX1050Ti)
+	b, _ := core.Get("vectoradd")
+	w := b.Workloads(p.Profile.Class)[0]
+	if _, err := (&core.Runner{Repetitions: 1, Seed: 42, Cache: disk}).Run(p, b, hw.APIVulkan, w); err != nil {
+		t.Fatal(err)
+	}
+
+	disk2, err := core.OpenDiskStore(dir, "reps-test", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, func(cfg *Config) {
+		cfg.Disk = disk2
+		cfg.Repetitions = 3
+	})
+	wr := postSimulate(t, s.Handler(), simulateBody(""))
+	if wr.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", wr.Code, wr.Body.String())
+	}
+	if ex, rp := s.metrics.executions.Load(), s.metrics.replays.Load(); ex != 0 || rp != 1 {
+		t.Fatalf("executions = %d, replays = %d; want the stored entry replayed, nothing executed", ex, rp)
+	}
+	docs, werr, _ := decodeEnvelope(t, wr.Body.Bytes())
+	if werr != nil || len(docs) != 1 || len(docs[0].Results) != 1 {
+		t.Fatalf("envelope decoded to docs=%d werr=%v", len(docs), werr)
+	}
+	if res := docs[0].Results[0]; res.KernelStats.N != 3 || res.TotalStats.N != 3 || !strings.Contains(wr.Body.String(), `"n": 3`) {
+		t.Fatalf("answer reports %d/%d samples, want 3:\n%s", res.KernelStats.N, res.TotalStats.N, wr.Body.String())
+	}
+}

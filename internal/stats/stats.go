@@ -1,6 +1,6 @@
 // Package stats provides the small statistical helpers used by the benchmark
-// runner and the experiments: means, geometric means (the paper's summary
-// metric) and speedup computations.
+// runner and the experiments: geometric means (the paper's summary metric),
+// speedups and the repetition statistics of the results schema.
 package stats
 
 import (
@@ -11,18 +11,6 @@ import (
 
 // ErrEmpty is returned when a statistic of an empty sample is requested.
 var ErrEmpty = errors.New("stats: empty sample")
-
-// Mean returns the arithmetic mean of xs.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs)), nil
-}
 
 // GeoMean returns the geometric mean of xs. All values must be positive.
 func GeoMean(xs []float64) (float64, error) {
@@ -39,23 +27,6 @@ func GeoMean(xs []float64) (float64, error) {
 	return math.Exp(sum / float64(len(xs))), nil
 }
 
-// MinMax returns the smallest and largest values of xs.
-func MinMax(xs []float64) (min, max float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max, nil
-}
-
 // Speedup returns baseline/measured: >1 means measured is faster than the
 // baseline. It returns 0 if measured is non-positive.
 func Speedup(baseline, measured time.Duration) float64 {
@@ -65,80 +36,18 @@ func Speedup(baseline, measured time.Duration) float64 {
 	return float64(baseline) / float64(measured)
 }
 
-// MeanDuration returns the arithmetic mean of the durations.
-func MeanDuration(ds []time.Duration) (time.Duration, error) {
-	if len(ds) == 0 {
-		return 0, ErrEmpty
-	}
-	var sum time.Duration
-	for _, d := range ds {
-		sum += d
-	}
-	return sum / time.Duration(len(ds)), nil
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	varSum := 0.0
-	for _, x := range xs {
-		d := x - m
-		varSum += d * d
-	}
-	return math.Sqrt(varSum / float64(len(xs))), nil
-}
-
 // DurationStats summarises repeated duration measurements of one quantity:
-// the mean the paper reports, plus the spread needed to judge whether the
-// repetition count was sufficient. The JSON tags are part of the versioned
-// results schema (report.SchemaVersion): durations serialise as integer
-// nanoseconds.
+// the mean the paper reports, plus the spread of the samples. The simulator
+// is deterministic, so the runner reports N equal samples of one measured
+// duration d: {Mean: d, Min: d, Max: d, StdDev: 0, N: n}. The JSON tags are
+// part of the versioned results schema (report.SchemaVersion): durations
+// serialise as integer nanoseconds.
 type DurationStats struct {
 	Mean   time.Duration `json:"mean_ns"`
 	Min    time.Duration `json:"min_ns"`
 	Max    time.Duration `json:"max_ns"`
 	StdDev time.Duration `json:"stddev_ns"`
-	// N is the number of measured samples (warm-up runs excluded).
+	// N is the number of samples: the runner's repetition count, all of
+	// them the replay of the cell's one execution.
 	N int `json:"n"`
-}
-
-// SummarizeDurations computes mean, min, max and population standard
-// deviation over the samples. The mean uses the same truncating integer
-// division as MeanDuration, so existing averaged results are unchanged.
-func SummarizeDurations(ds []time.Duration) (DurationStats, error) {
-	mean, err := MeanDuration(ds)
-	if err != nil {
-		return DurationStats{}, err
-	}
-	xs := make([]float64, len(ds))
-	for i, d := range ds {
-		xs[i] = float64(d)
-	}
-	min, max, err := MinMax(xs)
-	if err != nil {
-		return DurationStats{}, err
-	}
-	sd, err := StdDev(xs)
-	if err != nil {
-		return DurationStats{}, err
-	}
-	return DurationStats{
-		Mean:   mean,
-		Min:    time.Duration(min),
-		Max:    time.Duration(max),
-		StdDev: time.Duration(math.Round(sd)),
-		N:      len(ds),
-	}, nil
-}
-
-// RelStdDev returns the coefficient of variation (stddev/mean), or 0 when the
-// mean is not positive.
-func (s DurationStats) RelStdDev() float64 {
-	if s.Mean <= 0 {
-		return 0
-	}
-	return float64(s.StdDev) / float64(s.Mean)
 }

@@ -9,16 +9,6 @@ import (
 	"vcomputebench/internal/stats"
 )
 
-func TestMean(t *testing.T) {
-	if _, err := stats.Mean(nil); !errors.Is(err, stats.ErrEmpty) {
-		t.Fatalf("Mean(nil) error = %v, want ErrEmpty", err)
-	}
-	m, err := stats.Mean([]float64{1, 2, 3, 4})
-	if err != nil || m != 2.5 {
-		t.Fatalf("Mean = %v, %v; want 2.5", m, err)
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if _, err := stats.GeoMean(nil); !errors.Is(err, stats.ErrEmpty) {
 		t.Fatalf("GeoMean(nil) error = %v, want ErrEmpty", err)
@@ -35,30 +25,6 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	if _, _, err := stats.MinMax(nil); !errors.Is(err, stats.ErrEmpty) {
-		t.Fatalf("MinMax(nil) error = %v, want ErrEmpty", err)
-	}
-	min, max, err := stats.MinMax([]float64{3, -1, 7, 2})
-	if err != nil || min != -1 || max != 7 {
-		t.Fatalf("MinMax = %v, %v, %v; want -1, 7", min, max, err)
-	}
-}
-
-func TestStdDev(t *testing.T) {
-	if _, err := stats.StdDev(nil); !errors.Is(err, stats.ErrEmpty) {
-		t.Fatalf("StdDev(nil) error = %v, want ErrEmpty", err)
-	}
-	sd, err := stats.StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil || math.Abs(sd-2) > 1e-12 {
-		t.Fatalf("StdDev = %v, %v; want 2", sd, err)
-	}
-	sd, err = stats.StdDev([]float64{5, 5, 5})
-	if err != nil || sd != 0 {
-		t.Fatalf("StdDev of constant sample = %v, %v; want 0", sd, err)
-	}
-}
-
 func TestSpeedupZeroGuard(t *testing.T) {
 	if sp := stats.Speedup(time.Second, 0); sp != 0 {
 		t.Fatalf("Speedup with zero measured = %v, want 0", sp)
@@ -68,44 +34,5 @@ func TestSpeedupZeroGuard(t *testing.T) {
 	}
 	if sp := stats.Speedup(10*time.Millisecond, 5*time.Millisecond); sp != 2 {
 		t.Fatalf("Speedup = %v, want 2", sp)
-	}
-}
-
-func TestMeanDuration(t *testing.T) {
-	if _, err := stats.MeanDuration(nil); !errors.Is(err, stats.ErrEmpty) {
-		t.Fatalf("MeanDuration(nil) error = %v, want ErrEmpty", err)
-	}
-	m, err := stats.MeanDuration([]time.Duration{time.Second, 3 * time.Second})
-	if err != nil || m != 2*time.Second {
-		t.Fatalf("MeanDuration = %v, %v; want 2s", m, err)
-	}
-}
-
-func TestSummarizeDurations(t *testing.T) {
-	if _, err := stats.SummarizeDurations(nil); !errors.Is(err, stats.ErrEmpty) {
-		t.Fatalf("SummarizeDurations(nil) error = %v, want ErrEmpty", err)
-	}
-	s, err := stats.SummarizeDurations([]time.Duration{
-		10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Mean != 20*time.Millisecond || s.Min != 10*time.Millisecond || s.Max != 30*time.Millisecond || s.N != 3 {
-		t.Fatalf("summary = %+v", s)
-	}
-	// Population stddev of {10,20,30}ms is sqrt(200/3) ms.
-	want := time.Duration(math.Round(math.Sqrt(200.0/3.0) * float64(time.Millisecond)))
-	if s.StdDev != want {
-		t.Fatalf("StdDev = %v, want %v", s.StdDev, want)
-	}
-	if rsd := s.RelStdDev(); math.Abs(rsd-float64(want)/float64(20*time.Millisecond)) > 1e-9 {
-		t.Fatalf("RelStdDev = %v", rsd)
-	}
-}
-
-func TestRelStdDevZeroMean(t *testing.T) {
-	if rsd := (stats.DurationStats{Mean: 0, StdDev: time.Second}).RelStdDev(); rsd != 0 {
-		t.Fatalf("RelStdDev with zero mean = %v, want 0", rsd)
 	}
 }

@@ -2,6 +2,7 @@ package vcomputebench_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -61,6 +62,36 @@ func TestPersistentStoreReplayMatchesExecution(t *testing.T) {
 					requireSameResult(t, "execute vs warm-store replay", executed, replayed)
 				})
 			}
+		}
+	}
+}
+
+// TestPersistentStoreServesEveryReps: the store key holds no repetition
+// count, so entries written at -reps 1 answer every other -reps without
+// executing, and each Result equals a fresh uncached run at that count.
+func TestPersistentStoreServesEveryReps(t *testing.T) {
+	p, err := platforms.ByID(platforms.IDGTX1050Ti)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"vectoradd", "membandwidth", "bfs"}
+	dir := t.TempDir()
+	cold := &core.Runner{Repetitions: 1, Seed: 42, Cache: openStore(t, dir)}
+	for _, name := range names {
+		if _, ok := runCell(t, cold, p, name, hw.APIVulkan); !ok {
+			t.Fatalf("%s/vulkan unexpectedly excluded", name)
+		}
+	}
+	for _, reps := range []int{2, 3} {
+		warm := &core.Runner{Repetitions: reps, Seed: 42, Cache: openStore(t, dir)}
+		fresh := &core.Runner{Repetitions: reps, Seed: 42}
+		for _, name := range names {
+			replayed, _ := runCell(t, warm, p, name, hw.APIVulkan)
+			executed, _ := runCell(t, fresh, p, name, hw.APIVulkan)
+			requireSameResult(t, fmt.Sprintf("%s at %d reps: fresh vs stored at 1 rep", name, reps), executed, replayed)
+		}
+		if st := warm.Cache.Stats(); st.Misses != 0 || st.Hits != uint64(len(names)) {
+			t.Fatalf("%d reps over a 1-rep store: stats = %+v, want %d hits and 0 misses", reps, st, len(names))
 		}
 	}
 }

@@ -88,10 +88,13 @@ func requireSameResult(t *testing.T, label string, want, got *core.Result) {
 // TestReplayMatchesExecution pins the execute/replay contract on every
 // platform and API: a cell served from the snapshot cache (analytic replay)
 // is byte-identical to the same cell executed fresh — durations, repetition
-// statistics and achieved-bandwidth extras included.
+// statistics and achieved-bandwidth extras included. A fresh execution
+// returns through replay too, after the runner's replay check compared that
+// replay with what the run itself measured, so the chain from measured value
+// to stored entry is covered end to end.
 func TestReplayMatchesExecution(t *testing.T) {
 	if raceDetectorEnabled {
-		t.Skip("single-threaded determinism matrix; executing every cell three times under the race detector adds minutes, not coverage")
+		t.Skip("single-threaded determinism matrix; executing every cell twice under the race detector adds minutes, not coverage")
 	}
 	for _, p := range platforms.All() {
 		for _, api := range p.Profile.SupportedAPIs() {

@@ -36,7 +36,9 @@ type Workload = core.Workload
 // Result is the outcome of one benchmark run.
 type Result = core.Result
 
-// Runner executes benchmarks with repetitions and averaging.
+// Runner measures benchmarks: each cell executes once on a fresh simulated
+// device, and its result reports that deterministic run as Repetitions equal
+// samples (the paper's average of several runs).
 type Runner = core.Runner
 
 // Platform is one of the paper's experimental platforms.
