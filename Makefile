@@ -42,8 +42,10 @@ chaos:
 # every time, so the perf trajectory is reviewable in the diff.
 bench: bench-dispatch bench-suite bench-serve bench-replay
 
+# The dispatch layer: the kernels.Execute microbenchmarks and what a dispatch
+# memo hit costs instead (key plus lookup, internal/hw).
 bench-dispatch:
-	set -o pipefail; $(GO) test -run '^$$' -bench '^BenchmarkExecute' -benchmem ./internal/kernels \
+	set -o pipefail; $(GO) test -run '^$$' -bench '^Benchmark(Execute|DispatchMemoHit)' -benchmem ./internal/kernels ./internal/hw \
 		| $(GO) run ./cmd/benchjson -update BENCH_dispatch.json
 
 # Suite wall-time: the calibration sweep and `-run all` — cached (one

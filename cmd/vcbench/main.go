@@ -242,19 +242,22 @@ func openStore(dir string, gc bool, cmd string) (*core.DiskStore, error) {
 
 // printCacheStats reports the snapshot store's traffic: misses are cells that
 // executed, hits are cells served by analytic replay. Composed stores get a
-// per-tier breakdown.
+// per-tier breakdown. The last line splits the executed cells' dispatches
+// into those that ran and those a sibling API cell's dispatch memo served.
 func printCacheStats(c core.SnapshotStore) {
 	if c == nil {
 		fmt.Fprintln(os.Stderr, "vcbench: snapshot cache disabled (-cache=false)")
-		return
+	} else {
+		s := c.Stats()
+		fmt.Fprintf(os.Stderr, "vcbench: snapshot store: %d executed (misses), %d replayed (hits), %d entries, %d evictions\n",
+			s.Misses, s.Hits, s.Entries, s.Evictions)
+		for _, t := range s.Tiers {
+			fmt.Fprintf(os.Stderr, "vcbench:   %s tier: %d hits, %d misses, %d evictions, %d entries, %d bytes, %d decode failures, %d dropped puts\n",
+				t.Tier, t.Hits, t.Misses, t.Evictions, t.Entries, t.Bytes, t.DecodeFailures, t.DroppedPuts)
+		}
 	}
-	s := c.Stats()
-	fmt.Fprintf(os.Stderr, "vcbench: snapshot store: %d executed (misses), %d replayed (hits), %d entries, %d evictions\n",
-		s.Misses, s.Hits, s.Entries, s.Evictions)
-	for _, t := range s.Tiers {
-		fmt.Fprintf(os.Stderr, "vcbench:   %s tier: %d hits, %d misses, %d evictions, %d entries, %d bytes, %d decode failures, %d dropped puts\n",
-			t.Tier, t.Hits, t.Misses, t.Evictions, t.Entries, t.Bytes, t.DecodeFailures, t.DroppedPuts)
-	}
+	executed, fromMemo := hw.DispatchCounts()
+	fmt.Fprintf(os.Stderr, "vcbench: dispatches: %d executed, %d from the memo\n", executed, fromMemo)
 }
 
 func listAll() {

@@ -48,7 +48,7 @@ func dispatchBench(name string, apis []hw.API, workloads []core.Workload, dispat
 			return nil, err
 		}
 		for i := 0; i < dispatches; i++ {
-			if _, err := q.ExecuteKernel(prog, kernels.DispatchConfig{Groups: kernels.D1(1)}, hw.Cost{}); err != nil {
+			if _, err := q.ExecuteKernel(prog, kernels.DispatchConfig{Groups: kernels.D1(1)}, nil, hw.Cost{}); err != nil {
 				return nil, err
 			}
 		}
@@ -149,7 +149,7 @@ func TestChaosKernelPanicRecovery(t *testing.T) {
 			Parallelism: parallelism,
 		}
 	}
-	want, err := kernels.Execute(clean, dispatch(1))
+	want, _, err := kernels.Execute(clean, dispatch(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestChaosKernelPanicRecovery(t *testing.T) {
 			if ctx.Workload.Label == "w1" {
 				prog = bad
 			}
-			if _, err := q.ExecuteKernel(prog, dispatch(0), hw.Cost{}); err != nil {
+			if _, err := q.ExecuteKernel(prog, dispatch(0), nil, hw.Cost{}); err != nil {
 				return nil, err
 			}
 			res := measured(ctx, time.Millisecond, time.Millisecond)
@@ -205,7 +205,7 @@ func TestChaosKernelPanicRecovery(t *testing.T) {
 		}
 
 		for i := 0; i < 4; i++ {
-			got, err := kernels.Execute(clean, dispatch(par))
+			got, _, err := kernels.Execute(clean, dispatch(par))
 			if err != nil {
 				t.Fatal(err)
 			}

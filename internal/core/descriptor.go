@@ -94,6 +94,15 @@ type Descriptor struct {
 	Traffic TrafficModel
 	// Run executes the workload once under the given context.
 	Run func(ctx *RunContext) (*Result, error)
+	// PerAPIDeviceWork declares that the workload's API paths dispatch
+	// different device work, as membandwidth's CUDA path adds a warm-up
+	// launch. The API cells of every other workload dispatch the same kernels
+	// on the same inputs, so a suite executes each dispatch of a triple once
+	// and the sibling cells take it from the triple's dispatch memo; a
+	// workload with this set runs every cell's dispatches itself.
+	// TestAPIsDispatchTheSameWork holds the declaration to the truth both
+	// ways.
+	PerAPIDeviceWork bool
 }
 
 // validate reports why the descriptor is not registrable, or nil.

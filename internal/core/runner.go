@@ -106,7 +106,7 @@ func NewRunner() *Runner { return &Runner{Repetitions: DefaultRepetitions, Seed:
 // a replay of the stored snapshot on a hit, else one execution on a fresh
 // device.
 func (r *Runner) Run(p *platforms.Platform, b Benchmark, api hw.API, w Workload) (*Result, error) {
-	return r.run(r.baseContext(), p, b, api, w, r.DispatchParallelism, nil)
+	return r.run(r.baseContext(), p, b, api, w, cellEnv{dispatchParallel: r.DispatchParallelism})
 }
 
 // ReplayCell is the lookup half of a cell: the exclusion checks, then
@@ -154,21 +154,30 @@ func (r *Runner) ExecuteCell(ctx context.Context, p *platforms.Platform, b Bench
 	if err := checkCell(p, b, api); err != nil {
 		return nil, err
 	}
-	return r.execCell(ctx, p, b, api, w, r.DispatchParallelism, nil)
+	return r.execCell(ctx, p, b, api, w, cellEnv{dispatchParallel: r.DispatchParallelism})
 }
 
-// run is Run with an explicit cell context, per-dispatch core budget (0 =
-// whole machine) and input stream table; RunSuite passes the budget it
-// computed for its pool size and the table its cells share, and a nil table
-// gives the call its own. It composes ReplayCell with ExecuteCell's
-// execution, the same lookup-then-execute path the serve front end takes.
-func (r *Runner) run(ctx context.Context, p *platforms.Platform, b Benchmark, api hw.API, w Workload,
-	dispatchParallel int, streams *inputStreams) (*Result, error) {
+// cellEnv is what a cell's execution shares with the cells around it.
+type cellEnv struct {
+	// dispatchParallel is the per-dispatch core budget (0 = whole machine).
+	dispatchParallel int
+	// streams is the input stream table; nil gives the cell its own.
+	streams *inputStreams
+	// memo is the dispatch memo of the cell's triple, or nil.
+	memo *hw.DispatchMemo
+}
+
+// run is Run with an explicit cell context and environment: RunSuite passes
+// the core budget it computed for its pool size, the stream table its cells
+// share and the memo of the cell's triple. It composes ReplayCell with
+// ExecuteCell's execution, the same lookup-then-execute path the serve front
+// end takes.
+func (r *Runner) run(ctx context.Context, p *platforms.Platform, b Benchmark, api hw.API, w Workload, env cellEnv) (*Result, error) {
 	res, hit, err := r.ReplayCell(p, b, api, w)
 	if hit || err != nil {
 		return res, err
 	}
-	return r.execCell(ctx, p, b, api, w, dispatchParallel, streams)
+	return r.execCell(ctx, p, b, api, w, env)
 }
 
 // checkCell rejects nil arguments and the cells a platform quirk, a missing
@@ -198,11 +207,13 @@ func checkCell(p *platforms.Platform, b Benchmark, api hw.API) error {
 }
 
 // execCell executes a checked cell: attempts with retries, each under the
-// cell deadline and its fault plan, storing a clean first attempt.
-func (r *Runner) execCell(ctx context.Context, p *platforms.Platform, b Benchmark, api hw.API, w Workload,
-	dispatchParallel int, streams *inputStreams) (*Result, error) {
-	if streams == nil {
-		streams = newInputStreams()
+// cell deadline and its fault plan, storing a clean first attempt. An
+// attempt the memo could not serve runs again without it; that rerun is not
+// a retry: it keeps the attempt's plan, its dispatch ordinals count from 0
+// again, and a clean rerun of the first attempt is stored.
+func (r *Runner) execCell(ctx context.Context, p *platforms.Platform, b Benchmark, api hw.API, w Workload, env cellEnv) (*Result, error) {
+	if env.streams == nil {
+		env.streams = newInputStreams()
 	}
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -215,7 +226,14 @@ func (r *Runner) execCell(ctx context.Context, p *platforms.Platform, b Benchmar
 				API: string(api), Attempt: attempt,
 			})
 		}
-		res, snap, err := r.executeAttempt(ctx, p, b, api, w, dispatchParallel, streams, plan)
+		res, snap, err := r.executeAttempt(ctx, p, b, api, w, env, plan)
+		if env.memo != nil && env.memo.Missed() && (plan == nil || !plan.Fired()) {
+			// A fault that fired first ended the attempt as the cell alone
+			// would have; only a miss that ended it reruns.
+			alone := env
+			alone.memo = nil
+			res, snap, err = r.executeAttempt(ctx, p, b, api, w, alone, plan)
+		}
 		if err == nil && plan != nil && plan.Fired() {
 			// A fired fault that did not surface as an error means some layer
 			// swallowed it; trusting the result would defeat the fault model.
@@ -287,7 +305,7 @@ func (r *Runner) sleepBackoff(ctx context.Context, attempt int) {
 // executeAttempt runs one attempt of a cell under the per-cell deadline,
 // converting a panicking benchmark into an error instead of a dead process.
 func (r *Runner) executeAttempt(ctx context.Context, p *platforms.Platform, b Benchmark, api hw.API,
-	w Workload, dispatchParallel int, streams *inputStreams, plan *faults.Plan) (res *Result, snap *Snapshot, err error) {
+	w Workload, env cellEnv, plan *faults.Plan) (res *Result, snap *Snapshot, err error) {
 	if r.CellTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.CellTimeout)
@@ -300,7 +318,7 @@ func (r *Runner) executeAttempt(ctx context.Context, p *platforms.Platform, b Be
 				&PanicError{Value: v, Stack: debug.Stack()})
 		}
 	}()
-	return r.execute(ctx, p, b, api, w, dispatchParallel, streams, plan)
+	return r.execute(ctx, p, b, api, w, env, plan)
 }
 
 // faultHook builds the pre-dispatch hook installed on the device of one
@@ -342,13 +360,14 @@ func faultHook(ctx context.Context, plan *faults.Plan) func() error {
 // measured: such a cell would give one answer executed and another stored.
 // The fault hook enforces ctx and plan at every dispatch.
 func (r *Runner) execute(ctx context.Context, p *platforms.Platform, b Benchmark, api hw.API, w Workload,
-	dispatchParallel int, streams *inputStreams, plan *faults.Plan) (*Result, *Snapshot, error) {
+	env cellEnv, plan *faults.Plan) (*Result, *Snapshot, error) {
 	dev, err := p.NewDevice()
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: creating device for %s: %w", p.ID, err)
 	}
-	dev.SetDispatchParallelism(dispatchParallel)
+	dev.SetDispatchParallelism(env.dispatchParallel)
 	dev.SetFaultHook(faultHook(ctx, plan))
+	dev.SetDispatchMemo(env.memo)
 	host := hw.NewHost(dev, api)
 	rctx := &RunContext{
 		Ctx:      ctx,
@@ -359,7 +378,7 @@ func (r *Runner) execute(ctx context.Context, p *platforms.Platform, b Benchmark
 		Workload: w,
 		Seed:     r.Seed,
 		Validate: r.Validate,
-		streams:  streams,
+		streams:  env.streams,
 	}
 	run, err := b.Run(rctx)
 	if err != nil {

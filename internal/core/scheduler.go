@@ -15,8 +15,11 @@ import (
 // suiteTask is one cell of the (benchmark, workload, API) grid RunSuite
 // walks. idx is the cell's position in grid order; outcomes are merged by it
 // so the suite result is deterministic regardless of completion order.
+// triple numbers the cell's (benchmark, workload) pair on the suite's
+// platform: the API cells of a triple are adjacent in grid order.
 type suiteTask struct {
 	idx      int
+	triple   int
 	bench    Benchmark
 	workload Workload
 	api      hw.API
@@ -34,14 +37,65 @@ type suiteOutcome struct {
 // the serial runner used, which is also the order results are merged in.
 func enumerateSuite(p *platforms.Platform, benchmarks []Benchmark, apis []hw.API) []suiteTask {
 	var tasks []suiteTask
+	triple := 0
 	for _, b := range benchmarks {
 		for _, w := range b.Workloads(p.Profile.Class) {
 			for _, api := range apis {
-				tasks = append(tasks, suiteTask{idx: len(tasks), bench: b, workload: w, api: api})
+				tasks = append(tasks, suiteTask{idx: len(tasks), triple: triple, bench: b, workload: w, api: api})
 			}
+			triple++
 		}
 	}
 	return tasks
+}
+
+// suiteUnit is what one worker runs at a time: the API cells of a triple
+// that share a dispatch memo, in grid order, or a single cell.
+type suiteUnit struct {
+	cells []suiteTask
+	// shared: the cells share a memo, and last is the index of the last cell
+	// that can execute on it.
+	shared bool
+	last   int
+}
+
+// suiteUnits splits the grid into the units its workers run.
+func suiteUnits(p *platforms.Platform, tasks []suiteTask) []suiteUnit {
+	var units []suiteUnit
+	for start := 0; start < len(tasks); {
+		end := start + 1
+		for end < len(tasks) && tasks[end].triple == tasks[start].triple {
+			end++
+		}
+		cells := tasks[start:end]
+		if last, ok := sharedTriple(p, cells); ok {
+			units = append(units, suiteUnit{cells: cells, shared: true, last: last})
+		} else {
+			for i := range cells {
+				units = append(units, suiteUnit{cells: cells[i : i+1]})
+			}
+		}
+		start = end
+	}
+	return units
+}
+
+// sharedTriple reports whether a triple's cells share a dispatch memo, and
+// the index of the last cell that can execute on it. They do unless fewer
+// than two can execute, or the benchmark declares that its API paths
+// dispatch different device work (Descriptor.PerAPIDeviceWork).
+func sharedTriple(p *platforms.Platform, cells []suiteTask) (last int, ok bool) {
+	reg, isReg := cells[0].bench.(registered)
+	if !isReg || reg.d.PerAPIDeviceWork {
+		return 0, false
+	}
+	runnable := 0
+	for i, t := range cells {
+		if checkCell(p, t.bench, t.api) == nil {
+			runnable, last = runnable+1, i
+		}
+	}
+	return last, runnable >= 2
 }
 
 // workers resolves the effective worker-pool size: Parallelism if positive,
@@ -78,59 +132,66 @@ func (r *Runner) dispatchBudget(workers int) int {
 }
 
 // runSuiteTasks executes every task and returns the outcomes indexed in grid
-// order. Each execution creates a fresh simulated device. Sibling cells
-// share one thing: the suite's input stream table, whose words are read-only
-// and which extends a stream only under that stream's lock. So tasks fan out
-// across a worker pool; with one worker the tasks run inline. Both paths stop
-// launching new cells once a hard error demands an abort (in-flight parallel
-// cells still finish) — on every hard error by default, matching the
-// historical fail-fast serial behaviour, or only on cancellation when the
-// runner keeps going. A panicking cell is recovered into a failed outcome;
-// the pool, and the process, survive it.
+// order. Each execution creates a fresh simulated device. The API cells of a
+// triple that share device work run one after another, in grid order, on
+// one worker, and share the triple's dispatch memo, which is dropped when
+// the last of them ends: a dispatch one of them executed, the others take
+// from it. Beyond that, cells share one thing: the suite's input stream
+// table, whose words are read-only and which extends a stream only under
+// that stream's lock. So the units fan out across a worker pool; with one
+// worker they run inline. Both paths stop launching new cells once a hard
+// error demands an abort (in-flight parallel cells still finish) — on every
+// hard error by default, matching the historical fail-fast serial
+// behaviour, or only on cancellation when the runner keeps going. A
+// panicking cell is recovered into a failed outcome; the pool, and the
+// process, survive it.
 func (r *Runner) runSuiteTasks(p *platforms.Platform, tasks []suiteTask) []suiteOutcome {
 	outcomes := make([]suiteOutcome, len(tasks))
 	ctx := r.baseContext()
-	workers := r.workers()
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+	units := suiteUnits(p, tasks)
+	workers := min(r.workers(), len(units))
 	dispatchParallel := r.dispatchBudget(workers)
 	streams := newInputStreams()
-	if workers <= 1 {
-		for _, t := range tasks {
-			if ctx.Err() != nil {
-				break // unexecuted cells stay zero; RunSuite surfaces the cancellation
+	var aborted atomic.Bool // set on the first aborting error so no new cell starts
+	runUnit := func(u suiteUnit) {
+		env := cellEnv{dispatchParallel: dispatchParallel, streams: streams}
+		if u.shared {
+			env.memo = hw.NewDispatchMemo()
+		}
+		for i, t := range u.cells {
+			if aborted.Load() || ctx.Err() != nil {
+				return // unexecuted cells stay zero; the merge skips them, RunSuite surfaces a cancellation
 			}
-			res, err := r.safeRun(p, t, dispatchParallel, streams)
+			if env.memo != nil {
+				env.memo.SetRecording(i < u.last)
+			}
+			res, err := r.safeRun(p, t, env)
 			outcomes[t.idx] = suiteOutcome{res: res, err: err}
 			if r.abortOn(err) {
-				break
+				aborted.Store(true)
 			}
+		}
+	}
+	if workers <= 1 {
+		for _, u := range units {
+			runUnit(u)
 		}
 		return outcomes
 	}
 
-	ch := make(chan suiteTask)
+	ch := make(chan suiteUnit)
 	var wg sync.WaitGroup
-	var aborted atomic.Bool // set on the first aborting error so workers stop picking up new cells
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for t := range ch {
-				if aborted.Load() || ctx.Err() != nil {
-					continue // drain; unexecuted cells stay zero and the merge skips them
-				}
-				res, err := r.safeRun(p, t, dispatchParallel, streams)
-				outcomes[t.idx] = suiteOutcome{res: res, err: err}
-				if r.abortOn(err) {
-					aborted.Store(true)
-				}
+			for u := range ch {
+				runUnit(u)
 			}
 		}()
 	}
-	for _, t := range tasks {
-		ch <- t
+	for _, u := range units {
+		ch <- u
 	}
 	close(ch)
 	wg.Wait()
@@ -141,7 +202,7 @@ func (r *Runner) runSuiteTasks(p *platforms.Platform, tasks []suiteTask) []suite
 // own machinery (result summarising, snapshot binding — benchmark panics are
 // already recovered per attempt) into a failed outcome so no cell can kill
 // the scheduler.
-func (r *Runner) safeRun(p *platforms.Platform, t suiteTask, dispatchParallel int, streams *inputStreams) (res *Result, err error) {
+func (r *Runner) safeRun(p *platforms.Platform, t suiteTask, env cellEnv) (res *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res = nil
@@ -152,7 +213,7 @@ func (r *Runner) safeRun(p *platforms.Platform, t suiteTask, dispatchParallel in
 			}
 		}
 	}()
-	return r.run(r.baseContext(), p, t.bench, t.api, t.workload, dispatchParallel, streams)
+	return r.run(r.baseContext(), p, t.bench, t.api, t.workload, env)
 }
 
 // abortOn decides whether a cell error stops the scheduler from launching

@@ -24,6 +24,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"vcomputebench/internal/hw"
@@ -169,6 +170,9 @@ func bindHostMarkReading(tr *hw.Trace, want time.Duration) (int, bool) {
 	}
 	return 0, false
 }
+
+// Kernels returns the dispatches the snapshot's run recorded, in order.
+func (s *Snapshot) Kernels() []hw.KernelRecord { return slices.Clone(s.trace.Kernels) }
 
 // Replay recomputes the cell's Result under the platform's current profile —
 // typically a clone of the recorded platform with different DriverProfile

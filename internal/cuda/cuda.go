@@ -112,9 +112,11 @@ type DevicePtr struct {
 // Size returns the allocation size in bytes.
 func (p *DevicePtr) Size() int64 { return p.size }
 
-// Words exposes the backing words; the kernels access device memory through
-// this at launch time.
+// Words exposes the backing words to the host.
 func (p *DevicePtr) Words() kernels.Words { return p.alloc.Words() }
+
+// binding binds the whole allocation to a launch.
+func (p *DevicePtr) binding() hw.Binding { return p.alloc.Bind(0, p.alloc.Len()) }
 
 // Malloc allocates device memory. In contrast to the ~40 lines of Vulkan code
 // needed for the same result (§VI-A), this is a single call.
@@ -145,8 +147,8 @@ func (c *Context) MemcpyHtoD(dst *DevicePtr, src kernels.Words) error {
 	if dst == nil {
 		return ErrInvalidDevicePointer
 	}
-	if len(src) > len(dst.alloc.Words()) {
-		return fmt.Errorf("%w: copy of %d words into allocation of %d words", ErrInvalidValue, len(src), len(dst.alloc.Words()))
+	if len(src) > dst.alloc.Len() {
+		return fmt.Errorf("%w: copy of %d words into allocation of %d words", ErrInvalidValue, len(src), dst.alloc.Len())
 	}
 	c.host.Spend(hostCall)
 	copy(dst.alloc.Words(), src)
@@ -159,8 +161,8 @@ func (c *Context) MemcpyDtoH(dst kernels.Words, src *DevicePtr) error {
 	if src == nil {
 		return ErrInvalidDevicePointer
 	}
-	if len(dst) > len(src.alloc.Words()) {
-		return fmt.Errorf("%w: copy of %d words from allocation of %d words", ErrInvalidValue, len(dst), len(src.alloc.Words()))
+	if len(dst) > src.alloc.Len() {
+		return fmt.Errorf("%w: copy of %d words from allocation of %d words", ErrInvalidValue, len(dst), src.alloc.Len())
 	}
 	c.host.Spend(hostCall)
 	copy(dst, src.alloc.Words())
@@ -251,16 +253,16 @@ func (s *Stream) Launch(k *Kernel, grid kernels.Dim3, block kernels.Dim3, args A
 		return fmt.Errorf("%w: kernel %q expects %d buffer arguments, got %d",
 			ErrInvalidValue, k.prog.Name, k.prog.Bindings, len(args.Buffers))
 	}
-	buffers := make([]kernels.Words, len(args.Buffers))
+	binds := make([]hw.Binding, len(args.Buffers))
 	for i, b := range args.Buffers {
 		if b == nil {
 			return fmt.Errorf("%w: buffer argument %d is nil", ErrInvalidDevicePointer, i)
 		}
-		buffers[i] = b.alloc.Words()
+		binds[i] = b.binding()
 	}
 	s.ctx.host.Spend(hw.KnobCost(hw.KnobKernelLaunch))
-	cfg := kernels.DispatchConfig{Groups: grid, Buffers: buffers, Push: args.Values}
-	_, err := s.hw.ExecuteKernel(k.prog, cfg, hw.KnobCost(hw.KnobPipelineBind))
+	cfg := kernels.DispatchConfig{Groups: grid, Push: args.Values}
+	_, err := s.hw.ExecuteKernel(k.prog, cfg, binds, hw.KnobCost(hw.KnobPipelineBind))
 	if err != nil {
 		// %w on the cause as well: fault classification must survive the
 		// API-level error translation.

@@ -82,6 +82,16 @@ func (d *Device) SetDispatchParallelism(n int) {
 // DispatchParallelism returns the per-dispatch worker budget (0 = GOMAXPROCS).
 func (d *Device) DispatchParallelism() int { return d.dispatchParallelism }
 
+// SetDispatchMemo attaches the dispatch memo a run shares with its sibling
+// API cells and starts the run on it: Missed is reset. Attach it before the
+// run's first dispatch and keep it until the run ends; nil runs without one.
+func (d *Device) SetDispatchMemo(m *DispatchMemo) {
+	if m != nil {
+		m.missed = false
+	}
+	d.mem.memo = m
+}
+
 // SetFaultHook installs (or, with nil, removes) the pre-dispatch hook every
 // ExecuteKernel consults. The hook runs on the dispatching goroutine before
 // any functional work; returning an error fails the dispatch through the same
@@ -158,7 +168,13 @@ func (q *Queue) schedule(ev TraceEvent) int32 {
 // work such as pipeline binds or barriers) on this queue. The dispatch is
 // recorded — program, counters and the symbolic extra cost — so replay can
 // recompute its duration under any driver profile.
-func (q *Queue) ExecuteKernel(prog *kernels.Program, cfg kernels.DispatchConfig, extra Cost) (KernelRun, error) {
+//
+// The kernel's buffers are the bound allocations, binding i at index i; cfg
+// carries no Buffers then. With a DispatchMemo attached, a dispatch a sibling
+// cell executed takes its counters from the memo; a hit still passes the
+// fault hook, so it consumes its dispatch ordinal. A dispatch of raw
+// cfg.Buffers (tests) always executes.
+func (q *Queue) ExecuteKernel(prog *kernels.Program, cfg kernels.DispatchConfig, binds []Binding, extra Cost) (KernelRun, error) {
 	if h := q.dev.faultHook; h != nil {
 		if err := h(); err != nil {
 			return KernelRun{}, err
@@ -183,12 +199,29 @@ func (q *Queue) ExecuteKernel(prog *kernels.Program, cfg kernels.DispatchConfig,
 		// through here).
 		cfg.Parallelism = q.dev.dispatchParallelism
 	}
-	counters, err := kernels.Execute(prog, cfg)
+	counters, err := q.dev.execute(prog, cfg, binds)
 	if err != nil {
 		return KernelRun{}, err
 	}
 	ref := q.schedule(TraceEvent{Kind: EvKernel, Kernel: host.dispatch(prog, counters), Cost: host.intern(extra)})
 	return KernelRun{Event: ref, Counters: *counters}, nil
+}
+
+// execute runs a dispatch: through the memo when one is attached and every
+// buffer is a bound allocation, else with kernels.Execute.
+func (d *Device) execute(prog *kernels.Program, cfg kernels.DispatchConfig, binds []Binding) (*kernels.Counters, error) {
+	if cfg.Buffers == nil {
+		cfg.Buffers = make([]kernels.Words, len(binds))
+		for i, b := range binds {
+			cfg.Buffers[i] = b.words()
+		}
+		if d.mem.memo != nil {
+			return d.mem.memo.execute(prog, cfg, binds)
+		}
+	}
+	dispatchesExecuted.Add(1)
+	c, _, err := kernels.Execute(prog, cfg)
+	return c, err
 }
 
 // ExecuteTransfer schedules a host<->device copy of n bytes on this queue and

@@ -40,7 +40,7 @@ func TestDispatchParallelismBudget(t *testing.T) {
 		}
 		buf := make(kernels.Words, 32*64)
 		run, err := q.ExecuteKernel(prog,
-			kernels.DispatchConfig{Groups: kernels.D1(32), Buffers: []kernels.Words{buf}}, hw.Cost{})
+			kernels.DispatchConfig{Groups: kernels.D1(32), Buffers: []kernels.Words{buf}}, nil, hw.Cost{})
 		if err != nil {
 			t.Fatal(err)
 		}

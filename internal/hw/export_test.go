@@ -1,8 +1,17 @@
 package hw
 
+import "vcomputebench/internal/kernels"
+
 // Exports for the external fuzz test, which links every registered kernel
 // program so that real recorded traces decode.
 var (
 	CodecTestRegistry = codecTestRegistry
 	ReplayDecoded     = replayDecoded
 )
+
+// MemoHit computes the memo key of a dispatch and looks it up, the work a
+// memo hit adds to a dispatch (BenchmarkDispatchMemoHit).
+func MemoHit(m *DispatchMemo, prog *kernels.Program, cfg *kernels.DispatchConfig, binds []Binding) bool {
+	_, ok := m.dispatches[m.key(prog, cfg, binds)]
+	return ok
+}

@@ -1,0 +1,283 @@
+package hw
+
+import (
+	"encoding/binary"
+	"errors"
+	"hash/maphash"
+	"slices"
+	"sync/atomic"
+	"unsafe"
+
+	"vcomputebench/internal/kernels"
+)
+
+// The paper ports one set of kernels to every API and attributes each
+// speedup to the host API (§IV-C, §V), so the API cells of one (benchmark,
+// workload, platform) triple dispatch the same device work. A DispatchMemo
+// lets them execute it once: the suite runs a triple's cells one after
+// another, and a dispatch a sibling cell already executed takes its counters
+// from the memo instead of running kernels.Execute again.
+//
+// A dispatch is keyed by what determines its outcome: the program, the grid,
+// the coalescing parameters, the push words, and for each bound buffer its
+// extent, how the bindings alias, and a content version kept on its
+// Allocation. The version of an allocation the host wrote is a hash of its
+// words, taken when it is first bound; a dispatch gives each buffer it
+// stored to a version derived from its key, and read-only buffers keep
+// theirs. Equal keys therefore mean equal inputs, and equal derived versions
+// mean equal outputs.
+//
+// A hit writes no words. The buffers it stored to take their derived
+// versions and await their content, which is copied in only when the host
+// touches them, from a copy a sibling took when its own host touched that
+// version. When a run needs content the memo never saw (a missed dispatch
+// binds an awaiting buffer, or the host touches one nobody copied), the run
+// stops and Missed reports it; the runner then runs the cell again without
+// the memo. Mapped words the host may touch at any time are hashed at every
+// bind, and a dispatch that binds them always executes.
+
+// version names an allocation's content.
+type version [2]uint64
+
+// contentState is what an allocation's version says about its words.
+type contentState uint8
+
+const (
+	// contentUnknown: the host may have written the words since their version
+	// was taken; the next bind hashes them.
+	contentUnknown contentState = iota
+	// contentZero: the allocation is fresh, its words all zero.
+	contentZero
+	// contentHashed: the version is the hash of the words.
+	contentHashed
+	// contentDerived: a dispatch executed here wrote the words and derived
+	// the version.
+	contentDerived
+	// contentPending: a memo hit derived the version; the words await its
+	// content.
+	contentPending
+)
+
+// Seeds of the content hashes. Versions are compared only within one
+// process, so random seeds serve.
+var versionSeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
+
+// hashBytes is the 128-bit version of a byte string.
+func hashBytes(b []byte) version {
+	return version{maphash.Bytes(versionSeeds[0], b), maphash.Bytes(versionSeeds[1], b)}
+}
+
+// hashWords is the version of a word buffer's content.
+func hashWords(w kernels.Words) version {
+	if len(w) == 0 {
+		return hashBytes(nil)
+	}
+	return hashBytes(unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), len(w)*4))
+}
+
+// zeroChunk is what hashZeros hashes n zero words from.
+var zeroChunk [16 << 10]byte
+
+// hashZeros is hashWords of n zero words, without allocating them.
+func hashZeros(n int) version {
+	var v version
+	for i, seed := range versionSeeds {
+		var h maphash.Hash
+		h.SetSeed(seed)
+		for left := n * 4; left > 0; left -= len(zeroChunk) {
+			h.Write(zeroChunk[:min(left, len(zeroChunk))])
+		}
+		v[i] = h.Sum64()
+	}
+	return v
+}
+
+// derive is the version a dispatch with the given key leaves in the buffer
+// it binds first at binding i.
+func derive(key version, i int) version {
+	return version{mix64(key[0] ^ uint64(i+1)*0x9e3779b97f4a7c15), mix64(key[1] + uint64(i+1)*0xbf58476d1ce4e5b9)}
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// Process-wide dispatch counts, for -cache-stats.
+var dispatchesExecuted, dispatchesFromMemo atomic.Uint64
+
+// DispatchCounts reports how many dispatches this process executed and how
+// many it took from a DispatchMemo instead.
+func DispatchCounts() (executed, fromMemo uint64) {
+	return dispatchesExecuted.Load(), dispatchesFromMemo.Load()
+}
+
+// errMemoMissed is the panic value that stops a run whose memo lacks content
+// the run needs. The runner recovers every panic of a run.
+var errMemoMissed = errors.New("hw: the dispatch memo lacks content this run needs")
+
+// DispatchMemo is the dispatch memo of one triple's API cells. The cells use
+// it one at a time, never concurrently.
+type DispatchMemo struct {
+	dispatches map[version]memoDispatch
+	contents   map[version]kernels.Words
+	programs   map[*kernels.Program]uint64
+	zeros      map[int]version
+	buf        []byte
+	// recording: the current run adds its dispatches and content copies;
+	// the last cell of a triple has nobody to add them for.
+	recording bool
+	missed    bool
+}
+
+// NewDispatchMemo returns an empty memo that records.
+func NewDispatchMemo() *DispatchMemo {
+	return &DispatchMemo{
+		dispatches: make(map[version]memoDispatch),
+		contents:   make(map[version]kernels.Words),
+		programs:   make(map[*kernels.Program]uint64),
+		zeros:      make(map[int]version),
+		recording:  true,
+	}
+}
+
+// SetRecording sets whether the runs that use the memo from now on add
+// their dispatches and content copies to it.
+func (m *DispatchMemo) SetRecording(on bool) { m.recording = on }
+
+// Missed reports whether the latest run attached to the memo stopped for
+// content the memo never saw.
+func (m *DispatchMemo) Missed() bool { return m.missed }
+
+// miss stops the run.
+func (m *DispatchMemo) miss() {
+	m.missed = true
+	panic(errMemoMissed)
+}
+
+// key is the version naming a dispatch's outcome. It hashes the content of
+// every bound buffer whose version is unknown.
+func (m *DispatchMemo) key(prog *kernels.Program, cfg *kernels.DispatchConfig, binds []Binding) version {
+	id, ok := m.programs[prog]
+	if !ok {
+		id = uint64(len(m.programs))
+		m.programs[prog] = id
+	}
+	b := binary.LittleEndian.AppendUint64(m.buf[:0], id)
+	for _, v := range []int{cfg.Groups.X, cfg.Groups.Y, cfg.Groups.Z, cfg.WarpSize, cfg.CacheLineBytes,
+		cfg.MaxExactInvocations, len(cfg.Push), len(binds)} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	for _, w := range cfg.Push {
+		b = binary.LittleEndian.AppendUint32(b, w)
+	}
+	for i, bd := range binds {
+		a := bd.alloc
+		ver := m.version(a)
+		b = binary.LittleEndian.AppendUint64(b, uint64(firstBinding(binds, i)))
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(a.words)))
+		b = binary.LittleEndian.AppendUint64(b, uint64(bd.offset))
+		b = binary.LittleEndian.AppendUint64(b, uint64(bd.len))
+		b = binary.LittleEndian.AppendUint64(b, ver[0])
+		b = binary.LittleEndian.AppendUint64(b, ver[1])
+	}
+	m.buf = b
+	return hashBytes(b)
+}
+
+// firstBinding returns the first binding index that binds the same
+// allocation as binding i: the key holds how the bindings alias.
+func firstBinding(binds []Binding, i int) int {
+	for j := range i {
+		if binds[j].alloc == binds[i].alloc {
+			return j
+		}
+	}
+	return i
+}
+
+// version returns the allocation's content version, hashing its words when
+// the host may have written them.
+func (m *DispatchMemo) version(a *Allocation) version {
+	switch {
+	case a.state == contentUnknown || a.mapped:
+		a.ver, a.state = hashWords(a.words), contentHashed
+	case a.state == contentZero:
+		v, ok := m.zeros[len(a.words)]
+		if !ok {
+			v = hashZeros(len(a.words))
+			m.zeros[len(a.words)] = v
+		}
+		a.ver, a.state = v, contentHashed
+	}
+	return a.ver
+}
+
+// memoDispatch is what the memo keeps of an executed dispatch.
+type memoDispatch struct {
+	counters kernels.Counters
+	stored   uint64 // kernels.Execute's stored bindings
+}
+
+// execute runs a dispatch whose buffers are all bound allocations, or takes
+// its counters from the memo when a sibling cell executed it.
+func (m *DispatchMemo) execute(prog *kernels.Program, cfg kernels.DispatchConfig, binds []Binding) (*kernels.Counters, error) {
+	key := m.key(prog, &cfg, binds)
+	shared := !slices.ContainsFunc(binds, func(b Binding) bool { return b.alloc.mapped })
+	if d, ok := m.dispatches[key]; ok && shared {
+		dispatchesFromMemo.Add(1)
+		m.wrote(key, binds, d.stored, contentPending)
+		return &d.counters, nil
+	}
+	for _, bd := range binds {
+		if bd.alloc.state == contentPending {
+			m.miss()
+		}
+	}
+	dispatchesExecuted.Add(1)
+	c, stored, err := kernels.Execute(prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if m.recording && shared {
+		m.dispatches[key] = memoDispatch{counters: *c, stored: stored}
+	}
+	m.wrote(key, binds, stored, contentDerived)
+	return c, nil
+}
+
+// wrote gives every buffer a dispatch stored to the version the dispatch
+// derived for it; mapped ones the host may change at any time keep none.
+// Bindings from 64 on count as stored to.
+func (m *DispatchMemo) wrote(key version, binds []Binding, stored uint64, state contentState) {
+	for i, bd := range binds {
+		switch {
+		case i < 64 && stored>>i&1 == 0:
+		case bd.alloc.mapped:
+			bd.alloc.state = contentUnknown
+		default:
+			bd.alloc.ver, bd.alloc.state = derive(key, firstBinding(binds, i)), state
+		}
+	}
+}
+
+// hostAccess prepares an allocation whose content a dispatch derived for
+// host access: awaited content is copied in, and while recording, a copy of
+// executed content is kept for the siblings.
+func (m *DispatchMemo) hostAccess(a *Allocation) {
+	if a.state == contentPending {
+		w, ok := m.contents[a.ver]
+		if !ok {
+			m.miss()
+		}
+		copy(a.words, w)
+		return
+	}
+	if _, ok := m.contents[a.ver]; m.recording && !ok {
+		m.contents[a.ver] = append(kernels.Words(nil), a.words...)
+	}
+}

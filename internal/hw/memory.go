@@ -46,6 +46,12 @@ type Allocation struct {
 	words kernels.Words
 	freed bool
 	owner *MemorySystem
+	// ver and state name the words' content for the device's DispatchMemo
+	// (memo.go); without a memo they are never read.
+	ver   version
+	state contentState
+	// mapped: the host may access the words at any time (Map).
+	mapped bool
 }
 
 // Heap returns the heap the allocation lives in.
@@ -54,14 +60,59 @@ func (a *Allocation) Heap() HeapKind { return a.heap }
 // SizeBytes returns the allocation size in bytes.
 func (a *Allocation) SizeBytes() int64 { return a.bytes }
 
-// Words exposes the backing store.
-func (a *Allocation) Words() kernels.Words { return a.words }
+// Words exposes the backing store to the host, which may read and write it
+// until the next dispatch binds the allocation. Content a DispatchMemo hit
+// left awaiting is copied in first.
+func (a *Allocation) Words() kernels.Words {
+	if a.state >= contentDerived {
+		a.owner.memo.hostAccess(a)
+	}
+	a.state = contentUnknown
+	return a.words
+}
+
+// Map exposes the backing store to the host until Unmap, dispatches
+// included, as a mapping of host-visible memory does: a DispatchMemo hashes
+// mapped words at every bind and executes every dispatch that binds them.
+func (a *Allocation) Map() kernels.Words {
+	a.mapped = true
+	return a.Words()
+}
+
+// Mapped reports whether the allocation is mapped.
+func (a *Allocation) Mapped() bool { return a.mapped }
+
+// Unmap ends the mapping. The host may have written the words.
+func (a *Allocation) Unmap() {
+	a.mapped = false
+	a.state = contentUnknown
+}
+
+// Len returns the allocation's length in words.
+func (a *Allocation) Len() int { return len(a.words) }
+
+// Binding is a storage buffer bound to a dispatch: words [offset,
+// offset+len) of an allocation.
+type Binding struct {
+	alloc       *Allocation
+	offset, len int
+}
+
+// Bind binds the words [offset, offset+n) of the allocation to a dispatch.
+// Unlike Words, binding is not host access: the dispatch alone touches the
+// words, so the allocation keeps its content version.
+func (a *Allocation) Bind(offset, n int) Binding { return Binding{alloc: a, offset: offset, len: n} }
+
+// words returns the bound words.
+func (b Binding) words() kernels.Words { return b.alloc.words[b.offset : b.offset+b.len] }
 
 // Freed reports whether the allocation has been released.
 func (a *Allocation) Freed() bool { return a.freed }
 
 // MemorySystem tracks heap budgets and allocations for one device.
 type MemorySystem struct {
+	// memo is the device's DispatchMemo, or nil.
+	memo      *DispatchMemo
 	mu        sync.Mutex
 	capacity  map[HeapKind]int64
 	used      map[HeapKind]int64
@@ -151,6 +202,7 @@ func (m *MemorySystem) Allocate(h HeapKind, size int64) (*Allocation, error) {
 		bytes: size,
 		words: kernels.NewWords(kernels.WordsForBytes(int(size))),
 		owner: m,
+		state: contentZero,
 	}, nil
 }
 

@@ -57,20 +57,22 @@ type Dispatch struct {
 }
 
 // Execute functionally runs the program over the configured grid and returns
-// the accumulated counters. Buffers are mutated in place.
-func Execute(p *Program, cfg DispatchConfig) (*Counters, error) {
+// the accumulated counters, and the bindings the executed workgroups stored
+// to: bit i for binding i below 64 (bindings from 64 on are not tracked).
+// Buffers are mutated in place.
+func Execute(p *Program, cfg DispatchConfig) (*Counters, uint64, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if !cfg.Groups.Valid() {
-		return nil, fmt.Errorf("kernels: dispatch of %q has invalid group count %v", p.Name, cfg.Groups)
+		return nil, 0, fmt.Errorf("kernels: dispatch of %q has invalid group count %v", p.Name, cfg.Groups)
 	}
 	if len(cfg.Buffers) < p.Bindings {
-		return nil, fmt.Errorf("kernels: dispatch of %q binds %d buffers, kernel declares %d",
+		return nil, 0, fmt.Errorf("kernels: dispatch of %q binds %d buffers, kernel declares %d",
 			p.Name, len(cfg.Buffers), p.Bindings)
 	}
 	if len(cfg.Push) < p.PushConstantWords {
-		return nil, fmt.Errorf("kernels: dispatch of %q provides %d push words, kernel declares %d",
+		return nil, 0, fmt.Errorf("kernels: dispatch of %q provides %d push words, kernel declares %d",
 			p.Name, len(cfg.Push), p.PushConstantWords)
 	}
 	if cfg.WarpSize <= 0 {
@@ -156,7 +158,7 @@ func Execute(p *Program, cfg DispatchConfig) (*Counters, error) {
 				wg.endGroup()
 			}
 			wg.ctr.Workgroups += float64(end - start)
-			res.ctr = wg.ctr
+			res.ctr, res.stored = wg.ctr, wg.stored
 		}(&partials[w], start, end)
 	}
 	wgWait.Wait()
@@ -169,8 +171,10 @@ func Execute(p *Program, cfg DispatchConfig) (*Counters, error) {
 			panic(v)
 		}
 	}
+	var stored uint64
 	for w := range partials {
 		d.counters.Add(&partials[w].ctr)
+		stored |= partials[w].stored
 	}
 
 	d.counters.Scale(scale)
@@ -185,14 +189,15 @@ func Execute(p *Program, cfg DispatchConfig) (*Counters, error) {
 		}
 	}
 	out := d.counters
-	return &out, nil
+	return &out, stored, nil
 }
 
 // workerResult is what one dispatch worker hands back: its partial counters,
 // or the value its kernel panicked with.
 type workerResult struct {
-	ctr   Counters
-	panic any
+	ctr    Counters
+	stored uint64
+	panic  any
 }
 
 // recSlot collects the cache lines touched by one (warp, access-ordinal) pair
@@ -276,7 +281,7 @@ var workgroupPool = sync.Pool{New: func() any { return new(Workgroup) }}
 func getWorkgroup(d *Dispatch) *Workgroup {
 	wg := workgroupPool.Get().(*Workgroup)
 	wg.disp = d
-	wg.ctr = Counters{}
+	wg.ctr, wg.stored = Counters{}, 0
 	wg.inv = Invocation{wg: wg}
 	return wg
 }
@@ -306,6 +311,8 @@ type Workgroup struct {
 	accStores int64
 	accALU    int64
 	accLocal  int64
+	// stored has bit i set once the workgroup stored to binding i.
+	stored uint64
 
 	// On a sampled (recording) workgroup every global access of the running
 	// invocation is appended to log; ForEach folds it into rec when the
@@ -509,9 +516,11 @@ func (wg *Workgroup) noteLoad(binding, idx int) {
 	}
 }
 
-// noteStore counts one 4-byte global store, like noteLoad.
+// noteStore counts one 4-byte global store, like noteLoad, and marks the
+// binding stored to.
 func (wg *Workgroup) noteStore(binding, idx int) {
 	wg.accStores++
+	wg.stored |= 1 << uint(binding)
 	if wg.recording {
 		wg.log = append(wg.log, access{binding, idx})
 	}

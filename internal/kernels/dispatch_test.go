@@ -76,7 +76,7 @@ func TestCountersIdenticalAcrossParallelism(t *testing.T) {
 			p := mixedProgram(tc.exact)
 			var want *kernels.Counters
 			for _, par := range parallelisms {
-				got, err := kernels.Execute(p, mixedConfig(96, 3, par, tc.maxExact))
+				got, _, err := kernels.Execute(p, mixedConfig(96, 3, par, tc.maxExact))
 				if err != nil {
 					t.Fatalf("Execute(parallelism=%d): %v", par, err)
 				}
@@ -101,7 +101,7 @@ func TestCountersIdenticalAcrossParallelism(t *testing.T) {
 // the extensive counters back to the full grid.
 func TestSampledDispatchExtrapolates(t *testing.T) {
 	p := mixedProgram(false)
-	got, err := kernels.Execute(p, mixedConfig(96, 1, 4, 1024))
+	got, _, err := kernels.Execute(p, mixedConfig(96, 1, 4, 1024))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestCoalescingRecorder(t *testing.T) {
 					})
 				},
 			}
-			got, err := kernels.Execute(prog, kernels.DispatchConfig{
+			got, _, err := kernels.Execute(prog, kernels.DispatchConfig{
 				Groups:         kernels.D1(1),
 				Buffers:        []kernels.Words{in},
 				Push:           kernels.Words{uint32(tc.stride)},
@@ -210,7 +210,7 @@ func TestSharedMemoryRecycledZeroed(t *testing.T) {
 			}
 		},
 	}
-	got, err := kernels.Execute(prog, kernels.DispatchConfig{
+	got, _, err := kernels.Execute(prog, kernels.DispatchConfig{
 		Groups:      kernels.D1(32),
 		Parallelism: 1, // serial so every workgroup reuses the same pool
 	})

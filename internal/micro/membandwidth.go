@@ -30,6 +30,8 @@ func init() {
 		APIs:        hw.AllAPIs(),
 		Workloads:   memBandwidthWorkloads,
 		Run:         runMemBandwidth,
+		// The CUDA path adds a warm-up launch (memBandwidthCUDA).
+		PerAPIDeviceWork: true,
 	})
 }
 

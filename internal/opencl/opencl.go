@@ -156,8 +156,11 @@ type Mem struct {
 // Size returns the buffer size in bytes.
 func (m *Mem) Size() int64 { return m.size }
 
-// Words exposes the backing store.
+// Words exposes the backing store to the host.
 func (m *Mem) Words() kernels.Words { return m.alloc.Words() }
+
+// binding binds the whole buffer to a kernel launch.
+func (m *Mem) binding() hw.Binding { return m.alloc.Bind(0, m.alloc.Len()) }
 
 // CreateBuffer creates a buffer object; like cudaMalloc, one call allocates
 // and (optionally, with MemCopyHostPtr) initialises the memory. Host data
@@ -376,8 +379,8 @@ func (q *CommandQueue) EnqueueWriteBuffer(m *Mem, blocking bool, data kernels.Wo
 	if m == nil {
 		return nil, ErrInvalidValue
 	}
-	if len(data) > len(m.alloc.Words()) {
-		return nil, fmt.Errorf("%w: write of %d words into a buffer of %d words", ErrInvalidValue, len(data), len(m.alloc.Words()))
+	if len(data) > m.alloc.Len() {
+		return nil, fmt.Errorf("%w: write of %d words into a buffer of %d words", ErrInvalidValue, len(data), m.alloc.Len())
 	}
 	q.ctx.host.Spend(hostCall)
 	copy(m.alloc.Words(), data)
@@ -390,8 +393,8 @@ func (q *CommandQueue) EnqueueReadBuffer(m *Mem, blocking bool, data kernels.Wor
 	if m == nil {
 		return nil, ErrInvalidValue
 	}
-	if len(data) > len(m.alloc.Words()) {
-		return nil, fmt.Errorf("%w: read of %d words from a buffer of %d words", ErrInvalidValue, len(data), len(m.alloc.Words()))
+	if len(data) > m.alloc.Len() {
+		return nil, fmt.Errorf("%w: read of %d words from a buffer of %d words", ErrInvalidValue, len(data), m.alloc.Len())
 	}
 	q.ctx.host.Spend(hostCall)
 	copy(data, m.alloc.Words())
@@ -439,14 +442,14 @@ func (q *CommandQueue) EnqueueNDRangeKernel(k *Kernel, global, local kernels.Dim
 				ErrInvalidKernelArgs, i+k.kp.Bindings, k.kp.Name)
 		}
 	}
-	buffers := make([]kernels.Words, len(k.buffers))
+	binds := make([]hw.Binding, len(k.buffers))
 	for i, m := range k.buffers {
-		buffers[i] = m.alloc.Words()
+		binds[i] = m.binding()
 	}
 	q.ctx.host.Spend(hw.KnobCost(hw.KnobKernelLaunch))
 	groups := kernels.Dim3{X: global.X / local.X, Y: global.Y / local.Y, Z: global.Z / local.Z}
-	cfg := kernels.DispatchConfig{Groups: groups, Buffers: buffers, Push: k.values}
-	run, err := q.hw.ExecuteKernel(k.kp, cfg, hw.KnobCost(hw.KnobPipelineBind))
+	cfg := kernels.DispatchConfig{Groups: groups, Push: k.values}
+	run, err := q.hw.ExecuteKernel(k.kp, cfg, binds, hw.KnobCost(hw.KnobPipelineBind))
 	if err != nil {
 		// %w on the cause as well: fault classification must survive the
 		// API-level error translation.

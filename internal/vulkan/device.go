@@ -194,7 +194,6 @@ type DeviceMemory struct {
 	alloc     *hw.Allocation
 	typeIndex int
 	size      int64
-	mapped    bool
 }
 
 // AllocateMemory allocates device memory from the heap selected by the memory
@@ -252,6 +251,10 @@ func (d *Device) BindBufferMemory(b *Buffer, m *DeviceMemory, offset int64) erro
 // drivers that do not expose host-visible device-local types.
 func (m *DeviceMemory) Map(offset, size int64) (kernels.Words, error) {
 	m.device.host.Spend(hostCall)
+	if m.alloc.Mapped() {
+		// VUID-vkMapMemory-memory-00678: memory must not be host mapped.
+		return nil, fmt.Errorf("%w: memory is already mapped", ErrMemoryMapFailed)
+	}
 	unified := m.device.hw.Profile().UnifiedMemory
 	if m.typeIndex == 0 && !unified {
 		return nil, fmt.Errorf("%w: memory type 0 is not host visible on %s",
@@ -263,31 +266,45 @@ func (m *DeviceMemory) Map(offset, size int64) (kernels.Words, error) {
 	if offset < 0 || offset%4 != 0 || offset+size > m.size {
 		return nil, fmt.Errorf("%w: invalid map range [%d,%d)", ErrValidation, offset, offset+size)
 	}
-	m.mapped = true
-	w := m.alloc.Words()
+	w := m.alloc.Map()
 	return w[offset/4 : (offset+size+3)/4], nil
 }
 
 // Unmap unmaps the memory.
 func (m *DeviceMemory) Unmap() {
 	m.device.host.Spend(hostCall)
-	m.mapped = false
+	m.alloc.Unmap()
 }
 
-// words returns the word view of the buffer's bound range. It is used by the
-// command executor at dispatch time.
+// binding binds the buffer's range of its memory to a dispatch.
+func (b *Buffer) binding() (hw.Binding, error) {
+	start, end, err := b.wordRange()
+	if err != nil {
+		return hw.Binding{}, err
+	}
+	return b.memory.alloc.Bind(start, end-start), nil
+}
+
+// words returns the word view of the buffer's range for the command
+// executor's copies and fills, which are host access to its memory.
 func (b *Buffer) words() (kernels.Words, error) {
+	start, end, err := b.wordRange()
+	if err != nil {
+		return nil, err
+	}
+	return b.memory.alloc.Words()[start:end], nil
+}
+
+// wordRange checks that the buffer has live memory bound and returns the
+// buffer's range of it in words, clipped to the memory.
+func (b *Buffer) wordRange() (start, end int, err error) {
 	if b.memory == nil {
-		return nil, fmt.Errorf("%w: buffer used without bound memory", ErrValidation)
+		return 0, 0, fmt.Errorf("%w: buffer used without bound memory", ErrValidation)
 	}
 	if b.memory.alloc.Freed() {
-		return nil, fmt.Errorf("%w: buffer's memory was freed", ErrValidation)
+		return 0, 0, fmt.Errorf("%w: buffer's memory was freed", ErrValidation)
 	}
-	all := b.memory.alloc.Words()
-	start := b.offset / 4
-	end := (b.offset + b.size + 3) / 4
-	if end > int64(len(all)) {
-		end = int64(len(all))
-	}
-	return all[start:end], nil
+	start = int(b.offset / 4)
+	end = min(int((b.offset+b.size+3)/4), b.memory.alloc.Len())
+	return start, end, nil
 }

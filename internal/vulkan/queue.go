@@ -167,16 +167,12 @@ func (q *Queue) execute(cb *CommandBuffer) (SubmitStats, []int32, error) {
 				return stats, refs, fmt.Errorf("%w: CmdDispatch at command %d without a bound compute pipeline", ErrValidation, i)
 			}
 			prog := boundPipeline.program
-			buffers, err := gatherBuffers(prog, boundSets)
+			binds, err := gatherBindings(prog, boundSets)
 			if err != nil {
 				return stats, refs, fmt.Errorf("command %d (%s): %w", i, prog.Name, err)
 			}
-			cfg := kernels.DispatchConfig{
-				Groups:  c.groups,
-				Buffers: buffers,
-				Push:    pushWords,
-			}
-			run, err := q.hw.ExecuteKernel(prog, cfg, pending)
+			cfg := kernels.DispatchConfig{Groups: c.groups, Push: pushWords}
+			run, err := q.hw.ExecuteKernel(prog, cfg, binds, pending)
 			if err != nil {
 				// Wrap the cause with %w too: fault classification (transient
 				// vs permanent) must survive the API-level error translation.
@@ -220,26 +216,26 @@ func (q *Queue) execute(cb *CommandBuffer) (SubmitStats, []int32, error) {
 	return stats, refs, nil
 }
 
-// gatherBuffers resolves the word views for the kernel's bindings from the
-// bound descriptor sets (set 0 only, as used by all VComputeBench kernels).
-func gatherBuffers(prog *kernels.Program, sets []*DescriptorSet) ([]kernels.Words, error) {
+// gatherBindings resolves the kernel's bindings from the bound descriptor
+// sets (set 0 only, as used by all VComputeBench kernels).
+func gatherBindings(prog *kernels.Program, sets []*DescriptorSet) ([]hw.Binding, error) {
 	if len(sets) == 0 {
 		return nil, fmt.Errorf("%w: dispatch without bound descriptor sets", ErrValidation)
 	}
 	set := sets[0]
-	buffers := make([]kernels.Words, prog.Bindings)
+	binds := make([]hw.Binding, prog.Bindings)
 	for b := 0; b < prog.Bindings; b++ {
 		buf, ok := set.buffers[b]
 		if !ok {
 			return nil, fmt.Errorf("%w: kernel %q binding %d has no descriptor written", ErrValidation, prog.Name, b)
 		}
-		w, err := buf.words()
+		bind, err := buf.binding()
 		if err != nil {
 			return nil, err
 		}
-		buffers[b] = w
+		binds[b] = bind
 	}
-	return buffers, nil
+	return binds, nil
 }
 
 // WaitIdle blocks the host until the queue drains.

@@ -116,3 +116,67 @@ func TestSubmitSurfacesDeviceFaults(t *testing.T) {
 		t.Fatalf("Submit error = %v, want a *faults.Error of class driver-fault", err)
 	}
 }
+
+// hostVisibleMemory allocates n bytes of host-visible memory on env's device.
+func hostVisibleMemory(t *testing.T, env *vkutil.Env, n int64) *vulkan.DeviceMemory {
+	t.Helper()
+	mem, err := env.Device.AllocateMemory(vulkan.MemoryAllocateInfo{AllocationSize: n, MemoryTypeIndex: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = mem.Free() })
+	return mem
+}
+
+// TestMapMappedMemoryFails: vkMapMemory on memory that is already host
+// mapped is invalid (VUID-vkMapMemory-memory-00678); the second Map fails
+// with the map error instead of handing out a second view. After Unmap the
+// memory maps again, and the new view sees what was written through the
+// first.
+func TestMapMappedMemoryFails(t *testing.T) {
+	_, _, env, _ := newDispatch(t)
+	mem := hostVisibleMemory(t, env, 64)
+	w, err := mem.Map(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w[3] = 7
+	if _, err := mem.Map(0, 16); !errors.Is(err, vulkan.ErrMemoryMapFailed) {
+		t.Fatalf("second Map of mapped memory: err = %v, want ErrMemoryMapFailed", err)
+	}
+	mem.Unmap()
+	again, err := mem.Map(0, 0)
+	if err != nil {
+		t.Fatalf("Map after Unmap: %v", err)
+	}
+	if len(again) != 16 || again[3] != 7 {
+		t.Fatalf("remapped view = %v, want 16 words with word 3 = 7", again)
+	}
+	mem.Unmap()
+}
+
+// TestMapRejectsDeviceLocalAndBadRanges: device-local memory of a discrete
+// GPU is not host visible, and a range outside the allocation or off the
+// word alignment is a validation error. A failed Map leaves the memory
+// unmapped.
+func TestMapRejectsDeviceLocalAndBadRanges(t *testing.T) {
+	_, _, env, _ := newDispatch(t)
+	local, err := env.Device.AllocateMemory(vulkan.MemoryAllocateInfo{AllocationSize: 64, MemoryTypeIndex: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Free()
+	if _, err := local.Map(0, 0); !errors.Is(err, vulkan.ErrMemoryMapFailed) {
+		t.Fatalf("Map of device-local memory on a discrete GPU: err = %v, want ErrMemoryMapFailed", err)
+	}
+	mem := hostVisibleMemory(t, env, 64)
+	for _, r := range [][2]int64{{0, 128}, {2, 8}, {-4, 8}} {
+		if _, err := mem.Map(r[0], r[1]); !errors.Is(err, vulkan.ErrValidation) {
+			t.Fatalf("Map(%d, %d): err = %v, want ErrValidation", r[0], r[1], err)
+		}
+	}
+	if _, err := mem.Map(4, 8); err != nil {
+		t.Fatalf("Map of a valid range after failed maps: %v", err)
+	}
+	mem.Unmap()
+}
