@@ -149,7 +149,7 @@ func TestChaosKernelPanicRecovery(t *testing.T) {
 			Parallelism: parallelism,
 		}
 	}
-	want, _, err := kernels.Execute(clean, dispatch(1))
+	want, _, _, err := kernels.Execute(clean, dispatch(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestChaosKernelPanicRecovery(t *testing.T) {
 		}
 
 		for i := 0; i < 4; i++ {
-			got, _, err := kernels.Execute(clean, dispatch(par))
+			got, _, _, err := kernels.Execute(clean, dispatch(par))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -163,7 +163,8 @@ type cellEnv struct {
 	dispatchParallel int
 	// streams is the input stream table; nil gives the cell its own.
 	streams *inputStreams
-	// memo is the dispatch memo of the cell's triple, or nil.
+	// memo is the dispatch memo of the cell's triple, or nil for the device's
+	// own.
 	memo *hw.DispatchMemo
 }
 

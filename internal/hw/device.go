@@ -44,6 +44,7 @@ func NewDevice(p Profile) (*Device, error) {
 		mem:     NewMemorySystem(p.DeviceMemBytes, hostVisible),
 		queues:  make(map[QueueKind][]*Queue),
 	}
+	d.mem.memo = newOwnMemo()
 	d.addQueue(QueueCompute)
 	d.addQueue(QueueCompute)
 	d.addQueue(QueueTransfer)
@@ -84,11 +85,13 @@ func (d *Device) DispatchParallelism() int { return d.dispatchParallelism }
 
 // SetDispatchMemo attaches the dispatch memo a run shares with its sibling
 // API cells and starts the run on it: Missed is reset. Attach it before the
-// run's first dispatch and keep it until the run ends; nil runs without one.
+// run's first dispatch and keep it until the run ends; nil gives the device a
+// fresh memo of its own, as NewDevice does.
 func (d *Device) SetDispatchMemo(m *DispatchMemo) {
-	if m != nil {
-		m.missed = false
+	if m == nil {
+		m = newOwnMemo()
 	}
+	m.missed = false
 	d.mem.memo = m
 }
 
@@ -170,10 +173,10 @@ func (q *Queue) schedule(ev TraceEvent) int32 {
 // recompute its duration under any driver profile.
 //
 // The kernel's buffers are the bound allocations, binding i at index i; cfg
-// carries no Buffers then. With a DispatchMemo attached, a dispatch a sibling
-// cell executed takes its counters from the memo; a hit still passes the
-// fault hook, so it consumes its dispatch ordinal. A dispatch of raw
-// cfg.Buffers (tests) always executes.
+// carries no Buffers then. A dispatch a sibling cell executed, or one that
+// reruns on the state it left, takes its counters from the device's
+// DispatchMemo; a hit still passes the fault hook, so it consumes its
+// dispatch ordinal. A dispatch of raw cfg.Buffers (tests) always executes.
 func (q *Queue) ExecuteKernel(prog *kernels.Program, cfg kernels.DispatchConfig, binds []Binding, extra Cost) (KernelRun, error) {
 	if h := q.dev.faultHook; h != nil {
 		if err := h(); err != nil {
@@ -207,20 +210,14 @@ func (q *Queue) ExecuteKernel(prog *kernels.Program, cfg kernels.DispatchConfig,
 	return KernelRun{Event: ref, Counters: *counters}, nil
 }
 
-// execute runs a dispatch: through the memo when one is attached and every
-// buffer is a bound allocation, else with kernels.Execute.
+// execute runs a dispatch: through the device's memo when its buffers are
+// bound allocations, else with kernels.Execute.
 func (d *Device) execute(prog *kernels.Program, cfg kernels.DispatchConfig, binds []Binding) (*kernels.Counters, error) {
 	if cfg.Buffers == nil {
-		cfg.Buffers = make([]kernels.Words, len(binds))
-		for i, b := range binds {
-			cfg.Buffers[i] = b.words()
-		}
-		if d.mem.memo != nil {
-			return d.mem.memo.execute(prog, cfg, binds)
-		}
+		return d.mem.memo.execute(prog, cfg, binds)
 	}
 	dispatchesExecuted.Add(1)
-	c, _, err := kernels.Execute(prog, cfg)
+	c, _, _, err := kernels.Execute(prog, cfg)
 	return c, err
 }
 

@@ -15,3 +15,9 @@ func MemoHit(m *DispatchMemo, prog *kernels.Program, cfg *kernels.DispatchConfig
 	_, ok := m.dispatches[m.key(prog, cfg, binds)]
 	return ok
 }
+
+// DeviceMemo returns the memo the device runs on.
+func DeviceMemo(d *Device) *DispatchMemo { return d.mem.memo }
+
+// MemoCopies reports how many content copies the memo holds.
+func MemoCopies(m *DispatchMemo) int { return len(m.contents) }

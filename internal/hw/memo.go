@@ -32,9 +32,22 @@ import (
 // touches them, from a copy a sibling took when its own host touched that
 // version. When a run needs content the memo never saw (a missed dispatch
 // binds an awaiting buffer, or the host touches one nobody copied), the run
-// stops and Missed reports it; the runner then runs the cell again without
-// the memo. Mapped words the host may touch at any time are hashed at every
-// bind, and a dispatch that binds them always executes.
+// stops and Missed reports it; the runner then runs the cell again on its
+// device's own memo. Mapped words the host may touch at any time are hashed
+// at every bind, and a dispatch that binds them always executes.
+//
+// A dispatch can also repeat itself: the bandwidth sweep of §V-A1 dispatches
+// one kernel over the same buffers eight times in a row. When an executed
+// dispatch stored to no allocation it loaded from, a rerun on the state it
+// left loads what it loaded, so it stores the same words to the same places
+// and counts the same. The memo files its counters under the key of that
+// state too, and a dispatch with that key takes them and changes no version
+// and no word. An atomic both loads and stores, so it never repeats.
+//
+// Every device owns a memo, which a triple's shared one replaces for a run
+// (Device.SetDispatchMemo). Nobody else compares against an own memo's
+// versions, so it names host-written and zero content by counting instead of
+// hashing it, and it files repeats only: it never misses and keeps no words.
 
 // version names an allocation's content.
 type version [2]uint64
@@ -44,12 +57,13 @@ type contentState uint8
 
 const (
 	// contentUnknown: the host may have written the words since their version
-	// was taken; the next bind hashes them.
+	// was taken; the next bind names them.
 	contentUnknown contentState = iota
 	// contentZero: the allocation is fresh, its words all zero.
 	contentZero
-	// contentHashed: the version is the hash of the words.
-	contentHashed
+	// contentNamed: the version names the words as the host left them: their
+	// hash, or a count in an own memo.
+	contentNamed
 	// contentDerived: a dispatch executed here wrote the words and derived
 	// the version.
 	contentDerived
@@ -120,21 +134,27 @@ func DispatchCounts() (executed, fromMemo uint64) {
 // the run needs. The runner recovers every panic of a run.
 var errMemoMissed = errors.New("hw: the dispatch memo lacks content this run needs")
 
-// DispatchMemo is the dispatch memo of one triple's API cells. The cells use
-// it one at a time, never concurrently.
+// DispatchMemo is the dispatch memo of one device, or of one triple's API
+// cells, which use it one at a time, never concurrently.
 type DispatchMemo struct {
 	dispatches map[version]memoDispatch
 	contents   map[version]kernels.Words
 	programs   map[*kernels.Program]uint64
 	zeros      map[int]version
-	buf        []byte
+	// buf and words are the scratch of a key and of an execution's buffers.
+	buf   []byte
+	words []kernels.Words
+	// own: the memo is one device's; named counts the versions it named.
+	own   bool
+	named uint64
 	// recording: the current run adds its dispatches and content copies;
 	// the last cell of a triple has nobody to add them for.
 	recording bool
 	missed    bool
 }
 
-// NewDispatchMemo returns an empty memo that records.
+// NewDispatchMemo returns an empty memo for a triple's API cells, which
+// records.
 func NewDispatchMemo() *DispatchMemo {
 	return &DispatchMemo{
 		dispatches: make(map[version]memoDispatch),
@@ -142,6 +162,15 @@ func NewDispatchMemo() *DispatchMemo {
 		programs:   make(map[*kernels.Program]uint64),
 		zeros:      make(map[int]version),
 		recording:  true,
+	}
+}
+
+// newOwnMemo returns the empty memo of one device.
+func newOwnMemo() *DispatchMemo {
+	return &DispatchMemo{
+		dispatches: make(map[version]memoDispatch),
+		programs:   make(map[*kernels.Program]uint64),
+		own:        true,
 	}
 }
 
@@ -159,7 +188,7 @@ func (m *DispatchMemo) miss() {
 	panic(errMemoMissed)
 }
 
-// key is the version naming a dispatch's outcome. It hashes the content of
+// key is the version naming a dispatch's outcome. It names the content of
 // every bound buffer whose version is unknown.
 func (m *DispatchMemo) key(prog *kernels.Program, cfg *kernels.DispatchConfig, binds []Binding) version {
 	id, ok := m.programs[prog]
@@ -200,19 +229,23 @@ func firstBinding(binds []Binding, i int) int {
 	return i
 }
 
-// version returns the allocation's content version, hashing its words when
+// version returns the allocation's content version, naming its words when
 // the host may have written them.
 func (m *DispatchMemo) version(a *Allocation) version {
 	switch {
+	case a.state != contentUnknown && a.state != contentZero && !a.mapped:
+	case m.own:
+		m.named++
+		a.ver, a.state = version{m.named}, contentNamed
 	case a.state == contentUnknown || a.mapped:
-		a.ver, a.state = hashWords(a.words), contentHashed
-	case a.state == contentZero:
+		a.ver, a.state = hashWords(a.words), contentNamed
+	default:
 		v, ok := m.zeros[len(a.words)]
 		if !ok {
 			v = hashZeros(len(a.words))
 			m.zeros[len(a.words)] = v
 		}
-		a.ver, a.state = v, contentHashed
+		a.ver, a.state = v, contentNamed
 	}
 	return a.ver
 }
@@ -221,17 +254,24 @@ func (m *DispatchMemo) version(a *Allocation) version {
 type memoDispatch struct {
 	counters kernels.Counters
 	stored   uint64 // kernels.Execute's stored bindings
+	// repeat: the entry is keyed by the state the dispatch left, which a
+	// rerun leaves as it is.
+	repeat bool
 }
 
-// execute runs a dispatch whose buffers are all bound allocations, or takes
-// its counters from the memo when a sibling cell executed it.
+// execute runs a dispatch of bound allocations, or takes its counters from
+// the memo: when a sibling cell executed it, or when it reruns a dispatch on
+// the state that dispatch left.
 func (m *DispatchMemo) execute(prog *kernels.Program, cfg kernels.DispatchConfig, binds []Binding) (*kernels.Counters, error) {
 	key := m.key(prog, &cfg, binds)
-	shared := !slices.ContainsFunc(binds, func(b Binding) bool { return b.alloc.mapped })
-	if d, ok := m.dispatches[key]; ok && shared {
+	unmapped := !slices.ContainsFunc(binds, func(b Binding) bool { return b.alloc.mapped })
+	if d, ok := m.dispatches[key]; ok && unmapped {
 		dispatchesFromMemo.Add(1)
-		m.wrote(key, binds, d.stored, contentPending)
-		return &d.counters, nil
+		if !d.repeat {
+			m.wrote(key, binds, d.stored, contentPending)
+		}
+		c := d.counters // only a hit pays for the escape
+		return &c, nil
 	}
 	for _, bd := range binds {
 		if bd.alloc.state == contentPending {
@@ -239,24 +279,46 @@ func (m *DispatchMemo) execute(prog *kernels.Program, cfg kernels.DispatchConfig
 		}
 	}
 	dispatchesExecuted.Add(1)
-	c, stored, err := kernels.Execute(prog, cfg)
+	words := m.words[:0]
+	for _, bd := range binds {
+		words = append(words, bd.words())
+	}
+	cfg.Buffers = words
+	c, stored, loaded, err := kernels.Execute(prog, cfg)
+	clear(words) // keeps no freed buffer alive
+	m.words = words
 	if err != nil {
 		return nil, err
 	}
-	if m.recording && shared {
+	if m.recording && unmapped {
 		m.dispatches[key] = memoDispatch{counters: *c, stored: stored}
 	}
 	m.wrote(key, binds, stored, contentDerived)
+	if unmapped && !storedLoaded(binds, stored, loaded) {
+		m.dispatches[m.key(prog, &cfg, binds)] = memoDispatch{counters: *c, repeat: true}
+	}
 	return c, nil
+}
+
+// storedLoaded reports whether a dispatch stored to an allocation it loaded
+// from, through one binding or two that alias.
+func storedLoaded(binds []Binding, stored, loaded uint64) bool {
+	for i, st := range binds {
+		for j, ld := range binds {
+			if stored>>i&1 != 0 && loaded>>j&1 != 0 && st.alloc == ld.alloc {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // wrote gives every buffer a dispatch stored to the version the dispatch
 // derived for it; mapped ones the host may change at any time keep none.
-// Bindings from 64 on count as stored to.
 func (m *DispatchMemo) wrote(key version, binds []Binding, stored uint64, state contentState) {
 	for i, bd := range binds {
 		switch {
-		case i < 64 && stored>>i&1 == 0:
+		case stored>>i&1 == 0:
 		case bd.alloc.mapped:
 			bd.alloc.state = contentUnknown
 		default:

@@ -47,7 +47,7 @@ type Allocation struct {
 	freed bool
 	owner *MemorySystem
 	// ver and state name the words' content for the device's DispatchMemo
-	// (memo.go); without a memo they are never read.
+	// (memo.go).
 	ver   version
 	state contentState
 	// mapped: the host may access the words at any time (Map).
@@ -111,7 +111,7 @@ func (a *Allocation) Freed() bool { return a.freed }
 
 // MemorySystem tracks heap budgets and allocations for one device.
 type MemorySystem struct {
-	// memo is the device's DispatchMemo, or nil.
+	// memo is the device's DispatchMemo; nil outside a device.
 	memo      *DispatchMemo
 	mu        sync.Mutex
 	capacity  map[HeapKind]int64

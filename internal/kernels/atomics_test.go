@@ -36,7 +36,7 @@ func TestAtomicsConcurrentWorkgroups(t *testing.T) {
 			})
 		},
 	}
-	ctr, _, err := kernels.Execute(prog, kernels.DispatchConfig{
+	ctr, _, _, err := kernels.Execute(prog, kernels.DispatchConfig{
 		Groups:      kernels.D1(groups),
 		Buffers:     []kernels.Words{buf},
 		Parallelism: runtime.NumCPU(),
@@ -84,7 +84,7 @@ func TestStoreU32SharedConcurrentWorkgroups(t *testing.T) {
 			})
 		},
 	}
-	ctr, _, err := kernels.Execute(prog, kernels.DispatchConfig{
+	ctr, _, _, err := kernels.Execute(prog, kernels.DispatchConfig{
 		Groups:      kernels.D1(groups),
 		Buffers:     []kernels.Words{buf},
 		Parallelism: 4,

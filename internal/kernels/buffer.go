@@ -98,8 +98,8 @@ func (p *PushBuilder) Bytes() int { return len(p.words) * 4 }
 // Every accessor takes the *Invocation that ForEach passed to the kernel
 // body: buffers are touched only inside ForEach, which charges each access to
 // the invocation it is running. The plain loads and stores inline into kernel
-// bodies, so an access costs a counter increment on the workgroups that
-// record nothing (TestBufferAccessorsInline keeps it so).
+// bodies, so an access costs a counter increment and an OR on the workgroups
+// that record nothing (TestBufferAccessorsInline keeps it so).
 type BufferView struct {
 	data    Words
 	wg      *Workgroup

@@ -24,7 +24,7 @@ func TestCoalescingSampleMatchesReference(t *testing.T) {
 		t.Run(fmt.Sprintf("%03d", i), func(t *testing.T) {
 			in := s.inputs(rng)
 			prog, cfg := s.dispatch(in)
-			got, _, err := kernels.Execute(prog, cfg)
+			got, _, _, err := kernels.Execute(prog, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", s, err)
 			}

@@ -56,23 +56,30 @@ type Dispatch struct {
 	atomicMu sync.Mutex
 }
 
+// MaxBindings is the most buffers one dispatch may bind, so that a bit of a
+// uint64 stands for each binding.
+const MaxBindings = 64
+
 // Execute functionally runs the program over the configured grid and returns
 // the accumulated counters, and the bindings the executed workgroups stored
-// to: bit i for binding i below 64 (bindings from 64 on are not tracked).
-// Buffers are mutated in place.
-func Execute(p *Program, cfg DispatchConfig) (*Counters, uint64, error) {
+// to and loaded from: bit i for binding i. Buffers are mutated in place.
+func Execute(p *Program, cfg DispatchConfig) (c *Counters, stored, loaded uint64, err error) {
 	if err := p.Validate(); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	if !cfg.Groups.Valid() {
-		return nil, 0, fmt.Errorf("kernels: dispatch of %q has invalid group count %v", p.Name, cfg.Groups)
+		return nil, 0, 0, fmt.Errorf("kernels: dispatch of %q has invalid group count %v", p.Name, cfg.Groups)
 	}
 	if len(cfg.Buffers) < p.Bindings {
-		return nil, 0, fmt.Errorf("kernels: dispatch of %q binds %d buffers, kernel declares %d",
+		return nil, 0, 0, fmt.Errorf("kernels: dispatch of %q binds %d buffers, kernel declares %d",
 			p.Name, len(cfg.Buffers), p.Bindings)
 	}
+	if len(cfg.Buffers) > MaxBindings {
+		return nil, 0, 0, fmt.Errorf("kernels: dispatch of %q binds %d buffers, more than %d",
+			p.Name, len(cfg.Buffers), MaxBindings)
+	}
 	if len(cfg.Push) < p.PushConstantWords {
-		return nil, 0, fmt.Errorf("kernels: dispatch of %q provides %d push words, kernel declares %d",
+		return nil, 0, 0, fmt.Errorf("kernels: dispatch of %q provides %d push words, kernel declares %d",
 			p.Name, len(cfg.Push), p.PushConstantWords)
 	}
 	if cfg.WarpSize <= 0 {
@@ -158,7 +165,7 @@ func Execute(p *Program, cfg DispatchConfig) (*Counters, uint64, error) {
 				wg.endGroup()
 			}
 			wg.ctr.Workgroups += float64(end - start)
-			res.ctr, res.stored = wg.ctr, wg.stored
+			res.ctr, res.stored, res.loaded = wg.ctr, wg.stored, wg.loaded
 		}(&partials[w], start, end)
 	}
 	wgWait.Wait()
@@ -171,10 +178,10 @@ func Execute(p *Program, cfg DispatchConfig) (*Counters, uint64, error) {
 			panic(v)
 		}
 	}
-	var stored uint64
 	for w := range partials {
 		d.counters.Add(&partials[w].ctr)
 		stored |= partials[w].stored
+		loaded |= partials[w].loaded
 	}
 
 	d.counters.Scale(scale)
@@ -189,15 +196,15 @@ func Execute(p *Program, cfg DispatchConfig) (*Counters, uint64, error) {
 		}
 	}
 	out := d.counters
-	return &out, stored, nil
+	return &out, stored, loaded, nil
 }
 
-// workerResult is what one dispatch worker hands back: its partial counters,
-// or the value its kernel panicked with.
+// workerResult is what one dispatch worker hands back: its partial counters
+// and binding masks, or the value its kernel panicked with.
 type workerResult struct {
-	ctr    Counters
-	stored uint64
-	panic  any
+	ctr            Counters
+	stored, loaded uint64
+	panic          any
 }
 
 // recSlot collects the cache lines touched by one (warp, access-ordinal) pair
@@ -281,7 +288,7 @@ var workgroupPool = sync.Pool{New: func() any { return new(Workgroup) }}
 func getWorkgroup(d *Dispatch) *Workgroup {
 	wg := workgroupPool.Get().(*Workgroup)
 	wg.disp = d
-	wg.ctr, wg.stored = Counters{}, 0
+	wg.ctr, wg.stored, wg.loaded = Counters{}, 0, 0
 	wg.inv = Invocation{wg: wg}
 	return wg
 }
@@ -311,8 +318,9 @@ type Workgroup struct {
 	accStores int64
 	accALU    int64
 	accLocal  int64
-	// stored has bit i set once the workgroup stored to binding i.
-	stored uint64
+	// stored and loaded have bit i set once the workgroup stored to or
+	// loaded from binding i.
+	stored, loaded uint64
 
 	// On a sampled (recording) workgroup every global access of the running
 	// invocation is appended to log; ForEach folds it into rec when the
@@ -503,14 +511,17 @@ type access struct {
 	binding, index int
 }
 
-// noteLoad counts one 4-byte global load of element idx of the given binding.
-// On a sampled workgroup it also logs the access for the coalescing recorder,
-// which ForEach feeds once the invocation returns; on the ~97% of workgroups
-// that record nothing it is a single counter increment. It must stay small
-// enough that every plain BufferView accessor inlines into kernel bodies
-// (TestBufferAccessorsInline).
+// noteLoad counts one 4-byte global load of element idx of the given binding
+// and marks the binding loaded from. On a sampled workgroup it also logs the
+// access for the coalescing recorder, which ForEach feeds once the invocation
+// returns; on the ~97% of workgroups that record nothing it is a counter
+// increment and an OR. It must stay small enough that every plain BufferView
+// accessor inlines into kernel bodies (TestBufferAccessorsInline). A binding
+// is below MaxBindings, so masking the shift changes no bit; the mask spares
+// the overflow guard Go would otherwise emit on every load.
 func (wg *Workgroup) noteLoad(binding, idx int) {
 	wg.accLoads++
+	wg.loaded |= 1 << (uint(binding) & 63)
 	if wg.recording {
 		wg.log = append(wg.log, access{binding, idx})
 	}
@@ -520,7 +531,7 @@ func (wg *Workgroup) noteLoad(binding, idx int) {
 // binding stored to.
 func (wg *Workgroup) noteStore(binding, idx int) {
 	wg.accStores++
-	wg.stored |= 1 << uint(binding)
+	wg.stored |= 1 << (uint(binding) & 63)
 	if wg.recording {
 		wg.log = append(wg.log, access{binding, idx})
 	}

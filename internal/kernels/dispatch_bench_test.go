@@ -49,7 +49,7 @@ func runExecute(b *testing.B, p *kernels.Program, cfg kernels.DispatchConfig, re
 		if reset != nil {
 			reset()
 		}
-		if _, _, err := kernels.Execute(p, cfg); err != nil {
+		if _, _, _, err := kernels.Execute(p, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -76,7 +76,7 @@ func TestCountersIdenticalAcrossParallelism(t *testing.T) {
 			p := mixedProgram(tc.exact)
 			var want *kernels.Counters
 			for _, par := range parallelisms {
-				got, _, err := kernels.Execute(p, mixedConfig(96, 3, par, tc.maxExact))
+				got, _, _, err := kernels.Execute(p, mixedConfig(96, 3, par, tc.maxExact))
 				if err != nil {
 					t.Fatalf("Execute(parallelism=%d): %v", par, err)
 				}
@@ -101,7 +101,7 @@ func TestCountersIdenticalAcrossParallelism(t *testing.T) {
 // the extensive counters back to the full grid.
 func TestSampledDispatchExtrapolates(t *testing.T) {
 	p := mixedProgram(false)
-	got, _, err := kernels.Execute(p, mixedConfig(96, 1, 4, 1024))
+	got, _, _, err := kernels.Execute(p, mixedConfig(96, 1, 4, 1024))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestCoalescingRecorder(t *testing.T) {
 					})
 				},
 			}
-			got, _, err := kernels.Execute(prog, kernels.DispatchConfig{
+			got, _, _, err := kernels.Execute(prog, kernels.DispatchConfig{
 				Groups:         kernels.D1(1),
 				Buffers:        []kernels.Words{in},
 				Push:           kernels.Words{uint32(tc.stride)},
@@ -210,7 +210,7 @@ func TestSharedMemoryRecycledZeroed(t *testing.T) {
 			}
 		},
 	}
-	got, _, err := kernels.Execute(prog, kernels.DispatchConfig{
+	got, _, _, err := kernels.Execute(prog, kernels.DispatchConfig{
 		Groups:      kernels.D1(32),
 		Parallelism: 1, // serial so every workgroup reuses the same pool
 	})
@@ -223,5 +223,35 @@ func TestSharedMemoryRecycledZeroed(t *testing.T) {
 	// Group 0: 16*4 + 8*4 + 64*4 = 352 bytes; every other group 96 bytes.
 	if got.SharedBytesPerGroup != 352 {
 		t.Fatalf("SharedBytesPerGroup = %v, want 352 (max over workgroups)", got.SharedBytesPerGroup)
+	}
+}
+
+// TestExecuteBindingMasks: Execute reports exactly the bindings the kernel
+// loaded from and stored to, up to the last of MaxBindings, and rejects a
+// dispatch that binds more.
+func TestExecuteBindingMasks(t *testing.T) {
+	prog := &kernels.Program{
+		Name:      "test_binding_masks",
+		LocalSize: kernels.D1(64),
+		Fn: func(wg *kernels.Workgroup) {
+			in, out := wg.Buffer(kernels.MaxBindings-1), wg.Buffer(kernels.MaxBindings-2)
+			wg.ForEach(func(inv *kernels.Invocation) {
+				out.StoreU32(inv, inv.GlobalX(), in.LoadU32(inv, inv.GlobalX()))
+			})
+		},
+	}
+	buffers := make([]kernels.Words, kernels.MaxBindings+1)
+	for i := range buffers {
+		buffers[i] = make(kernels.Words, 64)
+	}
+	_, stored, loaded, err := kernels.Execute(prog, kernels.DispatchConfig{Groups: kernels.D1(1), Buffers: buffers[:kernels.MaxBindings]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored != 1<<(kernels.MaxBindings-2) || loaded != 1<<(kernels.MaxBindings-1) {
+		t.Fatalf("stored %#x, loaded %#x; want bits 62 and 63 alone", stored, loaded)
+	}
+	if _, _, _, err := kernels.Execute(prog, kernels.DispatchConfig{Groups: kernels.D1(1), Buffers: buffers}); err == nil {
+		t.Fatalf("a dispatch binding %d buffers executed", len(buffers))
 	}
 }
