@@ -10,6 +10,7 @@ import (
 	"vcomputebench/internal/core"
 	"vcomputebench/internal/expected"
 	"vcomputebench/internal/experiments"
+	"vcomputebench/internal/hw"
 	"vcomputebench/internal/report"
 )
 
@@ -33,6 +34,9 @@ var updateGoldens = flag.Bool("update-goldens", false, "rewrite testdata/golden 
 // The experiments share one snapshot cache, as `vcbench -run/-check all`
 // does: cells that appear in several figures execute once and replay
 // elsewhere, so this test also pins that replay moves no published metric.
+// A warm pass then runs every experiment again over that cache: it must
+// execute nothing and reproduce every golden, so an experiment that reaches
+// the simulator around the runner fails here.
 func TestPaperFidelity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full experiments; skipped with -short")
@@ -68,6 +72,24 @@ func TestPaperFidelity(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("warm", func(t *testing.T) {
+		misses := opts.Cache.Stats().Misses
+		executed, _ := hw.DispatchCounts()
+		for _, e := range experiments.All() {
+			doc, err := e.Run(opts)
+			if err != nil {
+				t.Fatalf("%s: %v", e.ID, err)
+			}
+			compareGolden(t, e.ID, doc)
+		}
+		if n := opts.Cache.Stats().Misses - misses; n != 0 {
+			t.Errorf("the warm pass missed the store %d times, want 0", n)
+		}
+		if n, _ := hw.DispatchCounts(); n != executed {
+			t.Errorf("the warm pass executed %d dispatches, want 0", n-executed)
+		}
+	})
 }
 
 // compareGolden checks the document's JSON encoding against the committed

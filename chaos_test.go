@@ -29,12 +29,14 @@ func encodeDoc(t *testing.T, doc *report.Document) []byte {
 	return data
 }
 
-// TestChaosGridDeterministicUnderFaults runs a full paper figure under an
-// elevated mix of every fault class in keep-going mode and pins the two core
-// degradation contracts: the run survives (documents are produced, failed
-// cells are structured entries, the process never dies) and the output is
-// byte-identical at any suite parallelism — the fault schedule is a pure
-// function of (seed, site), not of scheduling.
+// TestChaosGridDeterministicUnderFaults runs experiments under an elevated
+// mix of every fault class in keep-going mode and pins the core degradation
+// contracts: the run survives (documents are produced, failed cells are
+// structured entries, the process never dies), the output is byte-identical
+// at any suite parallelism — the fault schedule is a pure function of
+// (seed, site), not of scheduling — and no attempt a fault hit is stored. The
+// inputs are a full paper figure and the command-buffer ablation, whose cells
+// reach the fault model through the runner like every other cell.
 //
 // No CellTimeout on purpose: deadline expiry depends on wall-clock scheduling
 // and would break byte-identity; the hang class still exercises its
@@ -47,52 +49,135 @@ func TestChaosGridDeterministicUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	apis := []hw.API{hw.APIOpenCL, hw.APIVulkan}
-	run := func(parallelism int) *report.Document {
-		t.Helper()
-		inj := faults.New(1234,
-			faults.Rule{Class: faults.DriverFault, Rate: 0.15},
-			faults.Rule{Class: faults.Hang, Rate: 0.10},
-			faults.Rule{Class: faults.DeviceLost, Rate: 0.15},
-			faults.Rule{Class: faults.OOM, Rate: 0.10},
-		)
-		doc, err := experiments.SpeedupDocument("fig4a", p, apis, experiments.Options{
-			Repetitions: 1, Seed: 42, Parallelism: parallelism,
-			Faults: inj, Retries: 1, KeepGoing: true,
-		})
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", parallelism, err)
-		}
-		return doc
+	ablation, err := experiments.ByID("ablation-cmdbuf")
+	if err != nil {
+		t.Fatal(err)
 	}
-	serial := run(1)
-	if len(serial.Failed) == 0 {
-		t.Fatal("elevated fault rates produced no failed cells; the chaos run exercised nothing")
+	inputs := []struct {
+		id  string
+		run func(experiments.Options) (*report.Document, error)
+	}{
+		{"fig4a", func(opts experiments.Options) (*report.Document, error) {
+			return experiments.SpeedupDocument("fig4a", p, []hw.API{hw.APIOpenCL, hw.APIVulkan}, opts)
+		}},
+		{"ablation-cmdbuf", ablation.Run},
 	}
-	if !serial.Degraded() {
-		t.Fatal("document with failed cells does not report Degraded()")
-	}
-	for _, f := range serial.Failed {
-		if f.Benchmark == "" || f.API == "" || f.Class == "" || f.Attempts < 1 || f.Reason == "" {
-			t.Fatalf("failure entry incomplete: %+v", f)
-		}
-	}
-	want := encodeDoc(t, serial)
-	for _, par := range []int{8, 8} { // twice: also guards run-to-run determinism
-		if got := encodeDoc(t, run(par)); !bytes.Equal(want, got) {
-			t.Fatalf("parallelism %d: degraded document differs from serial run:\n%s\nvs\n%s", par, got, want)
-		}
-	}
+	for _, in := range inputs {
+		in := in
+		t.Run(in.id, func(t *testing.T) {
+			run := func(parallelism int) *report.Document {
+				t.Helper()
+				inj := &planRecorder{Injector: faults.New(1234,
+					faults.Rule{Class: faults.DriverFault, Rate: 0.15},
+					faults.Rule{Class: faults.Hang, Rate: 0.10},
+					faults.Rule{Class: faults.DeviceLost, Rate: 0.15},
+					faults.Rule{Class: faults.OOM, Rate: 0.10},
+				)}
+				store := &putRecorder{SnapshotStore: core.NewSnapshotCache(0)}
+				doc, err := in.run(experiments.Options{
+					Repetitions: 1, Seed: 42, Parallelism: parallelism, Cache: store,
+					Faults: inj, Retries: 1, KeepGoing: true,
+				})
+				if err != nil {
+					t.Fatalf("parallelism %d: %v", parallelism, err)
+				}
+				requireFaultedNotStored(t, inj, store)
+				return doc
+			}
+			serial := run(1)
+			if len(serial.Failed) == 0 {
+				t.Fatal("elevated fault rates produced no failed cells; the chaos run exercised nothing")
+			}
+			survivors := len(serial.Results)
+			for _, tab := range serial.Tables {
+				survivors += len(tab.Rows)
+			}
+			if survivors == 0 {
+				t.Fatal("every cell failed; the chaos run shows no surviving cell")
+			}
+			if !serial.Degraded() {
+				t.Fatal("document with failed cells does not report Degraded()")
+			}
+			for _, f := range serial.Failed {
+				if f.Benchmark == "" || f.API == "" || f.Class == "" || f.Attempts < 1 || f.Reason == "" {
+					t.Fatalf("failure entry incomplete: %+v", f)
+				}
+			}
+			want := encodeDoc(t, serial)
+			for _, par := range []int{2, 8} {
+				if got := encodeDoc(t, run(par)); !bytes.Equal(want, got) {
+					t.Fatalf("parallelism %d: degraded document differs from serial run:\n%s\nvs\n%s", par, got, want)
+				}
+			}
 
-	// A degraded paper figure must never pass the fidelity check.
-	failedDegraded := 0
-	for _, c := range expected.CompareDocument("fig4a", serial) {
-		if c.Kind == "degraded" && !c.Pass {
-			failedDegraded++
+			if !expected.HasExpectations(in.id) {
+				return
+			}
+			// A degraded paper figure must never pass the fidelity check.
+			failedDegraded := 0
+			for _, c := range expected.CompareDocument(in.id, serial) {
+				if c.Kind == "degraded" && !c.Pass {
+					failedDegraded++
+				}
+			}
+			if failedDegraded != len(serial.Failed) {
+				t.Fatalf("CompareDocument produced %d failing degraded checks for %d failed cells", failedDegraded, len(serial.Failed))
+			}
+		})
+	}
+}
+
+// planRecorder is a fault planner that keeps every plan its injector draws,
+// so a test can tell which attempts a fault hit.
+type planRecorder struct {
+	*faults.Injector
+	mu    sync.Mutex
+	plans []*faults.Plan
+}
+
+func (r *planRecorder) Plan(site faults.Site) *faults.Plan {
+	plan := r.Injector.Plan(site)
+	if plan != nil {
+		r.mu.Lock()
+		r.plans = append(r.plans, plan)
+		r.mu.Unlock()
+	}
+	return plan
+}
+
+// putRecorder is a snapshot store that records the key of every Put.
+type putRecorder struct {
+	core.SnapshotStore
+	mu   sync.Mutex
+	puts []core.SnapshotKey
+}
+
+func (s *putRecorder) Put(k core.SnapshotKey, snap *core.Snapshot) {
+	s.mu.Lock()
+	s.puts = append(s.puts, k)
+	s.mu.Unlock()
+	s.SnapshotStore.Put(k, snap)
+}
+
+// requireFaultedNotStored fails the test when the store took a snapshot of a
+// cell whose first attempt a fault hit, or when the run stored nothing or
+// faulted nothing, so the check would hold vacuously.
+func requireFaultedNotStored(t *testing.T, inj *planRecorder, store *putRecorder) {
+	t.Helper()
+	faulted := map[faults.Site]bool{}
+	for _, plan := range inj.plans {
+		if plan.Site.Attempt == 0 && plan.Fired() {
+			faulted[plan.Site] = true
 		}
 	}
-	if failedDegraded != len(serial.Failed) {
-		t.Fatalf("CompareDocument produced %d failing degraded checks for %d failed cells", failedDegraded, len(serial.Failed))
+	if len(faulted) == 0 || len(store.puts) == 0 {
+		t.Fatalf("%d faulted first attempts and %d stored cells; the check needs both", len(faulted), len(store.puts))
+	}
+	for _, k := range store.puts {
+		site := faults.Site{Platform: k.Platform, Benchmark: k.Benchmark, Workload: k.Workload, API: string(k.API)}
+		if faulted[site] {
+			t.Fatalf("the store took %s/%s (%s) on %s, whose first attempt was faulted", k.Benchmark, k.API, k.Workload, k.Platform)
+		}
 	}
 }
 

@@ -170,7 +170,7 @@ func main() {
 	}
 	must(fence.Wait())
 
-	fmt.Printf("dispatched %d workgroups in %v of simulated device time\n", n/256, stats.KernelTime)
+	fmt.Printf("dispatched %d workgroups in %v of simulated device time\n", n/256, stats.KernelTime.D)
 	fmt.Printf("host (std::chrono-style) time including setup: %v\n", host.Now())
 }
 

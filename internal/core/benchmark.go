@@ -56,7 +56,7 @@ type RunContext struct {
 	Ctx context.Context
 	// Host is the simulated CPU of the run, attached to Device: it records
 	// the run's timing trace and steps its timeline. The benchmark measures
-	// with its clock through Stopwatch and Now.
+	// with its clock through Stopwatch, and Result reads the total time.
 	Host *hw.Host
 	// Device is the simulated GPU.
 	Device *hw.Device
@@ -84,10 +84,19 @@ func (ctx *RunContext) Stopwatch() *Stopwatch {
 	return &Stopwatch{host: ctx.Host, start: ctx.Host.Mark()}
 }
 
-// Now returns the current host time, recording the observation in the run's
-// timing trace. Benchmarks must use it — not ctx.Host.Now() — for any value
-// they place in a Result (e.g. TotalTime), so snapshot replay can rebind it.
-func (ctx *RunContext) Now() time.Duration { return ctx.Host.ReadNow() }
+// Result starts the run's Result: KernelTime is the kernel measurement and
+// TotalTime the host time now, read into the trace. The Result keeps the
+// index of each time's trace reading, through which replay recomputes it;
+// the runner fails a cell whose Result was built any other way.
+func (ctx *RunContext) Result(kernel hw.Measurement) *Result {
+	total := ctx.Host.ReadNow()
+	return &Result{
+		KernelTime:    kernel.D,
+		TotalTime:     total.D,
+		kernelReading: kernel.Reading + 1,
+		totalReading:  total.Reading + 1,
+	}
+}
 
 // Stopwatch measures an interval of host virtual time (the paper's
 // std::chrono usage) between two trace marks.
@@ -97,7 +106,7 @@ type Stopwatch struct {
 }
 
 // Elapsed returns the virtual time elapsed since the stopwatch started.
-func (s *Stopwatch) Elapsed() time.Duration { return s.host.ReadSince(s.start) }
+func (s *Stopwatch) Elapsed() hw.Measurement { return s.host.ReadSince(s.start) }
 
 // Result is the outcome of one benchmark run. The JSON tags are part of the
 // versioned results schema (report.SchemaVersion): durations serialise as
@@ -135,6 +144,11 @@ type Result struct {
 	// replay uses it to recompute those extras bit-identically under a
 	// different driver profile; it never serialises.
 	throughputBytes map[string]float64
+	// kernelReading and totalReading are one more than the indices of the
+	// trace readings KernelTime and TotalTime were read from (set by
+	// RunContext.Result), so a Result literal, whose fields are zero, binds
+	// no reading.
+	kernelReading, totalReading int
 }
 
 // ExtraValue returns the named extra metric, or 0 if absent.
@@ -165,32 +179,27 @@ func ThroughputGBps(usefulBytes float64, t time.Duration) float64 {
 }
 
 // SetExtraThroughput stores an extra metric of the form usefulBytes /
-// kernelTime (in GB/s) and records the numerator, so snapshot replay can
+// r.KernelTime (in GB/s) and records the numerator, so snapshot replay can
 // recompute the metric from the replayed kernel time. Benchmarks whose extras
 // depend on measured time must use this instead of SetExtra; extras stored
 // with SetExtra are treated as timing-independent and copied verbatim by
 // replay.
-func (r *Result) SetExtraThroughput(name string, usefulBytes float64, kernelTime time.Duration) {
-	r.SetExtra(name, ThroughputGBps(usefulBytes, kernelTime))
+func (r *Result) SetExtraThroughput(name string, usefulBytes float64) {
+	r.SetExtra(name, ThroughputGBps(usefulBytes, r.KernelTime))
 	if r.throughputBytes == nil {
 		r.throughputBytes = make(map[string]float64)
 	}
 	r.throughputBytes[name] = usefulBytes
 }
 
-// Benchmark is the runner-facing view of one registered workload: its Table I
-// metadata, the input configurations used on desktop and mobile platforms, and
-// host implementations for each API. Workloads register a Descriptor (see
-// descriptor.go); the registry adapts it to this interface.
+// Benchmark is the runner-facing view of one workload: its name, the input
+// configurations used on desktop and mobile platforms, and host
+// implementations for each API. Workloads register a Descriptor (see
+// descriptor.go), which also holds their Table I metadata; the registry
+// adapts it to this interface.
 type Benchmark interface {
 	// Name is the short benchmark name used in the figures (e.g. "bfs").
 	Name() string
-	// Dwarf is the Berkeley dwarf classification from Table I.
-	Dwarf() string
-	// Domain is the application domain from Table I.
-	Domain() string
-	// Description is a one-line description of the workload.
-	Description() string
 	// Workloads returns the input configurations evaluated on the given device
 	// class, in the order they appear in the paper's figures.
 	Workloads(class hw.Class) []Workload

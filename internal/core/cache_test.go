@@ -15,9 +15,6 @@ import (
 type keyBench struct{ name string }
 
 func (b keyBench) Name() string                   { return b.name }
-func (keyBench) Dwarf() string                    { return "" }
-func (keyBench) Domain() string                   { return "" }
-func (keyBench) Description() string              { return "" }
 func (keyBench) APIs() []hw.API                   { return hw.AllAPIs() }
 func (keyBench) Run(*RunContext) (*Result, error) { return nil, nil }
 func (keyBench) Workloads(class hw.Class) []Workload {

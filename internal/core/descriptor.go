@@ -231,11 +231,8 @@ func FigureOrder(f Family) []string {
 // experiments consume.
 type registered struct{ d *Descriptor }
 
-func (r registered) Name() string        { return r.d.Name }
-func (r registered) Dwarf() string       { return r.d.Dwarf }
-func (r registered) Domain() string      { return r.d.Domain }
-func (r registered) Description() string { return r.d.Application }
-func (r registered) APIs() []hw.API      { return append([]hw.API(nil), r.d.APIs...) }
+func (r registered) Name() string   { return r.d.Name }
+func (r registered) APIs() []hw.API { return append([]hw.API(nil), r.d.APIs...) }
 
 func (r registered) Workloads(class hw.Class) []Workload { return r.d.Workloads(class) }
 

@@ -84,15 +84,15 @@ func TestRegistryInvariants(t *testing.T) {
 }
 
 // TestRegistryMatchesBenchmarkView: the Benchmark adapters returned by Get/All
-// must present exactly the descriptor's metadata.
+// must present exactly the descriptor's name and APIs.
 func TestRegistryMatchesBenchmarkView(t *testing.T) {
 	for _, d := range core.Descriptors() {
 		b, err := core.Get(d.Name)
 		if err != nil {
 			t.Fatalf("Get(%s): %v", d.Name, err)
 		}
-		if b.Name() != d.Name || b.Dwarf() != d.Dwarf || b.Domain() != d.Domain || b.Description() != d.Application {
-			t.Errorf("%s: Benchmark view disagrees with descriptor", d.Name)
+		if b.Name() != d.Name {
+			t.Errorf("%s: Benchmark view is named %q", d.Name, b.Name())
 		}
 		if len(b.APIs()) != len(d.APIs) {
 			t.Errorf("%s: Benchmark view lists %d APIs, descriptor %d", d.Name, len(b.APIs()), len(d.APIs))

@@ -87,8 +87,10 @@ func (m *memoBench) run(ctx *RunContext) (*Result, error) {
 		}
 	}
 	ctx.Host.WaitQueue(q)
-	kernel := sw.Elapsed()
-	return &Result{KernelTime: kernel, TotalTime: ctx.Now(), Dispatches: m.dispatches, Checksum: ChecksumWords(a.Words())}, nil
+	res := ctx.Result(sw.Elapsed())
+	res.Dispatches = m.dispatches
+	res.Checksum = ChecksumWords(a.Words())
+	return res, nil
 }
 
 // memoSuite runs the workload's triple through RunSuite and returns its

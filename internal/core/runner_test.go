@@ -29,9 +29,6 @@ type fakeBench struct {
 }
 
 func (f *fakeBench) Name() string                       { return f.name }
-func (f *fakeBench) Dwarf() string                      { return "Dense Linear Algebra" }
-func (f *fakeBench) Domain() string                     { return "Testing" }
-func (f *fakeBench) Description() string                { return "fake benchmark for runner tests" }
 func (f *fakeBench) Workloads(hw.Class) []core.Workload { return f.workloads }
 func (f *fakeBench) APIs() []hw.API                     { return f.apis }
 func (f *fakeBench) Run(ctx *core.RunContext) (*core.Result, error) {
@@ -49,15 +46,14 @@ func testWorkloads(labels ...string) []core.Workload {
 
 // measured spends kernel and then total-kernel on the run's host clock and
 // returns a Result holding what the run measured: the kernel time from a
-// stopwatch, the total time from ctx.Now. Measuring through the host, as a
-// real benchmark does, lets the runner bind both to trace readings and
-// replay them.
+// stopwatch, the total time read by ctx.Result. Measuring through the host,
+// as a real benchmark does, binds both to trace readings the runner replays.
 func measured(ctx *core.RunContext, kernel, total time.Duration) *core.Result {
 	sw := ctx.Stopwatch()
 	ctx.Host.Spend(hw.FixedCost(kernel))
 	k := sw.Elapsed()
 	ctx.Host.Spend(hw.FixedCost(total - kernel))
-	return &core.Result{KernelTime: k, TotalTime: ctx.Now()}
+	return ctx.Result(k)
 }
 
 // constantResult returns a run function with fixed timing and checksum.
@@ -162,7 +158,9 @@ func TestRunFailsWhenReplayDisagrees(t *testing.T) {
 			later := ctx.Host.Mark()
 			readings := ctx.Host.Trace().Readings
 			readings[len(readings)-1].B = later
-			return &core.Result{KernelTime: kernel, TotalTime: ctx.Now(), Checksum: 7}, nil
+			res := ctx.Result(kernel)
+			res.Checksum = 7
+			return res, nil
 		}
 		r := &core.Runner{Repetitions: 3, Seed: 1}
 		if store != nil {
@@ -177,6 +175,67 @@ func TestRunFailsWhenReplayDisagrees(t *testing.T) {
 				t.Fatalf("a cell that failed its replay check was stored: %+v", st)
 			}
 		}
+	}
+}
+
+// TestRunBindsTimesByHandle: a Result's times bind to the trace readings
+// that produced them, whatever other reading has the same value. The kernel
+// stopwatch times one sync and a second stopwatch one submit; on a profile
+// where the two knobs are equal the readings coincide, and the cell still
+// executes with the sync time, and a store hit on a profile with the sync
+// latency doubled follows the sync knob alone.
+func TestRunBindsTimesByHandle(t *testing.T) {
+	const us = time.Microsecond
+	withSync := func(sync time.Duration) *platforms.Platform {
+		p := platforms.GTX1050Ti()
+		drv := p.Profile.Drivers[hw.APIVulkan]
+		drv.SubmitOverhead, drv.SyncLatency = 12*us, sync
+		p.Profile.Drivers[hw.APIVulkan] = drv
+		return p
+	}
+	b := &fakeBench{name: "fake", apis: []hw.API{hw.APIVulkan}, workloads: testWorkloads("w0")}
+	b.run = func(ctx *core.RunContext) (*core.Result, error) {
+		sw := ctx.Stopwatch()
+		ctx.Host.Spend(hw.KnobCost(hw.KnobSync))
+		kernel := sw.Elapsed()
+		other := ctx.Stopwatch()
+		ctx.Host.Spend(hw.KnobCost(hw.KnobSubmit))
+		other.Elapsed()
+		return ctx.Result(kernel), nil
+	}
+	r := &core.Runner{Repetitions: 1, Seed: 1, Cache: core.NewSnapshotCache(0)}
+	for _, sync := range []time.Duration{12 * us, 24 * us} {
+		res, err := r.Run(withSync(sync), b, hw.APIVulkan, b.workloads[0])
+		if err != nil {
+			t.Fatalf("sync %v: %v", sync, err)
+		}
+		if res.KernelTime != sync || res.TotalTime != sync+12*us {
+			t.Fatalf("sync %v: kernel %v, total %v; want %v and %v", sync, res.KernelTime, res.TotalTime, sync, sync+12*us)
+		}
+	}
+	if calls := b.calls.Load(); calls != 1 {
+		t.Fatalf("the cell executed %d times, want once and then a store hit", calls)
+	}
+}
+
+// TestRunFailsResultLiteral: a Result built as a literal, not by ctx.Result,
+// binds no trace reading, so its cell fails with one clear error and is
+// never stored.
+func TestRunFailsResultLiteral(t *testing.T) {
+	store := core.NewSnapshotCache(0)
+	b := &fakeBench{name: "fake", apis: []hw.API{hw.APIVulkan}, workloads: testWorkloads("w0")}
+	b.run = func(ctx *core.RunContext) (*core.Result, error) {
+		sw := ctx.Stopwatch()
+		ctx.Host.Spend(hw.FixedCost(time.Millisecond))
+		return &core.Result{KernelTime: sw.Elapsed().D, TotalTime: ctx.Host.Now()}, nil
+	}
+	r := &core.Runner{Repetitions: 1, Seed: 1, Cache: store}
+	_, err := r.Run(platforms.GTX1050Ti(), b, hw.APIVulkan, b.workloads[0])
+	if err == nil || !strings.Contains(err.Error(), "the Result was not built by ctx.Result") {
+		t.Fatalf("err = %v, want the unbound-Result error", err)
+	}
+	if st := store.Stats(); st.Entries != 0 {
+		t.Fatalf("a cell whose Result binds no reading was stored: %+v", st)
 	}
 }
 

@@ -22,7 +22,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -51,23 +50,14 @@ type Snapshot struct {
 	throughputBytes map[string]float64 // bytes-over-kernel-time extras, recomputed
 }
 
-// newSnapshot binds an executed run's Result fields to its recorded trace.
-// It fails loudly when a Result field cannot be tied to a trace reading —
-// that means a benchmark derived a measurement in a way the trace
-// instrumentation does not capture, which would make replay silently wrong.
+// newSnapshot ties an executed run's Result to its recorded trace through
+// the reading indices RunContext.Result kept. It fails a Result built any
+// other way: its times are bound to no reading, so replay could not
+// recompute them.
 func newSnapshot(p *platforms.Platform, b Benchmark, api hw.API, w Workload, tr *hw.Trace, res *Result) (*Snapshot, error) {
-	kernelTime, totalTime := res.KernelTime, res.TotalTime
-	kIdx, err := bindDurationReading(tr, kernelTime)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s/%s on %s (%s): cannot bind kernel time %v (%w); "+
-			"measure through ctx.Stopwatch / API profiling events so the cell can be replayed",
-			b.Name(), api, p.ID, w.Label, kernelTime, err)
-	}
-	tIdx, ok := bindHostMarkReading(tr, totalTime)
-	if !ok {
-		return nil, fmt.Errorf("core: %s/%s on %s (%s): total time %v matches no host-time reading; "+
-			"use ctx.Now() (not ctx.Host.Now()) for Result.TotalTime so the cell can be replayed",
-			b.Name(), api, p.ID, w.Label, totalTime)
+	if res.kernelReading == 0 || res.totalReading == 0 {
+		return nil, fmt.Errorf("core: %s/%s on %s (%s): the Result was not built by ctx.Result, so its times "+
+			"are bound to no trace reading and the cell cannot be replayed", b.Name(), api, p.ID, w.Label)
 	}
 	s := &Snapshot{
 		trace:         tr,
@@ -75,8 +65,8 @@ func newSnapshot(p *platforms.Platform, b Benchmark, api hw.API, w Workload, tr 
 		benchmark:     b.Name(),
 		workload:      w.Label,
 		api:           api,
-		kernelReading: kIdx,
-		totalReading:  tIdx,
+		kernelReading: res.kernelReading - 1,
+		totalReading:  res.totalReading - 1,
 		dispatches:    res.Dispatches,
 		checksum:      res.Checksum,
 	}
@@ -94,81 +84,6 @@ func newSnapshot(p *platforms.Platform, b Benchmark, api hw.API, w Workload, tr 
 		}
 	}
 	return s, nil
-}
-
-// errAmbiguousReading reports a duration that matches several readings with
-// different replay semantics, so binding cannot be trusted.
-var errAmbiguousReading = errors.New("observed duration matches multiple distinct trace readings")
-
-// bindDurationReading finds the trace reading that produced an observed
-// duration: the interval-valued reading with the exact value, falling back to
-// the sum of every single-span reading (the pattern of a benchmark loop
-// accumulating per-enqueue profiling-event durations).
-//
-// Binding is by value, so a coincidental collision between two readings that
-// replay differently would silently bind the wrong one; to keep that failure
-// loud instead, a value matched by readings that are not semantically
-// identical is rejected as ambiguous (deterministically — the same cell would
-// fail every run and every CI, not just under some swept profile).
-func bindDurationReading(tr *hw.Trace, want time.Duration) (int, error) {
-	match := -1
-	for i := len(tr.Readings) - 1; i >= 0; i-- {
-		r := &tr.Readings[i]
-		if r.Kind == hw.ReadHostMark {
-			continue // absolute times never produce a duration field
-		}
-		if r.Value != want {
-			continue
-		}
-		if match < 0 {
-			match = i
-			continue
-		}
-		if !sameReadingSemantics(&tr.Readings[match], r) {
-			return 0, errAmbiguousReading
-		}
-	}
-	if match >= 0 {
-		return match, nil
-	}
-	var sum time.Duration
-	var refs []int32
-	for i := range tr.Readings {
-		if r := &tr.Readings[i]; r.Kind == hw.ReadSpanSum && len(r.Refs) == 1 {
-			sum += r.Value
-			refs = append(refs, r.Refs[0])
-		}
-	}
-	if len(refs) > 0 && sum == want {
-		return tr.AddSpanSumReading(refs, sum), nil
-	}
-	return 0, fmt.Errorf("no trace reading matches")
-}
-
-// sameReadingSemantics reports whether two readings replay to the same value
-// under every profile (same kind and same event/mark references), i.e. they
-// are interchangeable as a binding target.
-func sameReadingSemantics(a, b *hw.Reading) bool {
-	if a.Kind != b.Kind || a.A != b.A || a.B != b.B || len(a.Refs) != len(b.Refs) {
-		return false
-	}
-	for i := range a.Refs {
-		if a.Refs[i] != b.Refs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// bindHostMarkReading finds the latest absolute host-time reading with the
-// observed value.
-func bindHostMarkReading(tr *hw.Trace, want time.Duration) (int, bool) {
-	for i := len(tr.Readings) - 1; i >= 0; i-- {
-		if r := &tr.Readings[i]; r.Kind == hw.ReadHostMark && r.Value == want {
-			return i, true
-		}
-	}
-	return 0, false
 }
 
 // Kernels returns the dispatches the snapshot's run recorded, in order.
@@ -216,7 +131,7 @@ func (s *Snapshot) Replay(p *platforms.Platform) (*Result, error) {
 	}
 	//lint:allow(SetExtraThroughput inserts into a map keyed by name; iteration order cannot reach output)
 	for name, bytes := range s.throughputBytes {
-		res.SetExtraThroughput(name, bytes, kernelTime)
+		res.SetExtraThroughput(name, bytes)
 	}
 	return res, nil
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
@@ -52,8 +51,8 @@ func storeTestSnapshot(t testing.TB, reg *kernels.Registry) *Snapshot {
 			{Kind: hw.EvMark},
 		},
 		Readings: []hw.Reading{
-			{Kind: hw.ReadMarkDiff, A: 0, B: 2, Value: 50 * time.Microsecond},
-			{Kind: hw.ReadHostMark, A: 2, Value: 60 * time.Microsecond},
+			{Kind: hw.ReadMarkDiff, A: 0, B: 2},
+			{Kind: hw.ReadHostMark, A: 2},
 		},
 	}
 	return &Snapshot{

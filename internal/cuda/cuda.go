@@ -315,9 +315,9 @@ func (e *Event) Record(s *Stream) {
 }
 
 // Elapsed returns the device time between two recorded events.
-func (e *Event) Elapsed(since *Event) (time.Duration, error) {
+func (e *Event) Elapsed(since *Event) (hw.Measurement, error) {
 	if !e.set || !since.set {
-		return 0, fmt.Errorf("%w: elapsed time of unrecorded events", ErrInvalidValue)
+		return hw.Measurement{}, fmt.Errorf("%w: elapsed time of unrecorded events", ErrInvalidValue)
 	}
 	return e.ctx.host.ReadEndDiff(since.mark, e.mark), nil
 }

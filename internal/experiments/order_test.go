@@ -12,9 +12,6 @@ import (
 type namedBench struct{ name string }
 
 func (b namedBench) Name() string                       { return b.name }
-func (b namedBench) Dwarf() string                      { return "" }
-func (b namedBench) Domain() string                     { return "" }
-func (b namedBench) Description() string                { return "" }
 func (b namedBench) Workloads(hw.Class) []core.Workload { return nil }
 func (b namedBench) APIs() []hw.API                     { return nil }
 func (b namedBench) Run(*core.RunContext) (*core.Result, error) {

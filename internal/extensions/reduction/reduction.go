@@ -193,13 +193,10 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 		}
 	}
 	t := traffic(ctx.Workload)
-	res := &core.Result{
-		KernelTime: out.KernelTime,
-		TotalTime:  ctx.Now(),
-		Dispatches: out.Dispatches,
-		Checksum:   core.ChecksumF32([]float32{total}),
-	}
-	res.SetExtraThroughput(core.ExtraBandwidthGBps, t.GlobalBytes(), out.KernelTime)
+	res := ctx.Result(out.KernelTime)
+	res.Dispatches = out.Dispatches
+	res.Checksum = core.ChecksumF32([]float32{total})
+	res.SetExtraThroughput(core.ExtraBandwidthGBps, t.GlobalBytes())
 	return res, nil
 }
 

@@ -28,7 +28,7 @@ import (
 //	          (spend, occupy), a cost and a kernel index (kernel), a byte
 //	          count (transfer), a target event (wait); a mark has none
 //	readings  the total number of event refs all readings hold, then each
-//	          reading's kind, A, B, refs and recorded value
+//	          reading's kind, A, B and refs
 //
 // Decode makes one allocation per table and one registry lookup per
 // distinct program; every index is bounds-checked against its table.
@@ -42,7 +42,7 @@ import (
 // packages, so stale streams are normally never even opened.
 
 // TraceCodecVersion is the current wire-format version of EncodeTrace.
-const TraceCodecVersion = 2
+const TraceCodecVersion = 3
 
 // traceMagic guards against feeding arbitrary files to the decoder.
 var traceMagic = [4]byte{'V', 'C', 'T', 'R'}
@@ -58,7 +58,7 @@ const (
 	minCostBytes    = 1 + int(knobCount) // a varint per field
 	minKernelBytes  = 1 + 8*counterFields
 	minEventBytes   = 2 // kind and queue
-	minReadingBytes = 5 // kind, A, B, ref count, value
+	minReadingBytes = 4 // kind, A, B, ref count
 )
 
 // appendCounters writes the Counters fields in declaration order.
@@ -163,7 +163,6 @@ func EncodeTrace(t *Trace) ([]byte, error) {
 		for _, ref := range r.Refs {
 			b = binary.AppendVarint(b, int64(ref))
 		}
-		b = binary.AppendVarint(b, int64(r.Value))
 	}
 	return b, nil
 }
@@ -271,7 +270,6 @@ func DecodeTrace(data []byte, reg *kernels.Registry) (*Trace, error) {
 				r.Refs[j] = d.i32()
 			}
 		}
-		r.Value = time.Duration(d.varint())
 		if d.err != nil {
 			break
 		}

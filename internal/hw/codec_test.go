@@ -72,10 +72,10 @@ func syntheticTrace(t testing.TB, reg *kernels.Registry) *Trace {
 			{Kind: EvKernel, Queue: 1, Cost: 1, Kernel: 2},
 		},
 		Readings: []Reading{
-			{Kind: ReadHostMark, A: 8, Value: 90 * time.Microsecond},
-			{Kind: ReadMarkDiff, A: 1, B: 8, Value: 80 * time.Microsecond},
-			{Kind: ReadSpanSum, Refs: []int32{2, 5}, Value: 60 * time.Microsecond},
-			{Kind: ReadEndDiff, A: -1, B: 5, Value: 70 * time.Microsecond},
+			{Kind: ReadHostMark, A: 8},
+			{Kind: ReadMarkDiff, A: 1, B: 8},
+			{Kind: ReadSpanSum, Refs: []int32{2, 5}},
+			{Kind: ReadEndDiff, A: -1, B: 5},
 		},
 	}
 }
@@ -232,10 +232,10 @@ func TestTraceCodecRejectsBadIndices(t *testing.T) {
 	// With no events or readings the stream ends in the kernel record
 	// (program index, counters) and three zero table lengths.
 	cases["program index"] = patch(&Trace{API: APIVulkan, Kernels: oneKernel}, 4+8*counterFields, 0, 1)
-	// One two-ref reading of value 0 follows the declared total in 7 bytes.
+	// One two-ref reading follows the declared total in 6 bytes.
 	cases["reading refs"] = patch(&Trace{API: APIVulkan, Costs: oneCost,
 		Events:   []TraceEvent{{Kind: EvOccupy}},
-		Readings: []Reading{{Kind: ReadSpanSum, Refs: []int32{0, 0}}}}, 8, 2, 1)
+		Readings: []Reading{{Kind: ReadSpanSum, Refs: []int32{0, 0}}}}, 7, 2, 1)
 
 	for name, data := range cases {
 		_, err := DecodeTrace(data, reg)

@@ -87,35 +87,39 @@ func (h *Host) WaitQueue(q *Queue) { h.Wait(q.Last()) }
 // Mark samples the host clock and returns the sample's event index.
 func (h *Host) Mark() int32 { return h.record(TraceEvent{Kind: EvMark}) }
 
-// read records a reading with its value on the timeline.
-func (h *Host) read(r Reading) time.Duration {
-	r.Value = h.tl.value(&r)
+// Measurement is a time the run observed: its value, and the index of the
+// trace reading it was read from. A Result keeps the index, so replay
+// recomputes the time from that reading under another profile.
+type Measurement struct {
+	D       time.Duration
+	Reading int
+}
+
+// read records a reading and returns its value on the timeline with its
+// index.
+func (h *Host) read(r Reading) Measurement {
 	h.trace.Readings = append(h.trace.Readings, r)
-	return r.Value
+	return Measurement{D: h.tl.value(&r), Reading: len(h.trace.Readings) - 1}
 }
 
 // ReadNow reads the current host time.
-func (h *Host) ReadNow() time.Duration { return h.read(Reading{Kind: ReadHostMark, A: h.Mark()}) }
+func (h *Host) ReadNow() Measurement { return h.read(Reading{Kind: ReadHostMark, A: h.Mark()}) }
 
 // ReadSince reads the host time elapsed since the mark (a stopwatch).
-func (h *Host) ReadSince(mark int32) time.Duration {
+func (h *Host) ReadSince(mark int32) Measurement {
 	return h.read(Reading{Kind: ReadMarkDiff, A: mark, B: h.Mark()})
 }
 
 // ReadSpanSum reads the summed device occupancy of the scheduled events
-// (e.g. a Vulkan submission's dispatches).
-func (h *Host) ReadSpanSum(refs []int32) time.Duration {
+// (a Vulkan submission's dispatches, a set of OpenCL profiling events).
+func (h *Host) ReadSpanSum(refs []int32) Measurement {
 	return h.read(Reading{Kind: ReadSpanSum, Refs: refs})
 }
-
-// ReadSpan reads one scheduled event's occupancy (an OpenCL profiling
-// event's start-to-end duration).
-func (h *Host) ReadSpan(ref int32) time.Duration { return h.ReadSpanSum([]int32{ref}) }
 
 // ReadEndDiff reads end(b) - end(a) of two scheduled events, -1 standing for
 // time zero: the semantics of device-side event timers
 // (cudaEventElapsedTime).
-func (h *Host) ReadEndDiff(a, b int32) time.Duration {
+func (h *Host) ReadEndDiff(a, b int32) Measurement {
 	return h.read(Reading{Kind: ReadEndDiff, A: a, B: b})
 }
 

@@ -204,14 +204,13 @@ const (
 
 // Reading is one derived quantity a benchmark observed during the run (a
 // stopwatch interval, a submission's kernel-time sum, an event-timer delta, a
-// total-time sample). The recorded Value lets the runner bind a Result field
-// to the reading that produced it; replay then recomputes the reading's value
-// under the new profile.
+// total-time sample). A Result field holds the index of the reading it was
+// read from (see Measurement); replay recomputes the reading's value under
+// the new profile.
 type Reading struct {
-	Kind  ReadingKind
-	A, B  int32
-	Refs  []int32
-	Value time.Duration
+	Kind ReadingKind
+	A, B int32
+	Refs []int32
 }
 
 // maxQueueSlots bounds the number of device queues a trace distinguishes
@@ -227,14 +226,6 @@ type Trace struct {
 	Kernels  []KernelRecord
 	Events   []TraceEvent
 	Readings []Reading
-}
-
-// AddSpanSumReading appends a synthetic span-sum reading (the runner uses it
-// to bind a benchmark-side accumulation of several individual span readings,
-// e.g. a loop summing OpenCL event durations) and returns its index.
-func (t *Trace) AddSpanSumReading(refs []int32, v time.Duration) int {
-	t.Readings = append(t.Readings, Reading{Kind: ReadSpanSum, Refs: refs, Value: v})
-	return len(t.Readings) - 1
 }
 
 // span is one event's interval on the timeline: the host interval of a spend

@@ -1,7 +1,8 @@
 // Package micro implements the two self-written microbenchmarks the paper
 // uses alongside the Rodinia ports: the vector-addition example of §IV-A
 // (Listing 1) and the strided-memory-bandwidth benchmark of §V-A1 / §V-B1
-// (Figures 1 and 3).
+// (Figures 1 and 3). It also holds IterativeAdd, the workload of the
+// single-command-buffer ablation.
 package micro
 
 import (

@@ -3,7 +3,6 @@ package micro
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"vcomputebench/internal/bench"
 	"vcomputebench/internal/core"
@@ -84,7 +83,7 @@ func runMemBandwidth(ctx *core.RunContext) (*core.Result, error) {
 
 	var (
 		out        []float32
-		kernelTime time.Duration
+		kernelTime hw.Measurement
 		err        error
 	)
 	switch ctx.API {
@@ -113,44 +112,41 @@ func runMemBandwidth(ctx *core.RunContext) (*core.Result, error) {
 	// work item. The extra is declared as a throughput (bytes over kernel
 	// time) so snapshot replay recomputes it from the replayed kernel time.
 	usefulBytes := float64(threads) * 8 * float64(iters)
-	res := &core.Result{
-		KernelTime: kernelTime,
-		TotalTime:  ctx.Now(),
-		Dispatches: iters,
-		Checksum:   core.ChecksumF32(out),
-	}
-	res.SetExtraThroughput(ExtraBandwidthGBps, usefulBytes, kernelTime)
+	res := ctx.Result(kernelTime)
+	res.Dispatches = iters
+	res.Checksum = core.ChecksumF32(out)
+	res.SetExtraThroughput(ExtraBandwidthGBps, usefulBytes)
 	return res, nil
 }
 
-func memBandwidthVulkan(ctx *core.RunContext, threads, nIn, stride, iters int, in kernels.Words) ([]float32, time.Duration, error) {
+func memBandwidthVulkan(ctx *core.RunContext, threads, nIn, stride, iters int, in kernels.Words) ([]float32, hw.Measurement, error) {
 	env, err := vkutil.Setup(ctx.Host, ctx.Device)
 	if err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	defer env.Close()
 
 	bufIn, err := env.NewDeviceBuffer(int64(nIn) * 4)
 	if err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	defer bufIn.Free()
 	bufOut, err := env.NewDeviceBuffer(int64(threads) * 4)
 	if err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	defer bufOut.Free()
 	if err := env.Upload(bufIn, in); err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 
 	pipe, err := env.NewComputePipeline(KernelStridedRead)
 	if err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	set, err := env.NewBoundSet(pipe, bufIn, bufOut)
 	if err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 
 	// All iterations are recorded into a single command buffer; the stride is
@@ -158,34 +154,34 @@ func memBandwidthVulkan(ctx *core.RunContext, threads, nIn, stride, iters int, i
 	// memory barrier separates iterations.
 	cb, err := env.NewCommandBuffer()
 	if err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	if err := cb.Begin(); err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	if err := cb.CmdBindPipeline(vkutil.BindCompute, pipe.Pipeline); err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	if err := cb.CmdBindDescriptorSets(vkutil.BindCompute, pipe.Layout, set); err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	groups := bench.DivUp(threads, 256)
 	for it := 0; it < iters; it++ {
 		if err := cb.CmdPushConstants(pipe.Layout, 0, kernels.Words{uint32(stride), uint32(nIn)}); err != nil {
-			return nil, 0, err
+			return nil, hw.Measurement{}, err
 		}
 		if err := cb.CmdDispatch(groups, 1, 1); err != nil {
-			return nil, 0, err
+			return nil, hw.Measurement{}, err
 		}
 		if it != iters-1 {
 			if err := cb.CmdPipelineBarrier(vulkan.PipelineStageComputeShaderBit, vulkan.PipelineStageComputeShaderBit,
 				vulkan.MemoryBarrier{SrcAccessMask: vulkan.AccessShaderWriteBit, DstAccessMask: vulkan.AccessShaderReadBit}); err != nil {
-				return nil, 0, err
+				return nil, hw.Measurement{}, err
 			}
 		}
 	}
 	if err := cb.End(); err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 
 	// Bandwidth is derived from device-side execution time (the sum of the
@@ -194,38 +190,38 @@ func memBandwidthVulkan(ctx *core.RunContext, threads, nIn, stride, iters int, i
 	// figures exclude host launch overhead.
 	stats, err := env.SubmitAndWait(cb)
 	if err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	kernelTime := stats.KernelTime
 
 	out, err := env.DownloadF32(bufOut)
 	if err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	return out[:threads], kernelTime, nil
 }
 
-func memBandwidthCUDA(ctx *core.RunContext, threads, nIn, stride, iters int, in kernels.Words) ([]float32, time.Duration, error) {
+func memBandwidthCUDA(ctx *core.RunContext, threads, nIn, stride, iters int, in kernels.Words) ([]float32, hw.Measurement, error) {
 	env, err := bench.SetupCUDA(ctx.Host, ctx.Device)
 	if err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	dIn, err := env.Context.Malloc(int64(nIn) * 4)
 	if err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	defer env.Context.Free(dIn)
 	dOut, err := env.Context.Malloc(int64(threads) * 4)
 	if err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	defer env.Context.Free(dOut)
 	if err := env.Context.MemcpyHtoD(dIn, in); err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	k, err := env.Module.GetKernel(KernelStridedRead)
 	if err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	args := cuda.Args{
 		Buffers: []*cuda.DevicePtr{dIn, dOut},
@@ -235,7 +231,7 @@ func memBandwidthCUDA(ctx *core.RunContext, threads, nIn, stride, iters int, in 
 	// One warm-up launch so the timed region starts with the device hot and
 	// the first-launch latency is excluded, as bandwidth microbenchmarks do.
 	if err := env.Stream.Launch(k, grid, kernels.D1(256), args); err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	env.Stream.Synchronize()
 	evStart := env.Context.EventCreate()
@@ -243,70 +239,69 @@ func memBandwidthCUDA(ctx *core.RunContext, threads, nIn, stride, iters int, in 
 	evStart.Record(env.Stream)
 	for it := 0; it < iters; it++ {
 		if err := env.Stream.Launch(k, grid, kernels.D1(256), args); err != nil {
-			return nil, 0, err
+			return nil, hw.Measurement{}, err
 		}
 	}
 	evEnd.Record(env.Stream)
 	env.Stream.Synchronize()
 	kernelTime, err := evEnd.Elapsed(evStart)
 	if err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 
 	out := make(kernels.Words, threads)
 	if err := env.Context.MemcpyDtoH(out, dOut); err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	return kernels.WordsToF32(out), kernelTime, nil
 }
 
-func memBandwidthOpenCL(ctx *core.RunContext, threads, nIn, stride, iters int, in kernels.Words) ([]float32, time.Duration, error) {
+func memBandwidthOpenCL(ctx *core.RunContext, threads, nIn, stride, iters int, in kernels.Words) ([]float32, hw.Measurement, error) {
 	env, err := bench.SetupOpenCL(ctx.Host, ctx.Device, KernelStridedRead)
 	if err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	bIn, err := env.Context.CreateBuffer(opencl.MemReadOnly|opencl.MemCopyHostPtr, int64(nIn)*4, in)
 	if err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	defer bIn.Release()
 	bOut, err := env.Context.CreateBuffer(opencl.MemReadWrite, int64(threads)*4, nil)
 	if err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	defer bOut.Release()
 
 	k, err := env.Program.CreateKernel(KernelStridedRead)
 	if err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	if err := k.SetArgBuffer(0, bIn); err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	if err := k.SetArgBuffer(1, bOut); err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	if err := k.SetArgU32(2, uint32(stride)); err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	if err := k.SetArgU32(3, uint32(nIn)); err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 
 	global := kernels.D1(bench.DivUp(threads, 256) * 256)
-	var kernelTime time.Duration
-	for it := 0; it < iters; it++ {
-		ev, err := env.Queue.EnqueueNDRangeKernel(k, global, kernels.D1(256))
-		if err != nil {
-			return nil, 0, err
+	evs := make([]*opencl.Event, iters)
+	for it := range evs {
+		if evs[it], err = env.Queue.EnqueueNDRangeKernel(k, global, kernels.D1(256)); err != nil {
+			return nil, hw.Measurement{}, err
 		}
-		kernelTime += ev.Duration()
 	}
+	kernelTime := opencl.Duration(evs...)
 	env.Queue.Finish()
 
 	out := make(kernels.Words, threads)
 	if _, err := env.Queue.EnqueueReadBuffer(bOut, true, out); err != nil {
-		return nil, 0, err
+		return nil, hw.Measurement{}, err
 	}
 	return kernels.WordsToF32(out), kernelTime, nil
 }

@@ -367,10 +367,16 @@ type Event struct {
 	ref  int32
 }
 
-// Duration returns the device execution time (start to end). Each call is
-// recorded as a span reading, so a kernel time summed from profiling events
-// can be rebound during replay.
-func (e *Event) Duration() time.Duration { return e.host.ReadSpan(e.ref) }
+// Duration returns the summed device execution time (start to end) of one or
+// more events of one run, recorded as one span-sum reading so the kernel
+// time replays.
+func Duration(evs ...*Event) hw.Measurement {
+	refs := make([]int32, len(evs))
+	for i, e := range evs {
+		refs[i] = e.ref
+	}
+	return evs[0].host.ReadSpanSum(refs)
+}
 
 // EnqueueWriteBuffer copies host words into a buffer. When blocking, the host
 // waits for the transfer to complete. Data longer than the buffer is

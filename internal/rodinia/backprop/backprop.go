@@ -301,12 +301,10 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 			}
 		}
 	}
-	return &core.Result{
-		KernelTime: out.KernelTime,
-		TotalTime:  ctx.Now(),
-		Dispatches: out.Dispatches,
-		Checksum:   core.ChecksumF32(updated),
-	}, nil
+	res := ctx.Result(out.KernelTime)
+	res.Dispatches = out.Dispatches
+	res.Checksum = core.ChecksumF32(updated)
+	return res, nil
 }
 
 const glslForward = `#version 450

@@ -274,12 +274,10 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 	for i, v := range cost {
 		asF[i] = float32(v)
 	}
-	return &core.Result{
-		KernelTime: out.KernelTime,
-		TotalTime:  ctx.Now(),
-		Dispatches: out.Dispatches,
-		Checksum:   core.ChecksumF32(asF),
-	}, nil
+	res := ctx.Result(out.KernelTime)
+	res.Dispatches = out.Dispatches
+	res.Checksum = core.ChecksumF32(asF)
+	return res, nil
 }
 
 const glslKernel1 = `#version 450

@@ -322,12 +322,10 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 			}
 		}
 	}
-	return &core.Result{
-		KernelTime: out.KernelTime,
-		TotalTime:  ctx.Now(),
-		Dispatches: out.Dispatches,
-		Checksum:   core.ChecksumF32(vars),
-	}, nil
+	res := ctx.Result(out.KernelTime)
+	res.Dispatches = out.Dispatches
+	res.Checksum = core.ChecksumF32(vars)
+	return res, nil
 }
 
 const glslStepFactor = `#version 450

@@ -240,12 +240,10 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 			}
 		}
 	}
-	return &core.Result{
-		KernelTime: out.KernelTime,
-		TotalTime:  ctx.Now(),
-		Dispatches: out.Dispatches,
-		Checksum:   core.ChecksumF32(x),
-	}, nil
+	res := ctx.Result(out.KernelTime)
+	res.Dispatches = out.Dispatches
+	res.Checksum = core.ChecksumF32(x)
+	return res, nil
 }
 
 const glslFan1 = `#version 450

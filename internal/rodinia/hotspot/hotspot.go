@@ -234,12 +234,10 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 			}
 		}
 	}
-	return &core.Result{
-		KernelTime: out.KernelTime,
-		TotalTime:  ctx.Now(),
-		Dispatches: out.Dispatches,
-		Checksum:   core.ChecksumF32(result),
-	}, nil
+	res := ctx.Result(out.KernelTime)
+	res.Dispatches = out.Dispatches
+	res.Checksum = core.ChecksumF32(result)
+	return res, nil
 }
 
 const glslHotspot = `#version 450

@@ -278,12 +278,10 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 			}
 		}
 	}
-	return &core.Result{
-		KernelTime: out.KernelTime,
-		TotalTime:  ctx.Now(),
-		Dispatches: out.Dispatches,
-		Checksum:   core.ChecksumF32(factored),
-	}, nil
+	res := ctx.Result(out.KernelTime)
+	res.Dispatches = out.Dispatches
+	res.Checksum = core.ChecksumF32(factored)
+	return res, nil
 }
 
 const glslDiagonal = `#version 450

@@ -210,12 +210,10 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 	for _, idx := range best {
 		sel = append(sel, float32(idx), math.Float32frombits(words[idx]))
 	}
-	return &core.Result{
-		KernelTime: out.KernelTime,
-		TotalTime:  ctx.Now(),
-		Dispatches: out.Dispatches,
-		Checksum:   core.ChecksumF32(sel),
-	}, nil
+	res := ctx.Result(out.KernelTime)
+	res.Dispatches = out.Dispatches
+	res.Checksum = core.ChecksumF32(sel)
+	return res, nil
 }
 
 const glslEuclid = `#version 450

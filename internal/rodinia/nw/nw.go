@@ -248,12 +248,10 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 	dim := n + 1
 	final := float32(score[dim*dim-1])
 	sample := []float32{final, float32(score[dim+1]), float32(score[(dim-1)*dim/2])}
-	return &core.Result{
-		KernelTime: out.KernelTime,
-		TotalTime:  ctx.Now(),
-		Dispatches: out.Dispatches,
-		Checksum:   core.ChecksumF32(sample),
-	}, nil
+	res := ctx.Result(out.KernelTime)
+	res.Dispatches = out.Dispatches
+	res.Checksum = core.ChecksumF32(sample)
+	return res, nil
 }
 
 const glslNW = `#version 450

@@ -178,12 +178,10 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 	for i, v := range result {
 		sum[i] = float32(v)
 	}
-	return &core.Result{
-		KernelTime: out.KernelTime,
-		TotalTime:  ctx.Now(),
-		Dispatches: out.Dispatches,
-		Checksum:   core.ChecksumF32(sum),
-	}, nil
+	res := ctx.Result(out.KernelTime)
+	res.Dispatches = out.Dispatches
+	res.Checksum = core.ChecksumF32(sum)
+	return res, nil
 }
 
 const glslPathfinder = `#version 450

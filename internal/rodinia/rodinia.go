@@ -27,7 +27,6 @@ package rodinia
 
 import (
 	"fmt"
-	"time"
 
 	"vcomputebench/internal/bench"
 	"vcomputebench/internal/core"
@@ -104,7 +103,7 @@ type SeparateSubmits interface {
 // Output is the result of executing an algorithm.
 type Output struct {
 	// KernelTime is the host-measured time of the phase loop.
-	KernelTime time.Duration
+	KernelTime hw.Measurement
 	// Dispatches is the number of kernel launches / dispatches.
 	Dispatches int
 	// Buffers holds the final contents of the requested buffers.

@@ -152,17 +152,17 @@ func TestTable1Metadata(t *testing.T) {
 		"pathfinder": {"Dynamic Programming", "Grid Traversal"},
 	}
 	for name, dw := range want {
-		b, err := core.Get(name)
+		d, err := core.Describe(name)
 		if err != nil {
 			t.Fatalf("%s not registered: %v", name, err)
 		}
-		if b.Dwarf() != dw[0] {
-			t.Errorf("%s dwarf = %q, want %q", name, b.Dwarf(), dw[0])
+		if d.Dwarf != dw[0] {
+			t.Errorf("%s dwarf = %q, want %q", name, d.Dwarf, dw[0])
 		}
-		if b.Domain() != dw[1] {
-			t.Errorf("%s domain = %q, want %q", name, b.Domain(), dw[1])
+		if d.Domain != dw[1] {
+			t.Errorf("%s domain = %q, want %q", name, d.Domain, dw[1])
 		}
-		if len(b.Workloads(hw.ClassDesktop)) == 0 || len(b.Workloads(hw.ClassMobile)) == 0 {
+		if len(d.Workloads(hw.ClassDesktop)) == 0 || len(d.Workloads(hw.ClassMobile)) == 0 {
 			t.Errorf("%s must define desktop and mobile workloads", name)
 		}
 	}

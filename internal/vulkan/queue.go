@@ -70,7 +70,7 @@ type SubmitStats struct {
 	PipelineBinds  int
 	CopyBytes      int64
 	CompletionTime time.Duration
-	KernelTime     time.Duration
+	KernelTime     hw.Measurement
 }
 
 // Submit submits batches of command buffers for execution. Control returns to
@@ -103,7 +103,7 @@ func (q *Queue) Submit(batches []SubmitInfo, fence *Fence) (SubmitStats, error) 
 	}
 	// The submission's summed dispatch execution time is an observable
 	// benchmarks report (the bandwidth figures); it is read from the trace so
-	// replay can rebind it.
+	// replay can recompute it.
 	if len(dispatchRefs) > 0 {
 		stats.KernelTime = d.host.ReadSpanSum(dispatchRefs)
 	}

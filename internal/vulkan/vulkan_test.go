@@ -84,7 +84,7 @@ func TestFenceWaitEndsAtCompletionPlusSyncLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Dispatches != 1 || stats.KernelTime <= 0 {
+	if stats.Dispatches != 1 || stats.KernelTime.D <= 0 {
 		t.Fatalf("submit stats = %+v, want one dispatch with positive kernel time", stats)
 	}
 	if err := fence.Wait(); err != nil {

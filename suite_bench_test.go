@@ -6,6 +6,7 @@ import (
 	"vcomputebench/internal/codeversion"
 	"vcomputebench/internal/core"
 	"vcomputebench/internal/experiments"
+	"vcomputebench/internal/hw"
 )
 
 // Suite-level wall-time benchmarks for the counter-replay snapshot cache.
@@ -66,6 +67,7 @@ func BenchmarkRunAllWarmStore(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		executed, _ := hw.DispatchCounts()
 		opts := experiments.Options{Repetitions: 1, Seed: 42, Cache: openStoreB(b, dir)}
 		for _, e := range experiments.All() {
 			doc, err := e.Run(opts)
@@ -78,6 +80,9 @@ func BenchmarkRunAllWarmStore(b *testing.B) {
 		}
 		if st := opts.Cache.Stats(); st.Misses != 0 {
 			b.Fatalf("warm-store iteration executed %d cells, want pure replay", st.Misses)
+		}
+		if n, _ := hw.DispatchCounts(); n != executed {
+			b.Fatalf("warm-store iteration executed %d dispatches, want pure replay", n-executed)
 		}
 	}
 }
