@@ -13,11 +13,14 @@
 // (no stdin) and fails when any benchmark's "current" exceeds its "baseline"
 // beyond the tolerances:
 //
-//	go run ./cmd/benchjson -compare BENCH_dispatch.json -tol-ns 0.5 -tol-allocs 0
+//	go run ./cmd/benchjson -compare BENCH_dispatch.json -tol-ns 0.5 -tol-allocs 0 -tol-bytes 0.1
 //
 // ns/op needs a generous tolerance on shared CI runners; allocs/op is
-// deterministic and defaults to exact. A negative tolerance disables that
-// dimension entirely.
+// deterministic and defaults to exact. B/op is gated only when -tol-bytes is
+// given, to catch buffers copied again; pooled scratch and runtime
+// bookkeeping move it by up to a few hundred bytes between runs of the same
+// code, so a B/op rise under bytesSlack is never reported. A negative
+// tolerance disables that dimension entirely.
 package main
 
 import (
@@ -54,6 +57,10 @@ type File struct {
 	Current map[string]Entry `json:"current"`
 }
 
+// bytesSlack is the B/op rise -compare always allows: the run-to-run noise
+// of the microbenchmarks' ~1.5 KB, far below any copied buffer.
+const bytesSlack = 4 << 10
+
 const note = "Tracked perf baseline; regenerate `current` with `make bench` " +
 	"(bench-dispatch for the kernels.Execute microbenchmarks, bench-suite for the " +
 	"sweep/run-all wall-time benchmarks). `baseline` is the first recorded " +
@@ -64,10 +71,11 @@ func main() {
 	compare := flag.String("compare", "", "compare current vs baseline in this JSON file and exit non-zero on regression (no stdin)")
 	tolNs := flag.Float64("tol-ns", 0.5, "with -compare: allowed relative ns/op regression (0.5 = +50%; negative disables)")
 	tolAllocs := flag.Float64("tol-allocs", 0, "with -compare: allowed relative allocs/op regression (0 = exact; negative disables)")
+	tolBytes := flag.Float64("tol-bytes", -1, "with -compare: allowed relative B/op regression (negative disables)")
 	flag.Parse()
 
 	if *compare != "" {
-		if err := compareFile(*compare, *tolNs, *tolAllocs); err != nil {
+		if err := compareFile(*compare, *tolNs, *tolAllocs, *tolBytes); err != nil {
 			fatal(err)
 		}
 		return
@@ -119,7 +127,7 @@ func main() {
 // `current` beyond the tolerated fraction of `baseline`. Benchmarks that
 // exist in only one section (freshly added or retired) are skipped:
 // comparing them would gate on missing data.
-func compareFile(path string, tolNs, tolAllocs float64) error {
+func compareFile(path string, tolNs, tolAllocs, tolBytes float64) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -133,13 +141,13 @@ func compareFile(path string, tolNs, tolAllocs float64) error {
 	}
 	regressions := 0
 	compared := 0
-	check := func(name, metric string, base, cur, tol float64) {
+	check := func(name, metric string, base, cur, tol, slack float64) {
 		// A zero baseline is a legitimate target (e.g. an allocation-free hot
 		// path): its limit is simply 0, and any positive current regresses it.
 		if tol < 0 || base < 0 {
 			return
 		}
-		limit := base * (1 + tol)
+		limit := max(base*(1+tol), base+slack)
 		if cur > limit {
 			fmt.Printf("FAIL %-40s %s %12.0f > %12.0f (baseline %12.0f, tol +%.0f%%)\n",
 				name, metric, cur, limit, base, tol*100)
@@ -155,8 +163,9 @@ func compareFile(path string, tolNs, tolAllocs float64) error {
 		}
 		cur := f.Current[name]
 		compared++
-		check(name, "ns/op    ", base.NsPerOp, cur.NsPerOp, tolNs)
-		check(name, "allocs/op", base.AllocsPerOp, cur.AllocsPerOp, tolAllocs)
+		check(name, "ns/op    ", base.NsPerOp, cur.NsPerOp, tolNs, 0)
+		check(name, "allocs/op", base.AllocsPerOp, cur.AllocsPerOp, tolAllocs, 0)
+		check(name, "B/op     ", base.BytesPerOp, cur.BytesPerOp, tolBytes, bytesSlack)
 	}
 	if compared == 0 {
 		return fmt.Errorf("%s has no benchmark present in both baseline and current", path)

@@ -114,15 +114,25 @@ func (s *stream) fill(dst kernels.Words) {
 // RandomF32 returns the first n words of the seeded stream of float32 values
 // in [lo, hi), as IEEE-754 bits. Every cell of a suite that asks for the same
 // stream gets the same words, so they are read-only: upload them as they are
-// (every front end copies into device memory) and copy them before changing
-// any. The slice is capped at n, so appending to it allocates.
+// and copy them before changing any. The words are registered with the run's
+// memory system (hw.MemorySystem.Freeze), so the front ends' transfers may
+// alias them instead of copying. The slice is capped at n, so appending to it
+// allocates.
 func (ctx *RunContext) RandomF32(seed int64, n int, lo, hi float32) kernels.Words {
-	return ctx.streams.draw(streamKey{seed: seed, lo: math.Float32bits(lo), hi: math.Float32bits(hi)}, n)
+	return ctx.freeze(ctx.streams.draw(streamKey{seed: seed, lo: math.Float32bits(lo), hi: math.Float32bits(hi)}, n))
 }
 
 // RandomI32 returns the first n words of the seeded stream of int32 values in
 // [lo, hi), as two's-complement bits. A degenerate range (hi <= lo) yields lo
 // for every element. The words are shared read-only, like RandomF32's.
 func (ctx *RunContext) RandomI32(seed int64, n int, lo, hi int32) kernels.Words {
-	return ctx.streams.draw(streamKey{i32: true, seed: seed, lo: uint32(lo), hi: uint32(hi)}, n)
+	return ctx.freeze(ctx.streams.draw(streamKey{i32: true, seed: seed, lo: uint32(lo), hi: uint32(hi)}, n))
+}
+
+// freeze registers stream words with the run's memory system.
+func (ctx *RunContext) freeze(w kernels.Words) kernels.Words {
+	if ctx.Device != nil {
+		ctx.Device.Memory().Freeze(w)
+	}
+	return w
 }

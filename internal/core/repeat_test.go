@@ -82,8 +82,10 @@ func TestBandwidthCellRepeats(t *testing.T) {
 
 // BenchmarkExecuteCell measures one whole cell through Runner.ExecuteCell,
 // from a fresh device to the replayed Result, with no store: a bandwidth
-// cell at the widest stride, whose dispatches repeat, and gaussian at its
-// smallest mobile size, whose dispatches all differ.
+// cell at the widest stride, whose dispatches repeat, through CUDA and
+// through Vulkan's staging buffer (each allocates its own 64 MB input
+// stream, which device memory aliases), and gaussian at its smallest mobile
+// size, whose dispatches all differ.
 func BenchmarkExecuteCell(b *testing.B) {
 	for _, c := range []struct {
 		bench, workload string
@@ -91,6 +93,7 @@ func BenchmarkExecuteCell(b *testing.B) {
 		platform        *platforms.Platform
 	}{
 		{"membandwidth", "32", hw.APICUDA, platforms.GTX1050Ti()},
+		{"membandwidth", "32", hw.APIVulkan, platforms.GTX1050Ti()},
 		{"gaussian", "128", hw.APIVulkan, platforms.Adreno506()},
 	} {
 		b.Run(c.bench+"_"+c.workload+"_"+string(c.api)+"_"+c.platform.ID, func(b *testing.B) {

@@ -151,7 +151,7 @@ func (c *Context) MemcpyHtoD(dst *DevicePtr, src kernels.Words) error {
 		return fmt.Errorf("%w: copy of %d words into allocation of %d words", ErrInvalidValue, len(src), dst.alloc.Len())
 	}
 	c.host.Spend(hostCall)
-	copy(dst.alloc.Words(), src)
+	dst.alloc.Write(0, src)
 	c.host.Wait(c.def.hw.ExecuteTransfer(int64(len(src)) * 4))
 	return nil
 }
@@ -165,7 +165,7 @@ func (c *Context) MemcpyDtoH(dst kernels.Words, src *DevicePtr) error {
 		return fmt.Errorf("%w: copy of %d words from allocation of %d words", ErrInvalidValue, len(dst), src.alloc.Len())
 	}
 	c.host.Spend(hostCall)
-	copy(dst, src.alloc.Words())
+	src.alloc.Read(dst, 0)
 	c.host.Wait(c.def.hw.ExecuteTransfer(int64(len(dst)) * 4))
 	return nil
 }

@@ -28,6 +28,7 @@ func init() {
 		Name:                kernelName,
 		LocalSize:           kernels.D2(tile, tile),
 		Bindings:            3,
+		ReadOnly:            1<<0 | 1<<1,
 		PushConstantWords:   1,
 		SharedWordsPerGroup: 3 * tile * tile,
 		Fn:                  gemmKernel,
@@ -195,8 +196,8 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 
 const glslGEMM = `#version 450
 layout(local_size_x = 16, local_size_y = 16) in;
-layout(std430, set = 0, binding = 0) buffer MatA { float A[]; };
-layout(std430, set = 0, binding = 1) buffer MatB { float B[]; };
+layout(std430, set = 0, binding = 0) readonly buffer MatA { float A[]; };
+layout(std430, set = 0, binding = 1) readonly buffer MatB { float B[]; };
 layout(std430, set = 0, binding = 2) buffer MatC { float C[]; };
 layout(push_constant) uniform Params { uint n; } p;
 shared float tileA[16][16];

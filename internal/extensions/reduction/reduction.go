@@ -29,6 +29,7 @@ func init() {
 		Name:                kernelName,
 		LocalSize:           kernels.D1(groupSize),
 		Bindings:            2,
+		ReadOnly:            1 << 0,
 		PushConstantWords:   1,
 		SharedWordsPerGroup: groupSize,
 		Fn:                  reductionKernel,
@@ -202,7 +203,7 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 
 const glslReduction = `#version 450
 layout(local_size_x = 256) in;
-layout(std430, set = 0, binding = 0) buffer In  { float data[]; };
+layout(std430, set = 0, binding = 0) readonly buffer In  { float data[]; };
 layout(std430, set = 0, binding = 1) buffer Out { float part[]; };
 layout(push_constant) uniform Params { uint n; } p;
 shared float sdata[256];

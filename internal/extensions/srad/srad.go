@@ -40,6 +40,7 @@ func init() {
 		Name:              kernelSrad1,
 		LocalSize:         kernels.D2(tile, tile),
 		Bindings:          6,
+		ReadOnly:          1 << 0,
 		PushConstantWords: 2,
 		Fn:                srad1Kernel,
 	})
@@ -48,6 +49,7 @@ func init() {
 		Name:              kernelSrad2,
 		LocalSize:         kernels.D2(tile, tile),
 		Bindings:          6,
+		ReadOnly:          1<<1 | 1<<2 | 1<<3 | 1<<4 | 1<<5,
 		PushConstantWords: 2,
 		Fn:                srad2Kernel,
 	})
@@ -332,7 +334,7 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 
 const glslSrad1 = `#version 450
 layout(local_size_x = 16, local_size_y = 16) in;
-layout(std430, set = 0, binding = 0) buffer BufJ  { float J[]; };
+layout(std430, set = 0, binding = 0) readonly buffer BufJ  { float J[]; };
 layout(std430, set = 0, binding = 1) buffer BufDN { float dN[]; };
 layout(std430, set = 0, binding = 2) buffer BufDS { float dS[]; };
 layout(std430, set = 0, binding = 3) buffer BufDW { float dW[]; };
@@ -361,11 +363,11 @@ void main() {
 const glslSrad2 = `#version 450
 layout(local_size_x = 16, local_size_y = 16) in;
 layout(std430, set = 0, binding = 0) buffer BufJ  { float J[]; };
-layout(std430, set = 0, binding = 1) buffer BufDN { float dN[]; };
-layout(std430, set = 0, binding = 2) buffer BufDS { float dS[]; };
-layout(std430, set = 0, binding = 3) buffer BufDW { float dW[]; };
-layout(std430, set = 0, binding = 4) buffer BufDE { float dE[]; };
-layout(std430, set = 0, binding = 5) buffer BufC  { float c[]; };
+layout(std430, set = 0, binding = 1) readonly buffer BufDN { float dN[]; };
+layout(std430, set = 0, binding = 2) readonly buffer BufDS { float dS[]; };
+layout(std430, set = 0, binding = 3) readonly buffer BufDW { float dW[]; };
+layout(std430, set = 0, binding = 4) readonly buffer BufDE { float dE[]; };
+layout(std430, set = 0, binding = 5) readonly buffer BufC  { float c[]; };
 layout(push_constant) uniform Params { uint n; float lambda; } p;
 void main() {
     uint x = gl_GlobalInvocationID.x, y = gl_GlobalInvocationID.y;

@@ -6,15 +6,17 @@
 //
 // The compiler performs light syntactic checks on the GLSL text (version
 // pragma, local_size declaration, main function) and cross-checks the declared
-// local size and bindings against the registered kernel program, then emits a
-// SPIR-V module via internal/spirv.
+// local size, bindings and readonly bindings against the registered kernel
+// program, then emits a SPIR-V module via internal/spirv.
 package glsl
 
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"vcomputebench/internal/kernels"
@@ -78,7 +80,11 @@ func GenerateSource(p *kernels.Program) string {
 	src += fmt.Sprintf("layout(local_size_x = %d, local_size_y = %d, local_size_z = %d) in;\n",
 		p.LocalSize.X, p.LocalSize.Y, p.LocalSize.Z)
 	for b := 0; b < p.Bindings; b++ {
-		src += fmt.Sprintf("layout(std430, set = 0, binding = %d) buffer Buf%d { float data%d[]; };\n", b, b, b)
+		qualifier := ""
+		if p.ReadOnly>>b&1 != 0 {
+			qualifier = "readonly "
+		}
+		src += fmt.Sprintf("layout(std430, set = 0, binding = %d) %sbuffer Buf%d { float data%d[]; };\n", b, qualifier, b, b)
 	}
 	if p.PushConstantWords > 0 {
 		src += "layout(push_constant) uniform Params {\n"
@@ -96,6 +102,9 @@ var (
 	localSizeRe = regexp.MustCompile(`local_size_x\s*=\s*(\d+)(?:\s*,\s*local_size_y\s*=\s*(\d+))?(?:\s*,\s*local_size_z\s*=\s*(\d+))?`)
 	mainRe      = regexp.MustCompile(`void\s+main\s*\(`)
 	bindingRe   = regexp.MustCompile(`binding\s*=\s*(\d+)`)
+	// bufferRe matches a buffer block declaration: its layout arguments and
+	// the qualifiers before the buffer keyword.
+	bufferRe = regexp.MustCompile(`layout\s*\(([^)]*)\)\s*((?:\w+\s+)*)buffer\s`)
 )
 
 // CompileError is returned when a GLSL source fails the front-end checks.
@@ -158,6 +167,10 @@ func Compile(src KernelSource, reg *kernels.Registry) ([]uint32, error) {
 		return nil, &CompileError{EntryPoint: src.EntryPoint,
 			Reason: fmt.Sprintf("GLSL declares %d bindings, kernel requires %d", len(seen), p.Bindings)}
 	}
+	if ro := readOnlyBindings(text); ro != p.ReadOnly {
+		return nil, &CompileError{EntryPoint: src.EntryPoint,
+			Reason: fmt.Sprintf("GLSL declares readonly bindings %#b, kernel declares %#b", ro, p.ReadOnly)}
+	}
 
 	mod := &spirv.Module{
 		EntryPoint:        p.Name,
@@ -170,6 +183,22 @@ func Compile(src KernelSource, reg *kernels.Registry) ([]uint32, error) {
 		mod.Bindings = append(mod.Bindings, spirv.Binding{Set: 0, Binding: b})
 	}
 	return mod.Encode()
+}
+
+// readOnlyBindings returns the bindings whose buffer blocks the GLSL text
+// declares readonly: bit i for binding i.
+func readOnlyBindings(text string) uint64 {
+	var ro uint64
+	for _, m := range bufferRe.FindAllStringSubmatch(text, -1) {
+		b := bindingRe.FindStringSubmatch(m[1])
+		if b == nil || !slices.Contains(strings.Fields(m[2]), "readonly") {
+			continue
+		}
+		if n, _ := strconv.Atoi(b[1]); n < kernels.MaxBindings {
+			ro |= 1 << n
+		}
+	}
+	return ro
 }
 
 // CompileProgram compiles the registered (or generated) source of a program.

@@ -216,8 +216,7 @@ func (d *Device) execute(prog *kernels.Program, cfg kernels.DispatchConfig, bind
 	if cfg.Buffers == nil {
 		return d.mem.memo.execute(prog, cfg, binds)
 	}
-	dispatchesExecuted.Add(1)
-	c, _, _, err := kernels.Execute(prog, cfg)
+	c, _, _, err := executeKernel(prog, cfg)
 	return c, err
 }
 

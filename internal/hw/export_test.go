@@ -21,3 +21,15 @@ func DeviceMemo(d *Device) *DispatchMemo { return d.mem.memo }
 
 // MemoCopies reports how many content copies the memo holds.
 func MemoCopies(m *DispatchMemo) int { return len(m.contents) }
+
+// RunWords returns the words of the allocation's runs of words: none while
+// its content is private words or zeros.
+func RunWords(a *Allocation) []kernels.Words {
+	var out []kernels.Words
+	for _, r := range a.runs {
+		if r.words != nil {
+			out = append(out, r.words)
+		}
+	}
+	return out
+}

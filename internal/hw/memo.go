@@ -3,7 +3,9 @@ package hw
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/maphash"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 	"unsafe"
@@ -28,12 +30,12 @@ import (
 // mean equal outputs.
 //
 // A hit writes no words. The buffers it stored to take their derived
-// versions and await their content, which is copied in only when the host
-// touches them, from a copy a sibling took when its own host touched that
-// version. When a run needs content the memo never saw (a missed dispatch
-// binds an awaiting buffer, or the host touches one nobody copied), the run
-// stops and Missed reports it; the runner then runs the cell again on its
-// device's own memo. Mapped words the host may touch at any time are hashed
+// versions and await their content, which is aliased in only when the host
+// touches them: when a sibling's host touched that version, its words became
+// immutable and the memo kept them. When a run needs content the memo never
+// saw (a missed dispatch binds an awaiting buffer, or the host touches one
+// nobody kept), the run stops and Missed reports it; the runner then runs
+// the cell again on its device's own memo. Mapped words the host may touch at any time are hashed
 // at every bind, and a dispatch that binds them always executes.
 //
 // A dispatch can also repeat itself: the bandwidth sweep of §V-A1 dispatches
@@ -61,8 +63,8 @@ const (
 	contentUnknown contentState = iota
 	// contentZero: the allocation is fresh, its words all zero.
 	contentZero
-	// contentNamed: the version names the words as the host left them: their
-	// hash, or a count in an own memo.
+	// contentNamed: the version names the words as they are: their hash, a
+	// count in an own memo, or the derived version of content aliased in.
 	contentNamed
 	// contentDerived: a dispatch executed here wrote the words and derived
 	// the version.
@@ -82,29 +84,50 @@ func hashBytes(b []byte) version {
 }
 
 // hashWords is the version of a word buffer's content.
-func hashWords(w kernels.Words) version {
+func hashWords(w kernels.Words) version { return hashBytes(wordBytes(w)) }
+
+// wordBytes is the byte view of words.
+func wordBytes(w kernels.Words) []byte {
 	if len(w) == 0 {
-		return hashBytes(nil)
+		return nil
 	}
-	return hashBytes(unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), len(w)*4))
+	return unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), len(w)*4)
 }
 
-// zeroChunk is what hashZeros hashes n zero words from.
+// zeroChunk is what zero runs are hashed from.
 var zeroChunk [16 << 10]byte
 
-// hashZeros is hashWords of n zero words, without allocating them.
-func hashZeros(n int) version {
+// hashRuns is hashWords of the runs' content, streamed over them.
+func hashRuns(runs []run) version {
 	var v version
 	for i, seed := range versionSeeds {
 		var h maphash.Hash
 		h.SetSeed(seed)
-		for left := n * 4; left > 0; left -= len(zeroChunk) {
-			h.Write(zeroChunk[:min(left, len(zeroChunk))])
+		for _, r := range runs {
+			if r.words != nil {
+				h.Write(wordBytes(r.words))
+				continue
+			}
+			for left := r.n * 4; left > 0; left -= len(zeroChunk) {
+				h.Write(zeroChunk[:min(left, len(zeroChunk))])
+			}
 		}
 		v[i] = h.Sum64()
 	}
 	return v
 }
+
+// hash is the version of the allocation's content, streamed over its runs
+// without flattening them.
+func (a *Allocation) hash() version {
+	if a.words != nil {
+		return hashWords(a.words)
+	}
+	return hashRuns(a.runs)
+}
+
+// hashZeros is hashWords of n zero words, without allocating them.
+func hashZeros(n int) version { return hashRuns([]run{{n: n}}) }
 
 // derive is the version a dispatch with the given key leaves in the buffer
 // it binds first at binding i.
@@ -208,7 +231,7 @@ func (m *DispatchMemo) key(prog *kernels.Program, cfg *kernels.DispatchConfig, b
 		a := bd.alloc
 		ver := m.version(a)
 		b = binary.LittleEndian.AppendUint64(b, uint64(firstBinding(binds, i)))
-		b = binary.LittleEndian.AppendUint64(b, uint64(len(a.words)))
+		b = binary.LittleEndian.AppendUint64(b, uint64(a.n))
 		b = binary.LittleEndian.AppendUint64(b, uint64(bd.offset))
 		b = binary.LittleEndian.AppendUint64(b, uint64(bd.len))
 		b = binary.LittleEndian.AppendUint64(b, ver[0])
@@ -238,12 +261,12 @@ func (m *DispatchMemo) version(a *Allocation) version {
 		m.named++
 		a.ver, a.state = version{m.named}, contentNamed
 	case a.state == contentUnknown || a.mapped:
-		a.ver, a.state = hashWords(a.words), contentNamed
+		a.ver, a.state = a.hash(), contentNamed
 	default:
-		v, ok := m.zeros[len(a.words)]
+		v, ok := m.zeros[a.n]
 		if !ok {
-			v = hashZeros(len(a.words))
-			m.zeros[len(a.words)] = v
+			v = hashZeros(a.n)
+			m.zeros[a.n] = v
 		}
 		a.ver, a.state = v, contentNamed
 	}
@@ -277,14 +300,14 @@ func (m *DispatchMemo) execute(prog *kernels.Program, cfg kernels.DispatchConfig
 		if bd.alloc.state == contentPending {
 			m.miss()
 		}
+		bd.alloc.held = false
 	}
-	dispatchesExecuted.Add(1)
 	words := m.words[:0]
-	for _, bd := range binds {
-		words = append(words, bd.words())
+	for i := range binds {
+		words = append(words, boundWords(prog, binds, i))
 	}
 	cfg.Buffers = words
-	c, stored, loaded, err := kernels.Execute(prog, cfg)
+	c, stored, loaded, err := executeKernel(prog, cfg)
 	clear(words) // keeps no freed buffer alive
 	m.words = words
 	if err != nil {
@@ -328,18 +351,34 @@ func (m *DispatchMemo) wrote(key version, binds []Binding, stored uint64, state 
 }
 
 // hostAccess prepares an allocation whose content a dispatch derived for
-// host access: awaited content is copied in, and while recording, a copy of
-// executed content is kept for the siblings.
+// host access: awaited content is aliased in, and while recording, the
+// executed content becomes immutable and is kept for the siblings.
 func (m *DispatchMemo) hostAccess(a *Allocation) {
 	if a.state == contentPending {
 		w, ok := m.contents[a.ver]
 		if !ok {
 			m.miss()
 		}
-		copy(a.words, w)
+		a.words, a.runs, a.state = nil, []run{dataRun(w)}, contentNamed
 		return
 	}
 	if _, ok := m.contents[a.ver]; m.recording && !ok {
-		m.contents[a.ver] = append(kernels.Words(nil), a.words...)
+		m.contents[a.ver] = a.content()
 	}
+}
+
+// ErrReadOnlyStore fails a dispatch whose kernel stored to a binding its
+// program declares read-only (kernels.Program.ReadOnly): such a binding may
+// alias words other allocations and the host share.
+var ErrReadOnlyStore = errors.New("hw: kernel stored to a binding it declares read-only")
+
+// executeKernel runs kernels.Execute and fails a dispatch that stored to a
+// read-only binding.
+func executeKernel(prog *kernels.Program, cfg kernels.DispatchConfig) (c *kernels.Counters, stored, loaded uint64, err error) {
+	dispatchesExecuted.Add(1)
+	c, stored, loaded, err = kernels.Execute(prog, cfg)
+	if bad := stored & prog.ReadOnly; err == nil && bad != 0 {
+		return nil, 0, 0, fmt.Errorf("%w: %s stored to binding %d", ErrReadOnlyStore, prog.Name, bits.TrailingZeros64(bad))
+	}
+	return c, stored, loaded, err
 }

@@ -3,6 +3,7 @@ package hw
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"vcomputebench/internal/kernels"
@@ -38,20 +39,105 @@ var (
 	ErrAlreadyFreed      = errors.New("hw: allocation already freed")
 )
 
-// Allocation is a block of simulated device memory. Its backing store is a
-// word buffer the kernels read and write directly.
+// Allocation is a block of simulated device memory. Its content takes one of
+// two forms: private words, which kernels and the host write in place, or a
+// short list of immutable runs. A fresh allocation is one zero run and holds
+// no backing, so nothing is zeroed until something must write it.
+//
+// The typed transfers (Write, Read, Copy, Fill) keep runs where they can: a
+// copy aliases the source's runs, a write splices one run into the range it
+// writes, and a write of words registered with MemorySystem.Freeze aliases
+// them. Whatever needs private words (Words, Map, a dispatch binding that may
+// store) flattens the runs into new ones.
 type Allocation struct {
 	heap  HeapKind
 	bytes int64
+	// n is the length in words; words are the private words, nil while the
+	// content is runs.
+	n     int
 	words kernels.Words
+	runs  []run
 	freed bool
 	owner *MemorySystem
-	// ver and state name the words' content for the device's DispatchMemo
+	// ver and state name the content for the device's DispatchMemo
 	// (memo.go).
 	ver   version
 	state contentState
 	// mapped: the host may access the words at any time (Map).
 	mapped bool
+	// held: the host holds the private words Words returned, until the next
+	// dispatch binds the allocation; they never become a run meanwhile.
+	held bool
+}
+
+// run is a stretch of immutable content: words that nobody writes again, or,
+// when words is nil, n zeros.
+type run struct {
+	words kernels.Words
+	n     int
+}
+
+// maxRuns caps an allocation's run count; a splice past it flattens the
+// runs.
+const maxRuns = 16
+
+// dataRun is the run of words nobody writes again, capped so that appending
+// to it cannot write past them.
+func dataRun(w kernels.Words) run { return run{words: w[:len(w):len(w)], n: len(w)} }
+
+// slice returns words [lo, hi) of the run.
+func (r run) slice(lo, hi int) run {
+	if r.words == nil {
+		return run{n: hi - lo}
+	}
+	return dataRun(r.words[lo:hi])
+}
+
+// appendRun appends r to runs, merging adjacent zero runs.
+func appendRun(runs []run, r run) []run {
+	if r.n == 0 {
+		return runs
+	}
+	if k := len(runs) - 1; k >= 0 && r.words == nil && runs[k].words == nil {
+		runs[k].n += r.n
+		return runs
+	}
+	return append(runs, r)
+}
+
+// appendRuns appends the runs covering words [from, to) of src to dst.
+func appendRuns(dst, src []run, from, to int) []run {
+	start := 0
+	for _, r := range src {
+		if start >= to {
+			break
+		}
+		if lo, hi := max(from, start), min(to, start+r.n); lo < hi {
+			dst = appendRun(dst, r.slice(lo-start, hi-start))
+		}
+		start += r.n
+	}
+	return dst
+}
+
+// readRuns copies words [off, off+len(dst)) of the runs into dst.
+func readRuns(dst kernels.Words, runs []run, off int) {
+	for _, r := range runs {
+		if len(dst) == 0 {
+			return
+		}
+		if off >= r.n {
+			off -= r.n
+			continue
+		}
+		k := min(r.n-off, len(dst))
+		if r.words == nil {
+			clear(dst[:k])
+		} else {
+			copy(dst, r.words[off:off+k])
+		}
+		dst, off = dst[k:], 0
+	}
 }
 
 // Heap returns the heap the allocation lives in.
@@ -60,18 +146,16 @@ func (a *Allocation) Heap() HeapKind { return a.heap }
 // SizeBytes returns the allocation size in bytes.
 func (a *Allocation) SizeBytes() int64 { return a.bytes }
 
-// Words exposes the backing store to the host, which may read and write it
-// until the next dispatch binds the allocation. Content a DispatchMemo hit
-// left awaiting is copied in first.
+// Words exposes the content to the host as private words, which it may read
+// and write until the next dispatch binds the allocation. Content a
+// DispatchMemo hit left awaiting is settled first.
 func (a *Allocation) Words() kernels.Words {
-	if a.state >= contentDerived {
-		a.owner.memo.hostAccess(a)
-	}
-	a.state = contentUnknown
-	return a.words
+	a.hostWrite()
+	a.held = true
+	return a.private()
 }
 
-// Map exposes the backing store to the host until Unmap, dispatches
+// Map exposes the private words to the host until Unmap, dispatches
 // included, as a mapping of host-visible memory does: a DispatchMemo hashes
 // mapped words at every bind and executes every dispatch that binds them.
 func (a *Allocation) Map() kernels.Words {
@@ -84,12 +168,169 @@ func (a *Allocation) Mapped() bool { return a.mapped }
 
 // Unmap ends the mapping. The host may have written the words.
 func (a *Allocation) Unmap() {
-	a.mapped = false
+	a.mapped, a.held = false, false
 	a.state = contentUnknown
 }
 
 // Len returns the allocation's length in words.
-func (a *Allocation) Len() int { return len(a.words) }
+func (a *Allocation) Len() int { return a.n }
+
+// Write writes src to words [off, off+len(src)), as a host-to-device
+// transfer does. Words registered with MemorySystem.Freeze are aliased, any
+// others copied.
+func (a *Allocation) Write(off int, src kernels.Words) {
+	a.check(off, len(src))
+	a.hostWrite()
+	switch {
+	case len(src) == 0:
+	case a.inPlace(len(src)):
+		copy(a.words[off:], src)
+	case a.owner.isFrozen(src):
+		a.put(off, []run{dataRun(src)})
+	default:
+		a.put(off, []run{dataRun(slices.Clone(src))})
+	}
+}
+
+// Read copies words [off, off+len(dst)) into dst, as a device-to-host
+// transfer does. Reading changes no word, so the content keeps its version.
+func (a *Allocation) Read(dst kernels.Words, off int) {
+	a.check(off, len(dst))
+	if a.state >= contentDerived {
+		a.owner.memo.hostAccess(a)
+	}
+	if a.words != nil {
+		copy(dst, a.words[off:])
+	} else {
+		readRuns(dst, a.runs, off)
+	}
+}
+
+// Copy copies n words of src at srcOff to dst at dstOff, as a device-side
+// transfer does: dst aliases src's runs, and src's private words become its
+// run first unless the host holds them. The ranges may overlap.
+func Copy(dst *Allocation, dstOff int, src *Allocation, srcOff, n int) {
+	src.check(srcOff, n)
+	dst.check(dstOff, n)
+	if src.state >= contentDerived {
+		src.owner.memo.hostAccess(src)
+	}
+	src.share()
+	dst.hostWrite()
+	switch {
+	case n == 0:
+	case src.words != nil && dst.inPlace(n):
+		copy(dst.words[dstOff:], src.words[srcOff:srcOff+n])
+	case src.words != nil:
+		dst.put(dstOff, []run{dataRun(slices.Clone(src.words[srcOff : srcOff+n]))})
+	case dst.inPlace(n):
+		readRuns(dst.words[dstOff:dstOff+n], src.runs, srcOff)
+	default:
+		dst.put(dstOff, appendRuns(nil, src.runs, srcOff, srcOff+n))
+	}
+}
+
+// Fill sets words [off, off+n) to v.
+func (a *Allocation) Fill(off, n int, v uint32) {
+	a.check(off, n)
+	a.hostWrite()
+	switch {
+	case n == 0:
+	case a.inPlace(n):
+		fill(a.words[off:off+n], v)
+	case v == 0:
+		a.put(off, []run{{n: n}})
+	default:
+		w := make(kernels.Words, n)
+		fill(w, v)
+		a.put(off, []run{dataRun(w)})
+	}
+}
+
+// fill sets every word of w to v.
+func fill(w kernels.Words, v uint32) {
+	for i := range w {
+		w[i] = v
+	}
+}
+
+// check panics unless words [off, off+n) lie within the allocation.
+func (a *Allocation) check(off, n int) {
+	if off < 0 || n < 0 || off+n > a.n {
+		panic(fmt.Sprintf("hw: words [%d,%d) outside an allocation of %d words", off, off+n, a.n))
+	}
+}
+
+// hostWrite prepares a host write: content a DispatchMemo derived is settled
+// first, and the words' version becomes unknown.
+func (a *Allocation) hostWrite() {
+	if a.state >= contentDerived {
+		a.owner.memo.hostAccess(a)
+	}
+	a.state = contentUnknown
+}
+
+// inPlace reports whether a write of n words goes into the private words:
+// unless it covers all of them and the host does not hold them, in which
+// case the written runs replace them.
+func (a *Allocation) inPlace(n int) bool {
+	return a.words != nil && (n < a.n || a.held || a.mapped)
+}
+
+// put writes runs to the words from off on, which inPlace refused.
+func (a *Allocation) put(off int, in []run) {
+	if a.words != nil {
+		a.words, a.runs = nil, []run{{n: a.n}}
+	}
+	n := 0
+	for _, r := range in {
+		n += r.n
+	}
+	out := appendRuns(make([]run, 0, len(a.runs)+len(in)+1), a.runs, 0, off)
+	for _, r := range in {
+		out = appendRun(out, r)
+	}
+	a.runs = appendRuns(out, a.runs, off+n, a.n)
+	if len(a.runs) > maxRuns {
+		a.private()
+	}
+}
+
+// private returns the private words, flattening the runs into new ones
+// first.
+func (a *Allocation) private() kernels.Words {
+	if a.words == nil {
+		if len(a.runs) == 1 && a.runs[0].words != nil {
+			a.words = slices.Clone(a.runs[0].words)
+		} else {
+			a.words = make(kernels.Words, a.n)
+			readRuns(a.words, a.runs, 0)
+		}
+		a.runs = nil
+	}
+	return a.words
+}
+
+// share makes private words the host does not hold the allocation's one run,
+// so that a transfer can alias them.
+func (a *Allocation) share() {
+	if a.words != nil && !a.held && !a.mapped {
+		a.words, a.runs = nil, []run{dataRun(a.words)}
+	}
+}
+
+// content returns the allocation's content as one slice nobody writes again.
+func (a *Allocation) content() kernels.Words {
+	if a.words == nil && len(a.runs) == 1 && a.runs[0].words != nil {
+		return a.runs[0].words
+	}
+	w := a.private()
+	if a.held || a.mapped {
+		return slices.Clone(w)
+	}
+	a.share()
+	return w
+}
 
 // Binding is a storage buffer bound to a dispatch: words [offset,
 // offset+len) of an allocation.
@@ -103,8 +344,28 @@ type Binding struct {
 // words, so the allocation keeps its content version.
 func (a *Allocation) Bind(offset, n int) Binding { return Binding{alloc: a, offset: offset, len: n} }
 
-// words returns the bound words.
-func (b Binding) words() kernels.Words { return b.alloc.words[b.offset : b.offset+b.len] }
+// boundWords returns the words binding i gives a dispatch of prog: the
+// allocation's one run of words when no binding of it may store, else its
+// private words.
+func boundWords(prog *kernels.Program, binds []Binding, i int) kernels.Words {
+	b := binds[i]
+	a := b.alloc
+	if a.words == nil && len(a.runs) == 1 && a.runs[0].words != nil && !mayStore(prog, binds, a) {
+		return a.runs[0].words[b.offset : b.offset+b.len]
+	}
+	return a.private()[b.offset : b.offset+b.len]
+}
+
+// mayStore reports whether a dispatch of prog may store to the allocation
+// through any of its bindings.
+func mayStore(prog *kernels.Program, binds []Binding, a *Allocation) bool {
+	for j, b := range binds {
+		if b.alloc == a && prog.ReadOnly>>j&1 == 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // Freed reports whether the allocation has been released.
 func (a *Allocation) Freed() bool { return a.freed }
@@ -119,6 +380,8 @@ type MemorySystem struct {
 	allocs    int
 	peakUsed  map[HeapKind]int64
 	allocFail int
+	// frozen holds the words Freeze registered.
+	frozen []kernels.Words
 }
 
 // NewMemorySystem builds a memory system with the given heap capacities in
@@ -197,13 +460,8 @@ func (m *MemorySystem) Allocate(h HeapKind, size int64) (*Allocation, error) {
 		m.peakUsed[h] = m.used[h]
 	}
 	m.allocs++
-	return &Allocation{
-		heap:  h,
-		bytes: size,
-		words: kernels.NewWords(kernels.WordsForBytes(int(size))),
-		owner: m,
-		state: contentZero,
-	}, nil
+	n := kernels.WordsForBytes(int(size))
+	return &Allocation{heap: h, bytes: size, n: n, runs: []run{{n: n}}, owner: m, state: contentZero}, nil
 }
 
 // Free releases the allocation back to its heap.
@@ -219,6 +477,32 @@ func (m *MemorySystem) Free(a *Allocation) error {
 	a.freed = true
 	m.used[a.heap] -= a.bytes
 	m.allocs--
-	a.words = nil
+	a.n, a.words, a.runs = 0, nil, nil
 	return nil
+}
+
+// Freeze registers words the host never changes again, such as the shared
+// input streams: a Write of w, or of a prefix of it, aliases the words
+// instead of copying them.
+func (m *MemorySystem) Freeze(w kernels.Words) {
+	if len(w) == 0 {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.frozen = append(m.frozen, w[:len(w):len(w)])
+}
+
+// Frozen returns the words Freeze registered, in registration order.
+func (m *MemorySystem) Frozen() []kernels.Words {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return slices.Clone(m.frozen)
+}
+
+// isFrozen reports whether Freeze registered the words of w.
+func (m *MemorySystem) isFrozen(w kernels.Words) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return slices.ContainsFunc(m.frozen, func(f kernels.Words) bool { return &f[0] == &w[0] && len(f) >= len(w) })
 }

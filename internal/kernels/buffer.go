@@ -10,9 +10,6 @@ import (
 // slices of float32/int32/uint32 and Words.
 type Words []uint32
 
-// NewWords allocates a zeroed word buffer holding n 32-bit elements.
-func NewWords(n int) Words { return make(Words, n) }
-
 // WordsForBytes returns the number of 32-bit words needed to hold n bytes.
 func WordsForBytes(n int) int { return (n + 3) / 4 }
 

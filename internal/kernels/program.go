@@ -22,6 +22,10 @@ type Program struct {
 	LocalSize Dim3
 	// Bindings is the number of storage-buffer bindings the kernel declares.
 	Bindings int
+	// ReadOnly declares the bindings the kernel never stores to: bit i for
+	// binding i, as the GLSL source's readonly qualifier does. A dispatch may
+	// bind them to words other buffers and the host share.
+	ReadOnly uint64
 	// PushConstantWords is the number of 32-bit push-constant words the kernel
 	// consumes (0 if none).
 	PushConstantWords int
@@ -58,6 +62,9 @@ func (p *Program) Validate() error {
 	}
 	if p.Bindings < 0 {
 		return fmt.Errorf("kernels: program %q has negative binding count", p.Name)
+	}
+	if p.Bindings < MaxBindings && p.ReadOnly>>p.Bindings != 0 {
+		return fmt.Errorf("kernels: program %q declares read-only bindings %#x beyond its %d", p.Name, p.ReadOnly, p.Bindings)
 	}
 	if p.Fn == nil {
 		return fmt.Errorf("kernels: program %q has no body", p.Name)

@@ -21,6 +21,7 @@ func init() {
 		Name:              KernelVectorAdd,
 		LocalSize:         kernels.D1(256),
 		Bindings:          3,
+		ReadOnly:          1<<0 | 1<<1,
 		PushConstantWords: 1,
 		Fn:                vectorAddKernel,
 	})
@@ -30,6 +31,7 @@ func init() {
 		Name:              KernelStridedRead,
 		LocalSize:         kernels.D1(256),
 		Bindings:          2,
+		ReadOnly:          1 << 0,
 		PushConstantWords: 2,
 		Fn:                stridedReadKernel,
 	})
@@ -72,8 +74,8 @@ func stridedReadKernel(wg *kernels.Workgroup) {
 // offline with glslangValidator.
 const glslVectorAdd = `#version 450
 layout(local_size_x = 256) in;
-layout(std430, set = 0, binding = 0) buffer X { float x[]; };
-layout(std430, set = 0, binding = 1) buffer Y { float y[]; };
+layout(std430, set = 0, binding = 0) readonly buffer X { float x[]; };
+layout(std430, set = 0, binding = 1) readonly buffer Y { float y[]; };
 layout(std430, set = 0, binding = 2) buffer Z { float z[]; };
 layout(push_constant) uniform Params { uint n; } params;
 void main() {
@@ -85,7 +87,7 @@ void main() {
 // glslStridedRead is the strided-read bandwidth kernel.
 const glslStridedRead = `#version 450
 layout(local_size_x = 256) in;
-layout(std430, set = 0, binding = 0) buffer In  { float data_in[]; };
+layout(std430, set = 0, binding = 0) readonly buffer In  { float data_in[]; };
 layout(std430, set = 0, binding = 1) buffer Out { float data_out[]; };
 layout(push_constant) uniform Params { uint stride; uint n_in; } params;
 void main() {

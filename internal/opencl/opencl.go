@@ -179,7 +179,7 @@ func (c *Context) CreateBuffer(flags MemFlags, size int64, hostData kernels.Word
 	}
 	m := &Mem{ctx: c, alloc: alloc, size: size, flags: flags}
 	if flags&MemCopyHostPtr != 0 && hostData != nil {
-		copy(alloc.Words(), hostData)
+		alloc.Write(0, hostData)
 	}
 	return m, nil
 }
@@ -389,7 +389,7 @@ func (q *CommandQueue) EnqueueWriteBuffer(m *Mem, blocking bool, data kernels.Wo
 		return nil, fmt.Errorf("%w: write of %d words into a buffer of %d words", ErrInvalidValue, len(data), m.alloc.Len())
 	}
 	q.ctx.host.Spend(hostCall)
-	copy(m.alloc.Words(), data)
+	m.alloc.Write(0, data)
 	return q.transfer(int64(len(data))*4, blocking), nil
 }
 
@@ -403,7 +403,7 @@ func (q *CommandQueue) EnqueueReadBuffer(m *Mem, blocking bool, data kernels.Wor
 		return nil, fmt.Errorf("%w: read of %d words from a buffer of %d words", ErrInvalidValue, len(data), m.alloc.Len())
 	}
 	q.ctx.host.Spend(hostCall)
-	copy(data, m.alloc.Words())
+	m.alloc.Read(data, 0)
 	return q.transfer(int64(len(data))*4, blocking), nil
 }
 

@@ -43,6 +43,7 @@ func init() {
 		Name:                kernelForward,
 		LocalSize:           kernels.D1(groupInputs),
 		Bindings:            3,
+		ReadOnly:            1<<0 | 1<<1,
 		PushConstantWords:   1,
 		SharedWordsPerGroup: groupInputs,
 		Fn:                  layerForwardKernel,
@@ -52,6 +53,7 @@ func init() {
 		Name:              kernelAdjust,
 		LocalSize:         kernels.D1(groupInputs),
 		Bindings:          3,
+		ReadOnly:          1<<0 | 1<<2,
 		PushConstantWords: 1,
 		Fn:                adjustWeightsKernel,
 	})
@@ -309,8 +311,8 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 
 const glslForward = `#version 450
 layout(local_size_x = 256) in;
-layout(std430, set = 0, binding = 0) buffer Input   { float input_units[]; };
-layout(std430, set = 0, binding = 1) buffer Weights { float w[]; };
+layout(std430, set = 0, binding = 0) readonly buffer Input   { float input_units[]; };
+layout(std430, set = 0, binding = 1) readonly buffer Weights { float w[]; };
 layout(std430, set = 0, binding = 2) buffer Partial { float partial_sum[]; };
 layout(push_constant) uniform Params { uint n; } p;
 shared float node[256];
@@ -332,9 +334,9 @@ void main() {
 
 const glslAdjust = `#version 450
 layout(local_size_x = 256) in;
-layout(std430, set = 0, binding = 0) buffer Input   { float input_units[]; };
+layout(std430, set = 0, binding = 0) readonly buffer Input   { float input_units[]; };
 layout(std430, set = 0, binding = 1) buffer Weights { float w[]; };
-layout(std430, set = 0, binding = 2) buffer Delta   { float delta[]; };
+layout(std430, set = 0, binding = 2) readonly buffer Delta   { float delta[]; };
 layout(push_constant) uniform Params { uint n; } p;
 void main() {
     uint i = gl_GlobalInvocationID.x;

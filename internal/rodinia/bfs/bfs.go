@@ -33,6 +33,7 @@ func init() {
 		Name:              kernel1,
 		LocalSize:         kernels.D1(256),
 		Bindings:          6,
+		ReadOnly:          1<<0 | 1<<1 | 1<<4,
 		PushConstantWords: 1,
 		LocalMemCandidate: true,
 		Exact:             true,
@@ -134,7 +135,8 @@ type graph struct {
 func generate(seed int64, n int) *graph {
 	//lint:allow(the graph seed is a fixed workload constant, so the generated topology is identical every run)
 	rng := rand.New(rand.NewSource(seed))
-	g := &graph{n: n, start: make([]uint32, 2*n)}
+	// Degrees are 2-7, so the edges never outgrow 7n.
+	g := &graph{n: n, start: make([]uint32, 2*n), edges: make([]uint32, 0, 7*n)}
 	for i := 0; i < n; i++ {
 		deg := 2 + rng.Intn(6)
 		g.start[2*i] = uint32(len(g.edges))
@@ -282,11 +284,11 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 
 const glslKernel1 = `#version 450
 layout(local_size_x = 256) in;
-layout(std430, set = 0, binding = 0) buffer Nodes    { uint nodes[]; };
-layout(std430, set = 0, binding = 1) buffer Edges    { uint edges[]; };
+layout(std430, set = 0, binding = 0) readonly buffer Nodes    { uint nodes[]; };
+layout(std430, set = 0, binding = 1) readonly buffer Edges    { uint edges[]; };
 layout(std430, set = 0, binding = 2) buffer Mask     { uint mask[]; };
 layout(std430, set = 0, binding = 3) buffer Updating { uint updating[]; };
-layout(std430, set = 0, binding = 4) buffer Visited  { uint visited[]; };
+layout(std430, set = 0, binding = 4) readonly buffer Visited  { uint visited[]; };
 layout(std430, set = 0, binding = 5) buffer Cost     { int cost[]; };
 layout(push_constant) uniform Params { uint n; } p;
 void main() {

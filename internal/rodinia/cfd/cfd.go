@@ -49,6 +49,7 @@ func init() {
 		Name:              kernelStepFactor,
 		LocalSize:         kernels.D1(128),
 		Bindings:          3,
+		ReadOnly:          1<<0 | 1<<1,
 		PushConstantWords: 1,
 		Fn:                stepFactorKernel,
 	})
@@ -57,6 +58,7 @@ func init() {
 		Name:              kernelFlux,
 		LocalSize:         kernels.D1(128),
 		Bindings:          4,
+		ReadOnly:          1<<0 | 1<<1 | 1<<2,
 		PushConstantWords: 1,
 		Fn:                fluxKernel,
 	})
@@ -65,6 +67,7 @@ func init() {
 		Name:              kernelTimeStep,
 		LocalSize:         kernels.D1(128),
 		Bindings:          3,
+		ReadOnly:          1<<1 | 1<<2,
 		PushConstantWords: 1,
 		Fn:                timeStepKernel,
 	})
@@ -330,8 +333,8 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 
 const glslStepFactor = `#version 450
 layout(local_size_x = 128) in;
-layout(std430, set = 0, binding = 0) buffer Vars  { float variables[]; };
-layout(std430, set = 0, binding = 1) buffer Areas { float areas[]; };
+layout(std430, set = 0, binding = 0) readonly buffer Vars  { float variables[]; };
+layout(std430, set = 0, binding = 1) readonly buffer Areas { float areas[]; };
 layout(std430, set = 0, binding = 2) buffer SF    { float step_factors[]; };
 layout(push_constant) uniform Params { uint nelr; } p;
 void main() {
@@ -344,9 +347,9 @@ void main() {
 
 const glslFlux = `#version 450
 layout(local_size_x = 128) in;
-layout(std430, set = 0, binding = 0) buffer Vars   { float variables[]; };
-layout(std430, set = 0, binding = 1) buffer Neigh  { uint element_neighbors[]; };
-layout(std430, set = 0, binding = 2) buffer Norm   { float normals[]; };
+layout(std430, set = 0, binding = 0) readonly buffer Vars   { float variables[]; };
+layout(std430, set = 0, binding = 1) readonly buffer Neigh  { uint element_neighbors[]; };
+layout(std430, set = 0, binding = 2) readonly buffer Norm   { float normals[]; };
 layout(std430, set = 0, binding = 3) buffer Fluxes { float fluxes[]; };
 layout(push_constant) uniform Params { uint nelr; } p;
 void main() {
@@ -367,8 +370,8 @@ void main() {
 const glslTimeStep = `#version 450
 layout(local_size_x = 128) in;
 layout(std430, set = 0, binding = 0) buffer Vars   { float variables[]; };
-layout(std430, set = 0, binding = 1) buffer SF     { float step_factors[]; };
-layout(std430, set = 0, binding = 2) buffer Fluxes { float fluxes[]; };
+layout(std430, set = 0, binding = 1) readonly buffer SF     { float step_factors[]; };
+layout(std430, set = 0, binding = 2) readonly buffer Fluxes { float fluxes[]; };
 layout(push_constant) uniform Params { uint nelr; } p;
 void main() {
     uint i = gl_GlobalInvocationID.x;

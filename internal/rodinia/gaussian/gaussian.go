@@ -33,6 +33,7 @@ func init() {
 		Name:              kernelFan1,
 		LocalSize:         kernels.D1(256),
 		Bindings:          2,
+		ReadOnly:          1 << 1,
 		PushConstantWords: 2,
 		Fn:                fan1Kernel,
 	})
@@ -41,6 +42,7 @@ func init() {
 		Name:              kernelFan2,
 		LocalSize:         kernels.D2(16, 16),
 		Bindings:          3,
+		ReadOnly:          1 << 0,
 		PushConstantWords: 2,
 		Fn:                fan2Kernel,
 	})
@@ -249,7 +251,7 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 const glslFan1 = `#version 450
 layout(local_size_x = 256) in;
 layout(std430, set = 0, binding = 0) buffer M { float m[]; };
-layout(std430, set = 0, binding = 1) buffer A { float a[]; };
+layout(std430, set = 0, binding = 1) readonly buffer A { float a[]; };
 layout(push_constant) uniform Params { uint n; uint t; } p;
 void main() {
     uint i = gl_GlobalInvocationID.x;
@@ -261,7 +263,7 @@ void main() {
 
 const glslFan2 = `#version 450
 layout(local_size_x = 16, local_size_y = 16) in;
-layout(std430, set = 0, binding = 0) buffer M { float m[]; };
+layout(std430, set = 0, binding = 0) readonly buffer M { float m[]; };
 layout(std430, set = 0, binding = 1) buffer A { float a[]; };
 layout(std430, set = 0, binding = 2) buffer B { float b[]; };
 layout(push_constant) uniform Params { uint n; uint t; } p;

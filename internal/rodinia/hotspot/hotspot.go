@@ -39,6 +39,7 @@ func init() {
 		Name:              kernelName,
 		LocalSize:         kernels.D2(16, 16),
 		Bindings:          3,
+		ReadOnly:          1<<0 | 1<<1,
 		PushConstantWords: 5,
 		Fn:                hotspotKernel,
 	})
@@ -242,8 +243,8 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 
 const glslHotspot = `#version 450
 layout(local_size_x = 16, local_size_y = 16) in;
-layout(std430, set = 0, binding = 0) buffer Power { float power[]; };
-layout(std430, set = 0, binding = 1) buffer TIn   { float t_in[]; };
+layout(std430, set = 0, binding = 0) readonly buffer Power { float power[]; };
+layout(std430, set = 0, binding = 1) readonly buffer TIn   { float t_in[]; };
 layout(std430, set = 0, binding = 2) buffer TOut  { float t_out[]; };
 layout(push_constant) uniform Params { uint n; float step; float cap; float rx_inv; float rz_inv; } p;
 void main() {

@@ -31,6 +31,7 @@ func init() {
 		Name:              kernelName,
 		LocalSize:         kernels.D1(256),
 		Bindings:          2,
+		ReadOnly:          1 << 0,
 		PushConstantWords: 3,
 		Fn:                euclidKernel,
 	})
@@ -218,7 +219,7 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 
 const glslEuclid = `#version 450
 layout(local_size_x = 256) in;
-layout(std430, set = 0, binding = 0) buffer Locations { float loc[]; };
+layout(std430, set = 0, binding = 0) readonly buffer Locations { float loc[]; };
 layout(std430, set = 0, binding = 1) buffer Distances { float dist[]; };
 layout(push_constant) uniform Params { uint n; float lat; float lng; } p;
 void main() {

@@ -38,6 +38,7 @@ func init() {
 		Name:                kernelName,
 		LocalSize:           kernels.D1(blockSize),
 		Bindings:            3,
+		ReadOnly:            1<<1 | 1<<2,
 		PushConstantWords:   4,
 		SharedWordsPerGroup: (blockSize + 1) * (blockSize + 1),
 		Fn:                  nwKernel,
@@ -257,8 +258,8 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 const glslNW = `#version 450
 layout(local_size_x = 16) in;
 layout(std430, set = 0, binding = 0) buffer Score { int f[]; };
-layout(std430, set = 0, binding = 1) buffer Seq1  { int seq1[]; };
-layout(std430, set = 0, binding = 2) buffer Seq2  { int seq2[]; };
+layout(std430, set = 0, binding = 1) readonly buffer Seq1  { int seq1[]; };
+layout(std430, set = 0, binding = 2) readonly buffer Seq2  { int seq2[]; };
 layout(push_constant) uniform Params { uint dim; uint nb; uint diag; uint pass; } p;
 void main() { /* anti-diagonal block wavefront; see nw_kernel in internal/kernels */ }
 `

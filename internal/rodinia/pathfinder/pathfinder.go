@@ -26,6 +26,7 @@ func init() {
 		Name:              kernelName,
 		LocalSize:         kernels.D1(256),
 		Bindings:          3,
+		ReadOnly:          1<<0 | 1<<1,
 		PushConstantWords: 2,
 		Fn:                pathfinderKernel,
 	})
@@ -186,8 +187,8 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 
 const glslPathfinder = `#version 450
 layout(local_size_x = 256) in;
-layout(std430, set = 0, binding = 0) buffer Wall { int wall[]; };
-layout(std430, set = 0, binding = 1) buffer Src  { int src[]; };
+layout(std430, set = 0, binding = 0) readonly buffer Wall { int wall[]; };
+layout(std430, set = 0, binding = 1) readonly buffer Src  { int src[]; };
 layout(std430, set = 0, binding = 2) buffer Dst  { int dst[]; };
 layout(push_constant) uniform Params { uint cols; uint row; } p;
 void main() {

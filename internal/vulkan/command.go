@@ -66,12 +66,18 @@ type command struct {
 
 	groups kernels.Dim3
 
-	copySrc   *Buffer
-	copyDst   *Buffer
-	copyBytes int64
+	// transfer is a copy's or a fill's; behind a pointer, it keeps the
+	// dispatch commands small.
+	transfer *transferCommand
+}
 
-	fillDst   *Buffer
-	fillValue uint32
+// transferCommand is a recorded CmdCopyBuffer (src, dst, regions and their
+// byte total) or CmdFillBuffer (dst and value).
+type transferCommand struct {
+	src, dst *Buffer
+	regions  []BufferCopy
+	bytes    int64
+	value    uint32
 }
 
 // CommandBufferAllocateInfo configures AllocateCommandBuffers.
@@ -259,8 +265,11 @@ type BufferCopy struct {
 	Size      int64
 }
 
-// CmdCopyBuffer records a buffer-to-buffer copy (used for staging uploads to
-// device-local memory and readbacks).
+// CmdCopyBuffer records a copy of each region from one buffer to another
+// (used for staging uploads to device-local memory and readbacks); no region
+// means the whole of the smaller buffer. Memory is addressed in 32-bit words,
+// so region offsets must be multiples of 4; a size that is not copies its
+// last partial word whole.
 func (cb *CommandBuffer) CmdCopyBuffer(src, dst *Buffer, regions ...BufferCopy) error {
 	if src == nil || dst == nil {
 		return fmt.Errorf("%w: CmdCopyBuffer with nil buffer", ErrValidation)
@@ -270,12 +279,16 @@ func (cb *CommandBuffer) CmdCopyBuffer(src, dst *Buffer, regions ...BufferCopy) 
 	}
 	var total int64
 	for _, r := range regions {
-		if r.Size <= 0 || r.SrcOffset+r.Size > src.size || r.DstOffset+r.Size > dst.size {
+		if r.Size <= 0 || r.SrcOffset < 0 || r.DstOffset < 0 || r.SrcOffset+r.Size > src.size || r.DstOffset+r.Size > dst.size {
 			return fmt.Errorf("%w: copy region out of bounds", ErrValidation)
+		}
+		if r.SrcOffset%4 != 0 || r.DstOffset%4 != 0 {
+			return fmt.Errorf("%w: copy region offsets %d and %d are not multiples of 4", ErrValidation, r.SrcOffset, r.DstOffset)
 		}
 		total += r.Size
 	}
-	return cb.record(command{kind: cmdCopyBuffer, copySrc: src, copyDst: dst, copyBytes: total})
+	return cb.record(command{kind: cmdCopyBuffer, transfer: &transferCommand{
+		src: src, dst: dst, regions: append([]BufferCopy(nil), regions...), bytes: total}})
 }
 
 // CmdFillBuffer records a fill of the whole buffer with a 32-bit pattern.
@@ -283,7 +296,7 @@ func (cb *CommandBuffer) CmdFillBuffer(dst *Buffer, value uint32) error {
 	if dst == nil {
 		return fmt.Errorf("%w: CmdFillBuffer with nil buffer", ErrValidation)
 	}
-	return cb.record(command{kind: cmdFillBuffer, fillDst: dst, fillValue: value})
+	return cb.record(command{kind: cmdFillBuffer, transfer: &transferCommand{dst: dst, bytes: dst.size, value: value}})
 }
 
 func minInt64(a, b int64) int64 {

@@ -251,20 +251,11 @@ func (d *Device) BindBufferMemory(b *Buffer, m *DeviceMemory, offset int64) erro
 // drivers that do not expose host-visible device-local types.
 func (m *DeviceMemory) Map(offset, size int64) (kernels.Words, error) {
 	m.device.host.Spend(hostCall)
-	if m.alloc.Mapped() {
-		// VUID-vkMapMemory-memory-00678: memory must not be host mapped.
-		return nil, fmt.Errorf("%w: memory is already mapped", ErrMemoryMapFailed)
-	}
-	unified := m.device.hw.Profile().UnifiedMemory
-	if m.typeIndex == 0 && !unified {
-		return nil, fmt.Errorf("%w: memory type 0 is not host visible on %s",
-			ErrMemoryMapFailed, m.device.hw.Profile().Name)
-	}
 	if size <= 0 {
 		size = m.size - offset
 	}
-	if offset < 0 || offset%4 != 0 || offset+size > m.size {
-		return nil, fmt.Errorf("%w: invalid map range [%d,%d)", ErrValidation, offset, offset+size)
+	if err := m.checkMap(offset, size); err != nil {
+		return nil, err
 	}
 	w := m.alloc.Map()
 	return w[offset/4 : (offset+size+3)/4], nil
@@ -276,6 +267,51 @@ func (m *DeviceMemory) Unmap() {
 	m.alloc.Unmap()
 }
 
+// Write copies data into the memory at the byte offset: what mapping the
+// range, a memcpy into it and unmapping it do, with the same validation and
+// host cost, in one call.
+func (m *DeviceMemory) Write(offset int64, data kernels.Words) error {
+	m.device.host.Spend(hostCall)
+	if err := m.checkMap(offset, int64(len(data))*4); err != nil {
+		return err
+	}
+	m.alloc.Write(int(offset/4), data)
+	m.device.host.Spend(hostCall)
+	return nil
+}
+
+// Read copies the memory at the byte offset into data: what mapping the
+// range, a memcpy out of it and unmapping it do, in one call, as Write.
+func (m *DeviceMemory) Read(offset int64, data kernels.Words) error {
+	m.device.host.Spend(hostCall)
+	if err := m.checkMap(offset, int64(len(data))*4); err != nil {
+		return err
+	}
+	m.alloc.Read(data, int(offset/4))
+	m.device.host.Spend(hostCall)
+	return nil
+}
+
+// checkMap validates a host mapping of the byte range [offset, offset+size).
+func (m *DeviceMemory) checkMap(offset, size int64) error {
+	if m.alloc.Freed() {
+		return fmt.Errorf("%w: memory was freed", ErrValidation)
+	}
+	if m.alloc.Mapped() {
+		// VUID-vkMapMemory-memory-00678: memory must not be host mapped.
+		return fmt.Errorf("%w: memory is already mapped", ErrMemoryMapFailed)
+	}
+	unified := m.device.hw.Profile().UnifiedMemory
+	if m.typeIndex == 0 && !unified {
+		return fmt.Errorf("%w: memory type 0 is not host visible on %s",
+			ErrMemoryMapFailed, m.device.hw.Profile().Name)
+	}
+	if offset < 0 || offset%4 != 0 || offset+size > m.size {
+		return fmt.Errorf("%w: invalid map range [%d,%d)", ErrValidation, offset, offset+size)
+	}
+	return nil
+}
+
 // binding binds the buffer's range of its memory to a dispatch.
 func (b *Buffer) binding() (hw.Binding, error) {
 	start, end, err := b.wordRange()
@@ -285,14 +321,14 @@ func (b *Buffer) binding() (hw.Binding, error) {
 	return b.memory.alloc.Bind(start, end-start), nil
 }
 
-// words returns the word view of the buffer's range for the command
-// executor's copies and fills, which are host access to its memory.
-func (b *Buffer) words() (kernels.Words, error) {
-	start, end, err := b.wordRange()
+// memoryRange returns the buffer's memory and its range of it in words, for
+// the command executor's copies and fills.
+func (b *Buffer) memoryRange() (a *hw.Allocation, start, end int, err error) {
+	start, end, err = b.wordRange()
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-	return b.memory.alloc.Words()[start:end], nil
+	return b.memory.alloc, start, end, nil
 }
 
 // wordRange checks that the buffer has live memory bound and returns the

@@ -182,28 +182,30 @@ func (q *Queue) execute(cb *CommandBuffer) (SubmitStats, []int32, error) {
 			stats.Dispatches++
 			refs = append(refs, run.Event)
 		case cmdCopyBuffer:
-			srcWords, err := c.copySrc.words()
+			t := c.transfer
+			src, srcStart, _, err := t.src.memoryRange()
 			if err != nil {
 				return stats, refs, err
 			}
-			dstWords, err := c.copyDst.words()
+			dst, dstStart, _, err := t.dst.memoryRange()
 			if err != nil {
 				return stats, refs, err
 			}
-			copy(dstWords, srcWords[:minInt(len(srcWords), len(dstWords))])
+			for _, r := range t.regions {
+				hw.Copy(dst, dstStart+int(r.DstOffset/4), src, srcStart+int(r.SrcOffset/4), int((r.Size+3)/4))
+			}
 			q.hw.Occupy(pending)
 			pending = hw.Cost{}
-			q.hw.ExecuteTransfer(c.copyBytes)
-			stats.CopyBytes += c.copyBytes
+			q.hw.ExecuteTransfer(t.bytes)
+			stats.CopyBytes += t.bytes
 		case cmdFillBuffer:
-			dstWords, err := c.fillDst.words()
+			t := c.transfer
+			dst, start, end, err := t.dst.memoryRange()
 			if err != nil {
 				return stats, refs, err
 			}
-			for j := range dstWords {
-				dstWords[j] = c.fillValue
-			}
-			q.hw.ExecuteTransfer(c.fillDst.size)
+			dst.Fill(start, end-start, t.value)
+			q.hw.ExecuteTransfer(t.bytes)
 		}
 	}
 	// Gate on the symbolic cost, not its valuation: the trailing occupation
@@ -242,11 +244,4 @@ func gatherBindings(prog *kernels.Program, sets []*DescriptorSet) ([]hw.Binding,
 func (q *Queue) WaitIdle() {
 	q.device.host.Spend(hostCall)
 	q.device.host.WaitQueue(q.hw)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

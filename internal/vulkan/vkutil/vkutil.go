@@ -185,7 +185,9 @@ func (e *Env) stagingBuffer(sizeBytes int64) (*Buffer, error) {
 }
 
 // Upload copies host words into the device buffer through the environment's
-// persistent staging buffer and a transfer command buffer.
+// persistent staging buffer and a transfer command buffer. The words the
+// host writes into the staging buffer are copied unless they were registered
+// with hw.MemorySystem.Freeze, in which case both buffers alias them.
 func (e *Env) Upload(dst *Buffer, data kernels.Words) error {
 	if int64(len(data))*4 > dst.Size() {
 		return fmt.Errorf("vkutil: upload of %d words into buffer of %d bytes", len(data), dst.Size())
@@ -194,12 +196,9 @@ func (e *Env) Upload(dst *Buffer, data kernels.Words) error {
 	if err != nil {
 		return err
 	}
-	mapped, err := staging.Mem.Map(0, int64(len(data))*4)
-	if err != nil {
+	if err := staging.Mem.Write(0, data); err != nil {
 		return err
 	}
-	copy(mapped, data)
-	staging.Mem.Unmap()
 
 	cbs, err := e.Device.AllocateCommandBuffers(vulkan.CommandBufferAllocateInfo{CommandPool: e.CmdPool, Count: 1})
 	if err != nil {
@@ -253,15 +252,12 @@ func (e *Env) Download(src *Buffer) (kernels.Words, error) {
 	if err := fence.Wait(); err != nil {
 		return nil, err
 	}
-	// The persistent staging buffer may be larger than src; map only the
+	// The persistent staging buffer may be larger than src; read only the
 	// region the copy filled.
-	mapped, err := staging.Mem.Map(0, src.Size())
-	if err != nil {
+	out := make(kernels.Words, kernels.WordsForBytes(int(src.Size())))
+	if err := staging.Mem.Read(0, out); err != nil {
 		return nil, err
 	}
-	out := make(kernels.Words, len(mapped))
-	copy(out, mapped)
-	staging.Mem.Unmap()
 	return out, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"vcomputebench/internal/kernels"
 	"vcomputebench/internal/micro"
 	"vcomputebench/internal/platforms"
+	"vcomputebench/internal/vulkan"
 	"vcomputebench/internal/vulkan/vkutil"
 )
 
@@ -146,5 +147,86 @@ func TestUploadRejectsLongerData(t *testing.T) {
 	}
 	if got := download(t, env, b); !slices.Equal(got[:3], src) || slices.ContainsFunc(got[3:], func(w uint32) bool { return w != 0 }) {
 		t.Fatalf("Upload of 3 words left %v", got)
+	}
+}
+
+// TestCopyBufferRegions: CmdCopyBuffer copies each recorded region, from its
+// source offset to its destination offset, and leaves the rest of the
+// destination as it was; offsets off the 4-byte word grid are rejected.
+func TestCopyBufferRegions(t *testing.T) {
+	env, _ := newEnv(t)
+	const n = 64
+	src, dst := f32Words(n, 0), f32Words(n, 1000)
+	var bufs [2]*vkutil.Buffer
+	for i, w := range []kernels.Words{src, dst} {
+		b, err := env.NewDeviceBuffer(n * 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(b.Free)
+		if err := env.Upload(b, w); err != nil {
+			t.Fatal(err)
+		}
+		bufs[i] = b
+	}
+	cb, err := env.NewCommandBuffer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cb.CmdCopyBuffer(bufs[0].Buf, bufs[1].Buf, vulkan.BufferCopy{SrcOffset: 2, Size: 4}); err == nil {
+		t.Fatal("a region at source offset 2 was recorded")
+	}
+	for _, step := range []error{
+		cb.Begin(),
+		cb.CmdCopyBuffer(bufs[0].Buf, bufs[1].Buf,
+			vulkan.BufferCopy{SrcOffset: 16, DstOffset: 8, Size: 32},
+			vulkan.BufferCopy{SrcOffset: 0, DstOffset: 200, Size: 8}),
+		cb.End(),
+	} {
+		if step != nil {
+			t.Fatal(step)
+		}
+	}
+	stats, err := env.SubmitAndWait(cb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.CopyBytes != 40 {
+		t.Fatalf("CopyBytes = %d, want the regions' 40", stats.CopyBytes)
+	}
+	want := slices.Clone(dst)
+	copy(want[2:10], src[4:12])
+	copy(want[50:52], src[0:2])
+	if got := download(t, env, bufs[1]); !slices.Equal(got, want) {
+		t.Fatalf("after the region copies the destination holds %v, want %v", got, want)
+	}
+}
+
+// TestShortUploadAfterLongerOne: an upload of fewer words than the buffer
+// holds writes only them, though the persistent staging buffer still holds a
+// longer earlier upload.
+func TestShortUploadAfterLongerOne(t *testing.T) {
+	env, _ := newEnv(t)
+	const n = 64
+	var bufs [2]*vkutil.Buffer
+	for i := range bufs {
+		b, err := env.NewDeviceBuffer(n * 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(b.Free)
+		bufs[i] = b
+	}
+	if err := env.Upload(bufs[0], f32Words(n, 1)); err != nil {
+		t.Fatal(err)
+	}
+	short := f32Words(10, 500)
+	if err := env.Upload(bufs[1], short); err != nil {
+		t.Fatal(err)
+	}
+	want := make(kernels.Words, n)
+	copy(want, short)
+	if got := download(t, env, bufs[1]); !slices.Equal(got, want) {
+		t.Fatalf("a 10-word upload left %v, want %v", got, want)
 	}
 }

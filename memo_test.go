@@ -8,6 +8,7 @@ import (
 	"vcomputebench/internal/core"
 	"vcomputebench/internal/experiments"
 	"vcomputebench/internal/hw"
+	"vcomputebench/internal/kernels"
 	"vcomputebench/internal/platforms"
 	"vcomputebench/internal/report"
 )
@@ -20,20 +21,30 @@ import (
 // checksum. A benchmark that declares per-API device work
 // (core.Descriptor.PerAPIDeviceWork), which the suite then never shares,
 // must actually differ on some platform, so a stale declaration fails too.
+//
+// The same cells pin what aliasing device memory rests on: a store to a
+// binding its program declares read-only fails the cell
+// (hw.ErrReadOnlyStore), and no run changes the input-stream words it
+// uploaded (streamCheck). A cell whose dispatches are sampled at its class's
+// smallest workload runs again at the mobile one, so that every dispatch
+// checked executes all its workgroups.
 func TestAPIsDispatchTheSameWork(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("single-threaded determinism matrix; see TestReplayMatchesExecution")
 	}
+	prefixes := 0
 	for _, name := range core.Names() {
 		d, err := core.Describe(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := core.Get(name)
+		registered, err := core.Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		b := streamCheck{Benchmark: registered, prefixes: &prefixes}
 		var differs []string
+		var sampled []sampledCell
 		for _, p := range platforms.All() {
 			w := smallestWorkload(t, b, p.Profile.Class)
 			r := &core.Runner{Repetitions: 1, Seed: 42, Cache: core.NewSnapshotCache(0)}
@@ -52,11 +63,27 @@ func TestAPIsDispatchTheSameWork(t *testing.T) {
 					t.Fatalf("%s/%s on %s: no snapshot stored", name, api, p.ID)
 				}
 				work := &apiWork{api: api, kernels: snap.Kernels(), checksum: res.Checksum}
+				if sampledDispatch(work.kernels) {
+					sampled = append(sampled, sampledCell{p, api})
+				}
 				if first == nil {
 					first = work
 				} else if diff := first.diff(work); diff != "" {
 					differs = append(differs, p.ID+": "+diff)
 				}
+			}
+		}
+		// A cell that samples dispatches at its class's smallest workload
+		// runs again at the mobile one, which executes every workgroup.
+		for _, c := range sampled {
+			r := &core.Runner{Repetitions: 1, Seed: 42, Cache: core.NewSnapshotCache(0)}
+			w := smallestWorkload(t, b, hw.ClassMobile)
+			if _, err := r.Run(c.p, b, c.api, w); err != nil {
+				t.Fatalf("%s/%s on %s at %s: %v", name, c.api, c.p.ID, w.Label, err)
+			}
+			snap, ok := r.Cache.Get(r.CellKey(c.p, b, c.api, w))
+			if !ok || sampledDispatch(snap.Kernels()) {
+				t.Fatalf("%s/%s on %s: dispatches sampled at %s too, so not every store was checked", name, c.api, c.p.ID, w.Label)
 			}
 		}
 		switch {
@@ -67,6 +94,57 @@ func TestAPIsDispatchTheSameWork(t *testing.T) {
 				name, differs)
 		}
 	}
+	if prefixes == 0 {
+		t.Fatal("no run uploaded an input-stream prefix")
+	}
+}
+
+// sampledCell is a cell whose dispatches were sampled.
+type sampledCell struct {
+	p   *platforms.Platform
+	api hw.API
+}
+
+// sampledDispatch reports whether a dispatch executed only a sample of its
+// workgroups.
+func sampledDispatch(ks []hw.KernelRecord) bool {
+	for _, k := range ks {
+		if k.Counters.SampleScale != 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// streamCheck runs a benchmark and fails the run when a dispatch changed the
+// words of an input stream it drew: each prefix the run registered with its
+// memory system is hashed before the next dispatch and again after the run.
+// prefixes counts the prefixes checked.
+type streamCheck struct {
+	core.Benchmark
+	prefixes *int
+}
+
+func (b streamCheck) Run(ctx *core.RunContext) (*core.Result, error) {
+	mem := ctx.Device.Memory()
+	var seen []kernels.Words
+	var sums []float64
+	note := func() {
+		for _, w := range mem.Frozen()[len(seen):] {
+			seen = append(seen, w)
+			sums = append(sums, core.ChecksumWords(w))
+		}
+	}
+	ctx.Device.SetFaultHook(func() error { note(); return nil })
+	res, err := b.Benchmark.Run(ctx)
+	note()
+	*b.prefixes += len(seen)
+	for i, w := range seen {
+		if core.ChecksumWords(w) != sums[i] {
+			return nil, fmt.Errorf("input-stream prefix %d (%d words) changed during the run", i, len(w))
+		}
+	}
+	return res, err
 }
 
 // apiWork is the device work one API cell did.
