@@ -164,7 +164,15 @@ func TestChaosKernelPanicRecovery(t *testing.T) {
 			if ctx.Workload.Label == "w1" {
 				prog = bad
 			}
-			if _, err := q.ExecuteKernel(prog, dispatch(0), nil, hw.Cost{}); err != nil {
+			var binds []hw.Binding
+			for _, n := range []int{4, 4 * 64} {
+				a, err := ctx.Device.Memory().Allocate(hw.HeapDeviceLocal, int64(n)*4)
+				if err != nil {
+					return nil, err
+				}
+				binds = append(binds, a.Bind(0, n))
+			}
+			if _, err := q.ExecuteKernel(prog, kernels.DispatchConfig{Groups: kernels.D1(4)}, binds, hw.Cost{}); err != nil {
 				return nil, err
 			}
 			res := measured(ctx, time.Millisecond, time.Millisecond)

@@ -67,13 +67,14 @@ func (m *memoBench) run(ctx *RunContext) (*Result, error) {
 		}
 	}
 	a, b := bufs[0], bufs[1]
-	in := a.Words()
+	in := make(kernels.Words, n)
 	for i := range in {
 		in[i] = uint32(i)
 	}
 	if m.vulkanInput && ctx.API == hw.APIVulkan {
 		in[n-1]++
 	}
+	a.Write(0, in)
 	sw := ctx.Stopwatch()
 	for k := range m.dispatches {
 		cfg := kernels.DispatchConfig{Groups: kernels.D1(n / 64), Push: kernels.Words{uint32(k + 1)}}
@@ -83,13 +84,14 @@ func (m *memoBench) run(ctx *RunContext) (*Result, error) {
 		m.done[ctx.API]++
 		a, b = b, a
 		if k == m.vulkanPeek && ctx.API == hw.APIVulkan {
-			_ = a.Words()
+			a.Read(in, 0)
 		}
 	}
 	ctx.Host.WaitQueue(q)
 	res := ctx.Result(sw.Elapsed())
 	res.Dispatches = m.dispatches
-	res.Checksum = ChecksumWords(a.Words())
+	a.Read(in, 0)
+	res.Checksum = ChecksumWords(in)
 	return res, nil
 }
 
@@ -232,8 +234,8 @@ func TestMemoOnlyForDeclaredSharers(t *testing.T) {
 		t.Fatalf("two runnable cells: units %v shared %v, want one shared unit of 2", units, shared)
 	}
 	cells := enumerateSuite(gtx, []Benchmark{reg}, memoAPIs)
-	if last, ok := sharedTriple(gtx, cells); !ok || last != 1 {
-		t.Fatalf("sharedTriple = %d, %v; want 1, true", last, ok)
+	if !sharedTriple(gtx, cells) {
+		t.Fatal("sharedTriple = false, want true")
 	}
 	nexus, err := platforms.ByID(platforms.IDNexus)
 	if err != nil {

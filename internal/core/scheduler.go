@@ -53,10 +53,8 @@ func enumerateSuite(p *platforms.Platform, benchmarks []Benchmark, apis []hw.API
 // that share a dispatch memo, in grid order, or a single cell.
 type suiteUnit struct {
 	cells []suiteTask
-	// shared: the cells share a memo, and last is the index of the last cell
-	// that can execute on it.
+	// shared: the cells share a memo.
 	shared bool
-	last   int
 }
 
 // suiteUnits splits the grid into the units its workers run.
@@ -68,8 +66,8 @@ func suiteUnits(p *platforms.Platform, tasks []suiteTask) []suiteUnit {
 			end++
 		}
 		cells := tasks[start:end]
-		if last, ok := sharedTriple(p, cells); ok {
-			units = append(units, suiteUnit{cells: cells, shared: true, last: last})
+		if sharedTriple(p, cells) {
+			units = append(units, suiteUnit{cells: cells, shared: true})
 		} else {
 			for i := range cells {
 				units = append(units, suiteUnit{cells: cells[i : i+1]})
@@ -80,22 +78,21 @@ func suiteUnits(p *platforms.Platform, tasks []suiteTask) []suiteUnit {
 	return units
 }
 
-// sharedTriple reports whether a triple's cells share a dispatch memo, and
-// the index of the last cell that can execute on it. They do unless fewer
-// than two can execute, or the benchmark declares that its API paths
-// dispatch different device work (Descriptor.PerAPIDeviceWork).
-func sharedTriple(p *platforms.Platform, cells []suiteTask) (last int, ok bool) {
+// sharedTriple reports whether a triple's cells share a dispatch memo. They
+// do unless fewer than two can execute, or the benchmark declares that its
+// API paths dispatch different device work (Descriptor.PerAPIDeviceWork).
+func sharedTriple(p *platforms.Platform, cells []suiteTask) bool {
 	reg, isReg := cells[0].bench.(registered)
 	if !isReg || reg.d.PerAPIDeviceWork {
-		return 0, false
+		return false
 	}
 	runnable := 0
-	for i, t := range cells {
+	for _, t := range cells {
 		if checkCell(p, t.bench, t.api) == nil {
-			runnable, last = runnable+1, i
+			runnable++
 		}
 	}
-	return last, runnable >= 2
+	return runnable >= 2
 }
 
 // workers resolves the effective worker-pool size: Parallelism if positive,
@@ -158,12 +155,9 @@ func (r *Runner) runSuiteTasks(p *platforms.Platform, tasks []suiteTask) []suite
 		if u.shared {
 			env.memo = hw.NewDispatchMemo()
 		}
-		for i, t := range u.cells {
+		for _, t := range u.cells {
 			if aborted.Load() || ctx.Err() != nil {
 				return // unexecuted cells stay zero; the merge skips them, RunSuite surfaces a cancellation
-			}
-			if env.memo != nil {
-				env.memo.SetRecording(i < u.last)
 			}
 			res, err := r.safeRun(p, t, env)
 			outcomes[t.idx] = suiteOutcome{res: res, err: err}

@@ -112,9 +112,6 @@ type DevicePtr struct {
 // Size returns the allocation size in bytes.
 func (p *DevicePtr) Size() int64 { return p.size }
 
-// Words exposes the backing words to the host.
-func (p *DevicePtr) Words() kernels.Words { return p.alloc.Words() }
-
 // binding binds the whole allocation to a launch.
 func (p *DevicePtr) binding() hw.Binding { return p.alloc.Bind(0, p.alloc.Len()) }
 

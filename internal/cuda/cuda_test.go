@@ -36,6 +36,16 @@ func f32Words(n int, base float32) kernels.Words {
 	return w
 }
 
+// readBack copies the buffer's words to the host.
+func readBack(t *testing.T, env *bench.CUDAEnv, p *cuda.DevicePtr) kernels.Words {
+	t.Helper()
+	w := make(kernels.Words, p.Size()/4)
+	if err := env.Context.MemcpyDtoH(w, p); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 // TestMemcpyHtoDCopies pins the contract shared inputs rely on: MemcpyHtoD
 // copies, so changing the host words afterwards leaves device memory as it
 // was, and a kernel's stores into device memory never reach the host words
@@ -64,7 +74,7 @@ func TestMemcpyHtoDCopies(t *testing.T) {
 		}
 	}
 	for i, p := range ptrs {
-		if !slices.Equal(p.Words(), wants[i]) {
+		if !slices.Equal(readBack(t, env, p), wants[i]) {
 			t.Fatalf("buffer %d changed with the host words it was copied from", i)
 		}
 	}
@@ -81,7 +91,7 @@ func TestMemcpyHtoDCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Stream.Synchronize()
-	x, y, z := kernels.WordsToF32(wants[0]), kernels.WordsToF32(wants[1]), kernels.WordsToF32(ptrs[2].Words())
+	x, y, z := kernels.WordsToF32(wants[0]), kernels.WordsToF32(wants[1]), kernels.WordsToF32(readBack(t, env, ptrs[2]))
 	for j := range z {
 		if z[j] != x[j]+y[j] {
 			t.Fatalf("z[%d] = %v, want %v", j, z[j], x[j]+y[j])

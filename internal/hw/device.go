@@ -172,11 +172,11 @@ func (q *Queue) schedule(ev TraceEvent) int32 {
 // recorded — program, counters and the symbolic extra cost — so replay can
 // recompute its duration under any driver profile.
 //
-// The kernel's buffers are the bound allocations, binding i at index i; cfg
-// carries no Buffers then. A dispatch a sibling cell executed, or one that
-// reruns on the state it left, takes its counters from the device's
-// DispatchMemo; a hit still passes the fault hook, so it consumes its
-// dispatch ordinal. A dispatch of raw cfg.Buffers (tests) always executes.
+// The kernel's buffers are the bound allocations, binding i at index i;
+// cfg's Buffers are ignored. Every dispatch runs through the device's
+// DispatchMemo: one a sibling cell executed, or one that reruns on the state
+// it left, takes its counters from the memo. A hit still passes the fault
+// hook, so it consumes its dispatch ordinal.
 func (q *Queue) ExecuteKernel(prog *kernels.Program, cfg kernels.DispatchConfig, binds []Binding, extra Cost) (KernelRun, error) {
 	if h := q.dev.faultHook; h != nil {
 		if err := h(); err != nil {
@@ -202,22 +202,12 @@ func (q *Queue) ExecuteKernel(prog *kernels.Program, cfg kernels.DispatchConfig,
 		// through here).
 		cfg.Parallelism = q.dev.dispatchParallelism
 	}
-	counters, err := q.dev.execute(prog, cfg, binds)
+	counters, err := q.dev.mem.memo.execute(prog, cfg, binds)
 	if err != nil {
 		return KernelRun{}, err
 	}
 	ref := q.schedule(TraceEvent{Kind: EvKernel, Kernel: host.dispatch(prog, counters), Cost: host.intern(extra)})
 	return KernelRun{Event: ref, Counters: *counters}, nil
-}
-
-// execute runs a dispatch: through the device's memo when its buffers are
-// bound allocations, else with kernels.Execute.
-func (d *Device) execute(prog *kernels.Program, cfg kernels.DispatchConfig, binds []Binding) (*kernels.Counters, error) {
-	if cfg.Buffers == nil {
-		return d.mem.memo.execute(prog, cfg, binds)
-	}
-	c, _, _, err := executeKernel(prog, cfg)
-	return c, err
 }
 
 // ExecuteTransfer schedules a host<->device copy of n bytes on this queue and

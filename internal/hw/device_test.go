@@ -38,9 +38,12 @@ func TestDispatchParallelismBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf := make(kernels.Words, 32*64)
+		buf, err := dev.Memory().Allocate(hw.HeapDeviceLocal, 32*64*4)
+		if err != nil {
+			t.Fatal(err)
+		}
 		run, err := q.ExecuteKernel(prog,
-			kernels.DispatchConfig{Groups: kernels.D1(32), Buffers: []kernels.Words{buf}}, nil, hw.Cost{})
+			kernels.DispatchConfig{Groups: kernels.D1(32)}, []hw.Binding{buf.Bind(0, 32*64)}, hw.Cost{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math/bits"
-	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -35,8 +34,8 @@ import (
 // immutable and the memo kept them. When a run needs content the memo never
 // saw (a missed dispatch binds an awaiting buffer, or the host touches one
 // nobody kept), the run stops and Missed reports it; the runner then runs
-// the cell again on its device's own memo. Mapped words the host may touch at any time are hashed
-// at every bind, and a dispatch that binds them always executes.
+// the cell again on its device's own memo. Every cell of a triple adds the
+// dispatches it executes and the content its host touches.
 //
 // A dispatch can also repeat itself: the bandwidth sweep of §V-A1 dispatches
 // one kernel over the same buffers eight times in a row. When an executed
@@ -168,23 +167,18 @@ type DispatchMemo struct {
 	buf   []byte
 	words []kernels.Words
 	// own: the memo is one device's; named counts the versions it named.
-	own   bool
-	named uint64
-	// recording: the current run adds its dispatches and content copies;
-	// the last cell of a triple has nobody to add them for.
-	recording bool
-	missed    bool
+	own    bool
+	named  uint64
+	missed bool
 }
 
-// NewDispatchMemo returns an empty memo for a triple's API cells, which
-// records.
+// NewDispatchMemo returns an empty memo for a triple's API cells.
 func NewDispatchMemo() *DispatchMemo {
 	return &DispatchMemo{
 		dispatches: make(map[version]memoDispatch),
 		contents:   make(map[version]kernels.Words),
 		programs:   make(map[*kernels.Program]uint64),
 		zeros:      make(map[int]version),
-		recording:  true,
 	}
 }
 
@@ -196,10 +190,6 @@ func newOwnMemo() *DispatchMemo {
 		own:        true,
 	}
 }
-
-// SetRecording sets whether the runs that use the memo from now on add
-// their dispatches and content copies to it.
-func (m *DispatchMemo) SetRecording(on bool) { m.recording = on }
 
 // Missed reports whether the latest run attached to the memo stopped for
 // content the memo never saw.
@@ -256,11 +246,11 @@ func firstBinding(binds []Binding, i int) int {
 // the host may have written them.
 func (m *DispatchMemo) version(a *Allocation) version {
 	switch {
-	case a.state != contentUnknown && a.state != contentZero && !a.mapped:
+	case a.state != contentUnknown && a.state != contentZero:
 	case m.own:
 		m.named++
 		a.ver, a.state = version{m.named}, contentNamed
-	case a.state == contentUnknown || a.mapped:
+	case a.state == contentUnknown:
 		a.ver, a.state = a.hash(), contentNamed
 	default:
 		v, ok := m.zeros[a.n]
@@ -287,8 +277,7 @@ type memoDispatch struct {
 // the state that dispatch left.
 func (m *DispatchMemo) execute(prog *kernels.Program, cfg kernels.DispatchConfig, binds []Binding) (*kernels.Counters, error) {
 	key := m.key(prog, &cfg, binds)
-	unmapped := !slices.ContainsFunc(binds, func(b Binding) bool { return b.alloc.mapped })
-	if d, ok := m.dispatches[key]; ok && unmapped {
+	if d, ok := m.dispatches[key]; ok {
 		dispatchesFromMemo.Add(1)
 		if !d.repeat {
 			m.wrote(key, binds, d.stored, contentPending)
@@ -300,7 +289,6 @@ func (m *DispatchMemo) execute(prog *kernels.Program, cfg kernels.DispatchConfig
 		if bd.alloc.state == contentPending {
 			m.miss()
 		}
-		bd.alloc.held = false
 	}
 	words := m.words[:0]
 	for i := range binds {
@@ -313,11 +301,11 @@ func (m *DispatchMemo) execute(prog *kernels.Program, cfg kernels.DispatchConfig
 	if err != nil {
 		return nil, err
 	}
-	if m.recording && unmapped {
+	if !m.own {
 		m.dispatches[key] = memoDispatch{counters: *c, stored: stored}
 	}
 	m.wrote(key, binds, stored, contentDerived)
-	if unmapped && !storedLoaded(binds, stored, loaded) {
+	if !storedLoaded(binds, stored, loaded) {
 		m.dispatches[m.key(prog, &cfg, binds)] = memoDispatch{counters: *c, repeat: true}
 	}
 	return c, nil
@@ -337,21 +325,17 @@ func storedLoaded(binds []Binding, stored, loaded uint64) bool {
 }
 
 // wrote gives every buffer a dispatch stored to the version the dispatch
-// derived for it; mapped ones the host may change at any time keep none.
+// derived for it.
 func (m *DispatchMemo) wrote(key version, binds []Binding, stored uint64, state contentState) {
 	for i, bd := range binds {
-		switch {
-		case stored>>i&1 == 0:
-		case bd.alloc.mapped:
-			bd.alloc.state = contentUnknown
-		default:
+		if stored>>i&1 != 0 {
 			bd.alloc.ver, bd.alloc.state = derive(key, firstBinding(binds, i)), state
 		}
 	}
 }
 
 // hostAccess prepares an allocation whose content a dispatch derived for
-// host access: awaited content is aliased in, and while recording, the
+// host access: awaited content is aliased in, and in a triple's memo the
 // executed content becomes immutable and is kept for the siblings.
 func (m *DispatchMemo) hostAccess(a *Allocation) {
 	if a.state == contentPending {
@@ -362,7 +346,7 @@ func (m *DispatchMemo) hostAccess(a *Allocation) {
 		a.words, a.runs, a.state = nil, []run{dataRun(w)}, contentNamed
 		return
 	}
-	if _, ok := m.contents[a.ver]; m.recording && !ok {
+	if _, ok := m.contents[a.ver]; !m.own && !ok {
 		m.contents[a.ver] = a.content()
 	}
 }

@@ -64,10 +64,19 @@ func newMemoRun(t *testing.T, m *hw.DispatchMemo) *memoRun {
 	if r.b, err = dev.Memory().Allocate(hw.HeapDeviceLocal, memoWords*4); err != nil {
 		t.Fatal(err)
 	}
-	for i, w := 0, r.a.Words(); i < len(w); i++ {
-		w[i] = uint32(i)
+	in := make(kernels.Words, memoWords)
+	for i := range in {
+		in[i] = uint32(i)
 	}
+	r.a.Write(0, in)
 	return r
+}
+
+// readAll reads every word of the allocation to the host.
+func readAll(a *hw.Allocation) kernels.Words {
+	w := make(kernels.Words, a.Len())
+	a.Read(w, 0)
+	return w
 }
 
 // step dispatches memoStep from a to b with the given addend and swaps the
@@ -133,7 +142,7 @@ func TestMemoSiblingTakesDispatches(t *testing.T) {
 	for k := range 3 {
 		counters = append(counters, leader.step(uint32(k+1)))
 	}
-	want := append(kernels.Words(nil), leader.a.Words()...)
+	want := readAll(leader.a)
 	if want[10] != 16 {
 		t.Fatalf("leader output word 10 = %d, want 10+1+2+3", want[10])
 	}
@@ -150,7 +159,7 @@ func TestMemoSiblingTakesDispatches(t *testing.T) {
 	if e, h := follower.dispatches(); e != 0 || h != 3 {
 		t.Fatalf("follower: %d executed, %d from the memo; want 0, 3", e, h)
 	}
-	if got := follower.a.Words(); !slices.Equal(got, want) {
+	if got := readAll(follower.a); !slices.Equal(got, want) {
 		t.Fatalf("follower output differs from the leader's")
 	}
 	if m.Missed() {
@@ -167,10 +176,10 @@ func TestMemoHostWriteChangesKey(t *testing.T) {
 	run := func(flag uint32) (executed, fromMemo uint64, out uint32) {
 		r := newMemoRun(t, m)
 		r.step(1)
-		r.a.Words()[0] = flag
+		r.a.Write(0, kernels.Words{flag})
 		r.step(1)
 		executed, fromMemo = r.dispatches()
-		return executed, fromMemo, r.a.Words()[0]
+		return executed, fromMemo, readAll(r.a)[0]
 	}
 	if e, h, out := run(5); e != 2 || h != 0 || out != 6 {
 		t.Fatalf("leader: %d executed, %d from the memo, word 0 = %d; want 2, 0, 6", e, h, out)
@@ -192,11 +201,11 @@ func TestMemoMissesContentNobodyCopied(t *testing.T) {
 	leader := newMemoRun(t, m)
 	leader.step(1)
 	leader.step(2)
-	leader.a.Words()
+	readAll(leader.a)
 
 	r := newMemoRun(t, m)
 	r.step(1)
-	if !missed(m, func() { r.a.Words() }) {
+	if !missed(m, func() { readAll(r.a) }) {
 		t.Fatal("reading an intermediate nobody copied did not stop the run")
 	}
 	r = newMemoRun(t, m)
@@ -206,50 +215,6 @@ func TestMemoMissesContentNobodyCopied(t *testing.T) {
 	r.step(1)
 	if !missed(m, func() { r.step(7) }) {
 		t.Fatal("a missed dispatch on an awaiting buffer did not stop the run")
-	}
-}
-
-// TestMemoMappedWordsStayLive: the host reads and writes mapped words at any
-// time, so a dispatch that binds them executes, its output shows through the
-// mapping, and a host write through the mapping reaches the next dispatch's
-// key.
-func TestMemoMappedWordsStayLive(t *testing.T) {
-	m := hw.NewDispatchMemo()
-	leader := newMemoRun(t, m)
-	leader.step(1)
-	leader.step(1)
-	leader.a.Words()
-
-	r := newMemoRun(t, m)
-	view := r.b.Map()
-	r.step(1)
-	if view[7] != 8 {
-		t.Fatalf("mapped output word 7 = %d, want 8", view[7])
-	}
-	view[7] = 100
-	r.step(1)
-	if e, h := r.dispatches(); e != 2 || h != 0 {
-		t.Fatalf("%d executed, %d from the memo with the output mapped; want 2, 0", e, h)
-	}
-	if got := r.a.Words()[7]; got != 101 {
-		t.Fatalf("word 7 after the host wrote 100 through the mapping = %d, want 101", got)
-	}
-	r.a.Unmap()
-}
-
-// TestMemoNotRecordingAddsNothing: the last cell of a triple uses the memo
-// without adding to it.
-func TestMemoNotRecordingAddsNothing(t *testing.T) {
-	m := hw.NewDispatchMemo()
-	m.SetRecording(false)
-	r := newMemoRun(t, m)
-	r.step(1)
-	r.a.Words()
-	m.SetRecording(true)
-	r = newMemoRun(t, m)
-	r.step(1)
-	if e, h := r.dispatches(); e != 1 || h != 0 {
-		t.Fatalf("%d executed, %d from the memo after a run that did not record; want 1, 0", e, h)
 	}
 }
 
@@ -283,7 +248,7 @@ func TestMemoRepeatTakesCounters(t *testing.T) {
 	if e, h := r.dispatches(); e != 1 || h != 3 {
 		t.Fatalf("%d executed, %d from the memo; want 1, 3", e, h)
 	}
-	if got := r.b.Words()[10]; got != 11 {
+	if got := readAll(r.b)[10]; got != 11 {
 		t.Fatalf("output word 10 = %d, want 11", got)
 	}
 }
@@ -314,7 +279,7 @@ func TestMemoLoadedAndStoredExecute(t *testing.T) {
 			if e, h := r.dispatches(); e != 3 || h != 0 {
 				t.Fatalf("%d executed, %d from the memo; want 3, 0", e, h)
 			}
-			if got := r.a.Words()[10]; got != 13 {
+			if got := readAll(r.a)[10]; got != 13 {
 				t.Fatalf("word 10 = %d, want 10+1+1+1", got)
 			}
 		})
@@ -326,12 +291,12 @@ func TestMemoLoadedAndStoredExecute(t *testing.T) {
 func TestMemoHostWriteBreaksRepeat(t *testing.T) {
 	r := newMemoRun(t, nil)
 	r.repeat(1)
-	r.a.Words()[5] = 100
+	r.a.Write(5, kernels.Words{100})
 	r.repeat(1)
 	if e, h := r.dispatches(); e != 2 || h != 0 {
 		t.Fatalf("%d executed, %d from the memo; want 2, 0", e, h)
 	}
-	if got := r.b.Words()[5]; got != 101 {
+	if got := readAll(r.b)[5]; got != 101 {
 		t.Fatalf("output word 5 = %d, want the host's 100 + 1", got)
 	}
 }
@@ -370,7 +335,7 @@ func TestOwnMemoKeepsNoContent(t *testing.T) {
 		r.repeat(1)
 		r.repeat(1)
 		r.step(uint32(k + 2))
-		_ = r.a.Words()
+		readAll(r.a)
 	}
 	m := hw.DeviceMemo(r.dev)
 	if n := hw.MemoCopies(m); n != 0 {
@@ -420,9 +385,9 @@ var memoMixed = &kernels.Program{
 }
 
 // memoOp is one step of a generated sequence: a dispatch of memoMixed, or a
-// host action on allocation alloc.
+// host write of one word of allocation alloc.
 type memoOp struct {
-	kind  memoOpKind
+	write bool
 	alloc int
 	// A dispatch's grid, push words and the allocation at each binding.
 	groups int
@@ -433,64 +398,74 @@ type memoOp struct {
 	value uint32
 }
 
-type memoOpKind uint8
-
-const (
-	opDispatch memoOpKind = iota
-	opHostWrite
-	opMap
-	opMappedWrite
-	opUnmap
-)
-
 const memoPropAllocs, memoPropWords = 3, 256
 
 // memoSequence generates a short sequence over memoPropAllocs allocations:
 // about half its dispatches repeat the previous dispatch exactly, the rest
 // draw new load and store masks, addend, grid and binding-to-allocation map;
-// host writes, mappings, writes through a mapping and unmappings fall
-// between.
+// host writes fall between.
 func memoSequence(rng *rand.Rand) []memoOp {
 	var ops []memoOp
 	var last memoOp
-	var mapped [memoPropAllocs]bool
 	for range 4 + rng.Intn(12) {
-		switch a := rng.Intn(memoPropAllocs); rng.Intn(10) {
-		case 0:
-			ops = append(ops, memoOp{kind: opHostWrite, alloc: a, index: rng.Intn(memoPropWords), value: rng.Uint32() % 8})
-		case 1:
-			if !mapped[a] {
-				mapped[a] = true
-				ops = append(ops, memoOp{kind: opMap, alloc: a})
-			}
-		case 2:
-			if mapped[a] {
-				ops = append(ops, memoOp{kind: opMappedWrite, alloc: a, index: rng.Intn(memoPropWords), value: rng.Uint32() % 8})
-			}
-		case 3:
-			if mapped[a] {
-				mapped[a] = false
-				ops = append(ops, memoOp{kind: opUnmap, alloc: a})
-			}
-		default:
-			if last.push == nil || rng.Intn(2) == 0 {
-				last = memoOp{kind: opDispatch, groups: 1 + rng.Intn(memoPropWords/64),
-					push: kernels.Words{uint32(rng.Intn(16)), uint32(rng.Intn(16)), uint32(rng.Intn(4))}}
-				for j := range last.binds {
-					last.binds[j] = rng.Intn(memoPropAllocs)
-				}
-			}
-			ops = append(ops, last)
+		if a := rng.Intn(memoPropAllocs); rng.Intn(10) == 0 {
+			ops = append(ops, memoOp{write: true, alloc: a, index: rng.Intn(memoPropWords), value: rng.Uint32() % 8})
+			continue
 		}
+		if last.push == nil || rng.Intn(2) == 0 {
+			last = memoOp{groups: 1 + rng.Intn(memoPropWords/64),
+				push: kernels.Words{uint32(rng.Intn(16)), uint32(rng.Intn(16)), uint32(rng.Intn(4))}}
+			for j := range last.binds {
+				last.binds[j] = rng.Intn(memoPropAllocs)
+			}
+		}
+		ops = append(ops, last)
 	}
 	return ops
 }
 
-// memoReplay runs a sequence on a fresh device: with raw cfg.Buffers, or on
-// the device's own memo when m is nil, else on m. It returns each dispatch's
-// counters and the final words of every allocation, or missed when the run
-// stopped for content m lacks.
-func memoReplay(t *testing.T, m *hw.DispatchMemo, raw bool, ops []memoOp) (counters []kernels.Counters, words [memoPropAllocs]kernels.Words, missed bool) {
+// memoInitial is allocation i's content before a sequence: zeros for the
+// first, which stays a fresh allocation, a pattern for the others.
+func memoInitial(i int) kernels.Words {
+	w := make(kernels.Words, memoPropWords)
+	for j := range w {
+		w[j] = uint32(i * j % 7)
+	}
+	return w
+}
+
+// memoRaw runs a sequence on flat words with kernels.Execute, which no memo
+// serves, at the warp and cache-line sizes of the device memoReplay uses. It
+// returns each dispatch's counters and the final words.
+func memoRaw(t *testing.T, ops []memoOp) (counters []kernels.Counters, words [memoPropAllocs]kernels.Words) {
+	t.Helper()
+	prof := platforms.GTX1050Ti().Profile
+	for i := range words {
+		words[i] = memoInitial(i)
+	}
+	for _, op := range ops {
+		if op.write {
+			words[op.alloc][op.index] = op.value
+			continue
+		}
+		cfg := kernels.DispatchConfig{Groups: kernels.D1(op.groups), Push: op.push,
+			WarpSize: prof.WarpSize, CacheLineBytes: prof.CacheLineBytes}
+		for _, ai := range op.binds {
+			cfg.Buffers = append(cfg.Buffers, words[ai])
+		}
+		c, _, _, err := kernels.Execute(memoMixed, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counters = append(counters, *c)
+	}
+	return counters, words
+}
+
+// memoReplay runs a sequence on a fresh device, on its own memo when m is
+// nil, else on m. It returns each dispatch's counters and the final words of
+// every allocation, or missed when the run stopped for content m lacks.
+func memoReplay(t *testing.T, m *hw.DispatchMemo, ops []memoOp) (counters []kernels.Counters, words [memoPropAllocs]kernels.Words, missed bool) {
 	t.Helper()
 	defer func() {
 		if v := recover(); v != nil {
@@ -513,86 +488,63 @@ func memoReplay(t *testing.T, m *hw.DispatchMemo, raw bool, ops []memoOp) (count
 		t.Fatal(err)
 	}
 	var allocs [memoPropAllocs]*hw.Allocation
-	var views [memoPropAllocs]kernels.Words
 	for i := range allocs {
 		if allocs[i], err = dev.Memory().Allocate(hw.HeapDeviceLocal, memoPropWords*4); err != nil {
 			t.Fatal(err)
 		}
 		if i > 0 {
-			for j, w := 0, allocs[i].Words(); j < len(w); j++ {
-				w[j] = uint32(i * j % 7)
-			}
+			allocs[i].Write(0, memoInitial(i))
 		}
 	}
 	for _, op := range ops {
-		a := allocs[op.alloc]
-		switch op.kind {
-		case opHostWrite:
-			a.Words()[op.index] = op.value
-		case opMap:
-			views[op.alloc] = a.Map()
-		case opMappedWrite:
-			views[op.alloc][op.index] = op.value
-		case opUnmap:
-			a.Unmap()
-		case opDispatch:
-			cfg := kernels.DispatchConfig{Groups: kernels.D1(op.groups), Push: op.push}
-			var binds []hw.Binding
-			for _, ai := range op.binds {
-				if raw {
-					cfg.Buffers = append(cfg.Buffers, allocs[ai].Words())
-				} else {
-					binds = append(binds, allocs[ai].Bind(0, memoPropWords))
-				}
-			}
-			run, err := q.ExecuteKernel(memoMixed, cfg, binds, hw.Cost{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			counters = append(counters, run.Counters)
+		if op.write {
+			allocs[op.alloc].Write(op.index, kernels.Words{op.value})
+			continue
 		}
+		var binds []hw.Binding
+		for _, ai := range op.binds {
+			binds = append(binds, allocs[ai].Bind(0, memoPropWords))
+		}
+		cfg := kernels.DispatchConfig{Groups: kernels.D1(op.groups), Push: op.push}
+		run, err := q.ExecuteKernel(memoMixed, cfg, binds, hw.Cost{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		counters = append(counters, run.Counters)
 	}
 	for i, a := range allocs {
-		words[i] = append(kernels.Words(nil), a.Words()...)
+		words[i] = readAll(a)
 	}
 	return counters, words, false
 }
 
 // TestMemoMatchesRawExecution: over generated sequences of identical and
-// differing dispatches with random load and store sets, aliasing, host writes
-// and mappings, every dispatch's counters and the final words equal a raw
-// cfg.Buffers execution of the same sequence, which no memo serves. Each
-// sequence runs on a device's own memo, and as the recording leader and the
-// last sibling of a triple's shared memo. A last sibling stops when a
-// dispatch binding mapped words, which always executes, binds a buffer still
-// awaiting content nobody copied; such a run proves nothing, so most must
-// finish.
+// differing dispatches with random load and store sets, aliasing and host
+// writes, every dispatch's counters and the final words equal a raw
+// kernels.Execute of the same sequence on flat words, which no memo serves.
+// Each sequence runs on a device's own memo, and as the leader and then a
+// sibling on a triple's shared memo. No run misses, and the sibling takes
+// every dispatch from the memo.
 func TestMemoMatchesRawExecution(t *testing.T) {
 	const sequences = 300
 	var fromMemo uint64
-	misses := 0
 	for seed := int64(1); seed <= sequences; seed++ {
 		ops := memoSequence(rand.New(rand.NewSource(seed)))
-		wantCounters, wantWords, _ := memoReplay(t, nil, true, ops)
+		wantCounters, wantWords := memoRaw(t, ops)
 		shared := hw.NewDispatchMemo()
 		for _, run := range []struct {
-			name      string
-			memo      *hw.DispatchMemo
-			recording bool
-		}{{"own", nil, false}, {"leader", shared, true}, {"last sibling", shared, false}} {
-			if run.memo != nil {
-				run.memo.SetRecording(run.recording)
-			}
-			_, m0 := hw.DispatchCounts()
-			counters, words, missed := memoReplay(t, run.memo, false, ops)
-			_, m1 := hw.DispatchCounts()
+			name string
+			memo *hw.DispatchMemo
+		}{{"own", nil}, {"leader", shared}, {"sibling", shared}} {
+			e0, m0 := hw.DispatchCounts()
+			counters, words, missed := memoReplay(t, run.memo, ops)
+			e1, m1 := hw.DispatchCounts()
 			fromMemo += m1 - m0
 			if missed {
-				if run.recording {
-					t.Fatalf("seed %d, %s: missed", seed, run.name)
-				}
-				misses++
-				continue
+				t.Fatalf("seed %d, %s: missed", seed, run.name)
+			}
+			if run.name == "sibling" && e1 != e0 {
+				t.Fatalf("seed %d: the sibling executed %d of %d dispatches", seed, e1-e0, len(counters))
 			}
 			if !slices.Equal(counters, wantCounters) {
 				t.Fatalf("seed %d, %s: counters %+v, want the raw execution's %+v", seed, run.name, counters, wantCounters)
@@ -602,9 +554,9 @@ func TestMemoMatchesRawExecution(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d dispatches from a memo; %d of %d last siblings missed", fromMemo, misses, sequences)
-	if fromMemo == 0 || misses > sequences/2 {
-		t.Fatalf("%d dispatches from a memo, %d of %d last siblings missed", fromMemo, misses, sequences)
+	t.Logf("%d dispatches from a memo", fromMemo)
+	if fromMemo == 0 {
+		t.Fatal("no dispatch came from a memo")
 	}
 }
 
@@ -635,9 +587,11 @@ func BenchmarkDispatchMemoHit(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for j, w := 0, a.Words(); j < len(w); j++ {
+			w := make(kernels.Words, words)
+			for j := range w {
 				w[j] = math.Float32bits(float32((i+1)*j%29) + 1)
 			}
+			a.Write(0, w)
 			binds = append(binds, a.Bind(0, words))
 		}
 		return q, binds

@@ -44,11 +44,11 @@ var (
 // short list of immutable runs. A fresh allocation is one zero run and holds
 // no backing, so nothing is zeroed until something must write it.
 //
-// The typed transfers (Write, Read, Copy, Fill) keep runs where they can: a
-// copy aliases the source's runs, a write splices one run into the range it
-// writes, and a write of words registered with MemorySystem.Freeze aliases
-// them. Whatever needs private words (Words, Map, a dispatch binding that may
-// store) flattens the runs into new ones.
+// The typed transfers (Write, Read, Copy, Fill) are the only host access.
+// They keep runs where they can: a copy aliases the source's runs, a write
+// splices one run into the range it writes, and a write of words registered
+// with MemorySystem.Freeze aliases them. A dispatch binding that may store
+// needs private words and flattens the runs into new ones.
 type Allocation struct {
 	heap  HeapKind
 	bytes int64
@@ -63,11 +63,6 @@ type Allocation struct {
 	// (memo.go).
 	ver   version
 	state contentState
-	// mapped: the host may access the words at any time (Map).
-	mapped bool
-	// held: the host holds the private words Words returned, until the next
-	// dispatch binds the allocation; they never become a run meanwhile.
-	held bool
 }
 
 // run is a stretch of immutable content: words that nobody writes again, or,
@@ -146,38 +141,13 @@ func (a *Allocation) Heap() HeapKind { return a.heap }
 // SizeBytes returns the allocation size in bytes.
 func (a *Allocation) SizeBytes() int64 { return a.bytes }
 
-// Words exposes the content to the host as private words, which it may read
-// and write until the next dispatch binds the allocation. Content a
-// DispatchMemo hit left awaiting is settled first.
-func (a *Allocation) Words() kernels.Words {
-	a.hostWrite()
-	a.held = true
-	return a.private()
-}
-
-// Map exposes the private words to the host until Unmap, dispatches
-// included, as a mapping of host-visible memory does: a DispatchMemo hashes
-// mapped words at every bind and executes every dispatch that binds them.
-func (a *Allocation) Map() kernels.Words {
-	a.mapped = true
-	return a.Words()
-}
-
-// Mapped reports whether the allocation is mapped.
-func (a *Allocation) Mapped() bool { return a.mapped }
-
-// Unmap ends the mapping. The host may have written the words.
-func (a *Allocation) Unmap() {
-	a.mapped, a.held = false, false
-	a.state = contentUnknown
-}
-
 // Len returns the allocation's length in words.
 func (a *Allocation) Len() int { return a.n }
 
 // Write writes src to words [off, off+len(src)), as a host-to-device
 // transfer does. Words registered with MemorySystem.Freeze are aliased, any
-// others copied.
+// others copied: into the private words when the write covers them all, so
+// that a kernel storing to them copies nothing more.
 func (a *Allocation) Write(off int, src kernels.Words) {
 	a.check(off, len(src))
 	a.hostWrite()
@@ -187,6 +157,8 @@ func (a *Allocation) Write(off int, src kernels.Words) {
 		copy(a.words[off:], src)
 	case a.owner.isFrozen(src):
 		a.put(off, []run{dataRun(src)})
+	case len(src) == a.n:
+		a.words, a.runs = slices.Clone(src), nil
 	default:
 		a.put(off, []run{dataRun(slices.Clone(src))})
 	}
@@ -208,7 +180,7 @@ func (a *Allocation) Read(dst kernels.Words, off int) {
 
 // Copy copies n words of src at srcOff to dst at dstOff, as a device-side
 // transfer does: dst aliases src's runs, and src's private words become its
-// run first unless the host holds them. The ranges may overlap.
+// run first. The ranges may overlap.
 func Copy(dst *Allocation, dstOff int, src *Allocation, srcOff, n int) {
 	src.check(srcOff, n)
 	dst.check(dstOff, n)
@@ -219,10 +191,6 @@ func Copy(dst *Allocation, dstOff int, src *Allocation, srcOff, n int) {
 	dst.hostWrite()
 	switch {
 	case n == 0:
-	case src.words != nil && dst.inPlace(n):
-		copy(dst.words[dstOff:], src.words[srcOff:srcOff+n])
-	case src.words != nil:
-		dst.put(dstOff, []run{dataRun(slices.Clone(src.words[srcOff : srcOff+n]))})
 	case dst.inPlace(n):
 		readRuns(dst.words[dstOff:dstOff+n], src.runs, srcOff)
 	default:
@@ -271,11 +239,8 @@ func (a *Allocation) hostWrite() {
 }
 
 // inPlace reports whether a write of n words goes into the private words:
-// unless it covers all of them and the host does not hold them, in which
-// case the written runs replace them.
-func (a *Allocation) inPlace(n int) bool {
-	return a.words != nil && (n < a.n || a.held || a.mapped)
-}
+// unless it covers all of them, in which case the written runs replace them.
+func (a *Allocation) inPlace(n int) bool { return a.words != nil && n < a.n }
 
 // put writes runs to the words from off on, which inPlace refused.
 func (a *Allocation) put(off int, in []run) {
@@ -311,10 +276,10 @@ func (a *Allocation) private() kernels.Words {
 	return a.words
 }
 
-// share makes private words the host does not hold the allocation's one run,
-// so that a transfer can alias them.
+// share makes the private words the allocation's one run, so that a
+// transfer can alias them.
 func (a *Allocation) share() {
-	if a.words != nil && !a.held && !a.mapped {
+	if a.words != nil {
 		a.words, a.runs = nil, []run{dataRun(a.words)}
 	}
 }
@@ -325,9 +290,6 @@ func (a *Allocation) content() kernels.Words {
 		return a.runs[0].words
 	}
 	w := a.private()
-	if a.held || a.mapped {
-		return slices.Clone(w)
-	}
 	a.share()
 	return w
 }
@@ -340,8 +302,8 @@ type Binding struct {
 }
 
 // Bind binds the words [offset, offset+n) of the allocation to a dispatch.
-// Unlike Words, binding is not host access: the dispatch alone touches the
-// words, so the allocation keeps its content version.
+// Binding is not host access: the dispatch alone touches the words, so the
+// allocation keeps its content version.
 func (a *Allocation) Bind(offset, n int) Binding { return Binding{alloc: a, offset: offset, len: n} }
 
 // boundWords returns the words binding i gives a dispatch of prog: the

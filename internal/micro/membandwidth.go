@@ -192,7 +192,7 @@ func memBandwidthVulkan(ctx *core.RunContext, threads, nIn, stride, iters int, i
 	if err != nil {
 		return nil, hw.Measurement{}, err
 	}
-	kernelTime := stats.KernelTime
+	kernelTime := stats.KernelTime()
 
 	out, err := env.DownloadF32(bufOut)
 	if err != nil {

@@ -156,9 +156,6 @@ type Mem struct {
 // Size returns the buffer size in bytes.
 func (m *Mem) Size() int64 { return m.size }
 
-// Words exposes the backing store to the host.
-func (m *Mem) Words() kernels.Words { return m.alloc.Words() }
-
 // binding binds the whole buffer to a kernel launch.
 func (m *Mem) binding() hw.Binding { return m.alloc.Bind(0, m.alloc.Len()) }
 

@@ -2,6 +2,7 @@ package vulkan
 
 import (
 	"fmt"
+	"slices"
 
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
@@ -28,6 +29,8 @@ type Device struct {
 	queues    map[int][]*Queue
 	validate  bool
 	destroyed bool
+	// mapped holds the memory mapped now, in mapping order.
+	mapped []*DeviceMemory
 }
 
 // CreateDevice creates a logical device and acquires the requested queues.
@@ -194,6 +197,10 @@ type DeviceMemory struct {
 	alloc     *hw.Allocation
 	typeIndex int
 	size      int64
+	// view is the host's view of the mapped words from word viewOff on; nil
+	// while the memory is not mapped.
+	view    kernels.Words
+	viewOff int
 }
 
 // AllocateMemory allocates device memory from the heap selected by the memory
@@ -222,9 +229,11 @@ func (d *Device) AllocateMemory(info MemoryAllocateInfo) (*DeviceMemory, error) 
 // Size returns the allocation size in bytes.
 func (m *DeviceMemory) Size() int64 { return m.size }
 
-// Free releases the allocation.
+// Free releases the allocation. Mapped memory is unmapped implicitly: the
+// host's view is dropped unwritten.
 func (m *DeviceMemory) Free() error {
 	m.device.host.Spend(hostCall)
+	m.forget()
 	return m.device.hw.Memory().Free(m.alloc)
 }
 
@@ -249,6 +258,11 @@ func (d *Device) BindBufferMemory(b *Buffer, m *DeviceMemory, offset int64) erro
 // Map maps host-visible memory and returns the word view of the mapped range.
 // Mapping device-local memory on a discrete GPU fails, as it does in real
 // drivers that do not expose host-visible device-local types.
+//
+// The view is host words holding the range's content. Every memory type the
+// host can map is HOST_COHERENT, so Queue.Submit keeps the view coherent:
+// it writes every mapped view into its memory before the device runs the
+// submission, and reads the memory back into the view after.
 func (m *DeviceMemory) Map(offset, size int64) (kernels.Words, error) {
 	m.device.host.Spend(hostCall)
 	if size <= 0 {
@@ -257,14 +271,31 @@ func (m *DeviceMemory) Map(offset, size int64) (kernels.Words, error) {
 	if err := m.checkMap(offset, size); err != nil {
 		return nil, err
 	}
-	w := m.alloc.Map()
-	return w[offset/4 : (offset+size+3)/4], nil
+	m.view, m.viewOff = make(kernels.Words, (offset+size+3)/4-offset/4), int(offset/4)
+	m.invalidate()
+	m.device.mapped = append(m.device.mapped, m)
+	return m.view, nil
 }
 
-// Unmap unmaps the memory.
+// Unmap unmaps the memory, writing what the host wrote through the view.
 func (m *DeviceMemory) Unmap() {
 	m.device.host.Spend(hostCall)
-	m.alloc.Unmap()
+	if m.view != nil {
+		m.flush()
+		m.forget()
+	}
+}
+
+// flush writes the mapped view into the memory.
+func (m *DeviceMemory) flush() { m.alloc.Write(m.viewOff, m.view) }
+
+// invalidate reads the memory back into the mapped view.
+func (m *DeviceMemory) invalidate() { m.alloc.Read(m.view, m.viewOff) }
+
+// forget drops the mapped view, if any.
+func (m *DeviceMemory) forget() {
+	m.view = nil
+	m.device.mapped = slices.DeleteFunc(m.device.mapped, func(x *DeviceMemory) bool { return x == m })
 }
 
 // Write copies data into the memory at the byte offset: what mapping the
@@ -297,7 +328,7 @@ func (m *DeviceMemory) checkMap(offset, size int64) error {
 	if m.alloc.Freed() {
 		return fmt.Errorf("%w: memory was freed", ErrValidation)
 	}
-	if m.alloc.Mapped() {
+	if m.view != nil {
 		// VUID-vkMapMemory-memory-00678: memory must not be host mapped.
 		return fmt.Errorf("%w: memory is already mapped", ErrMemoryMapFailed)
 	}

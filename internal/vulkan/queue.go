@@ -70,18 +70,32 @@ type SubmitStats struct {
 	PipelineBinds  int
 	CopyBytes      int64
 	CompletionTime time.Duration
-	KernelTime     hw.Measurement
+	// host and refs: the run's host and the trace refs of the submission's
+	// dispatches, which KernelTime reads.
+	host *hw.Host
+	refs []int32
 }
+
+// KernelTime reads the submission's summed dispatch execution time, an
+// observable benchmarks report (the bandwidth figures). It is read from the
+// trace, as one span-sum reading, so replay can recompute it.
+func (s SubmitStats) KernelTime() hw.Measurement { return s.host.ReadSpanSum(s.refs) }
 
 // Submit submits batches of command buffers for execution. Control returns to
 // the application as soon as the submission is enqueued (§III-B); the fence,
 // if provided, signals when the last command completes.
+//
+// Mapped memory is host coherent: the device sees what the host wrote
+// through a mapped view before the submission, and the views show what the
+// submission wrote.
 func (q *Queue) Submit(batches []SubmitInfo, fence *Fence) (SubmitStats, error) {
 	d := q.device
 	d.host.Spend(hw.KnobCost(hw.KnobSubmit))
 
-	var stats SubmitStats
-	var dispatchRefs []int32
+	stats := SubmitStats{host: d.host}
+	for _, m := range d.mapped {
+		m.flush()
+	}
 	for _, batch := range batches {
 		for _, cb := range batch.CommandBuffers {
 			if cb == nil {
@@ -90,22 +104,13 @@ func (q *Queue) Submit(batches []SubmitInfo, fence *Fence) (SubmitStats, error) 
 			if cb.state != CommandBufferExecutable {
 				return stats, fmt.Errorf("%w: submitted command buffer is not in the executable state", ErrValidation)
 			}
-			s, refs, err := q.execute(cb)
-			if err != nil {
+			if err := q.execute(cb, &stats); err != nil {
 				return stats, err
 			}
-			stats.Dispatches += s.Dispatches
-			stats.Barriers += s.Barriers
-			stats.PipelineBinds += s.PipelineBinds
-			stats.CopyBytes += s.CopyBytes
-			dispatchRefs = append(dispatchRefs, refs...)
 		}
 	}
-	// The submission's summed dispatch execution time is an observable
-	// benchmarks report (the bandwidth figures); it is read from the trace so
-	// replay can recompute it.
-	if len(dispatchRefs) > 0 {
-		stats.KernelTime = d.host.ReadSpanSum(dispatchRefs)
+	for _, m := range d.mapped {
+		m.invalidate()
 	}
 	stats.CompletionTime = q.hw.AvailableAt()
 	if fence != nil {
@@ -115,15 +120,13 @@ func (q *Queue) Submit(batches []SubmitInfo, fence *Fence) (SubmitStats, error) 
 	return stats, nil
 }
 
-// execute replays a command buffer's commands on the hardware queue. It
-// returns, alongside the statistics, the trace refs of the dispatches it
-// scheduled. The device-side overhead between dispatches is accumulated as a
-// symbolic hw.Cost — not a valued duration — so a recorded trace can revalue
-// it under a different driver profile.
-func (q *Queue) execute(cb *CommandBuffer) (SubmitStats, []int32, error) {
+// execute replays a command buffer's commands on the hardware queue, adding
+// them to the submission's statistics and the trace refs of the dispatches
+// it scheduled to its refs. The device-side overhead between dispatches is
+// accumulated as a symbolic hw.Cost — not a valued duration — so a recorded
+// trace can revalue it under a different driver profile.
+func (q *Queue) execute(cb *CommandBuffer, stats *SubmitStats) error {
 	drv := q.device.driver
-	var stats SubmitStats
-	var refs []int32
 
 	var boundPipeline *Pipeline
 	var boundSets []*DescriptorSet
@@ -164,32 +167,32 @@ func (q *Queue) execute(cb *CommandBuffer) (SubmitStats, []int32, error) {
 			stats.Barriers++
 		case cmdDispatch:
 			if boundPipeline == nil {
-				return stats, refs, fmt.Errorf("%w: CmdDispatch at command %d without a bound compute pipeline", ErrValidation, i)
+				return fmt.Errorf("%w: CmdDispatch at command %d without a bound compute pipeline", ErrValidation, i)
 			}
 			prog := boundPipeline.program
 			binds, err := gatherBindings(prog, boundSets)
 			if err != nil {
-				return stats, refs, fmt.Errorf("command %d (%s): %w", i, prog.Name, err)
+				return fmt.Errorf("command %d (%s): %w", i, prog.Name, err)
 			}
 			cfg := kernels.DispatchConfig{Groups: c.groups, Push: pushWords}
 			run, err := q.hw.ExecuteKernel(prog, cfg, binds, pending)
 			if err != nil {
 				// Wrap the cause with %w too: fault classification (transient
 				// vs permanent) must survive the API-level error translation.
-				return stats, refs, fmt.Errorf("%w: %w", ErrDeviceLost, err)
+				return fmt.Errorf("%w: %w", ErrDeviceLost, err)
 			}
 			pending = hw.Cost{}
 			stats.Dispatches++
-			refs = append(refs, run.Event)
+			stats.refs = append(stats.refs, run.Event)
 		case cmdCopyBuffer:
 			t := c.transfer
 			src, srcStart, _, err := t.src.memoryRange()
 			if err != nil {
-				return stats, refs, err
+				return err
 			}
 			dst, dstStart, _, err := t.dst.memoryRange()
 			if err != nil {
-				return stats, refs, err
+				return err
 			}
 			for _, r := range t.regions {
 				hw.Copy(dst, dstStart+int(r.DstOffset/4), src, srcStart+int(r.SrcOffset/4), int((r.Size+3)/4))
@@ -202,7 +205,7 @@ func (q *Queue) execute(cb *CommandBuffer) (SubmitStats, []int32, error) {
 			t := c.transfer
 			dst, start, end, err := t.dst.memoryRange()
 			if err != nil {
-				return stats, refs, err
+				return err
 			}
 			dst.Fill(start, end-start, t.value)
 			q.hw.ExecuteTransfer(t.bytes)
@@ -215,7 +218,7 @@ func (q *Queue) execute(cb *CommandBuffer) (SubmitStats, []int32, error) {
 	if !pending.IsZero() {
 		q.hw.Occupy(pending)
 	}
-	return stats, refs, nil
+	return nil
 }
 
 // gatherBindings resolves the kernel's bindings from the bound descriptor

@@ -6,8 +6,6 @@ import (
 
 	"vcomputebench/internal/faults"
 	"vcomputebench/internal/hw"
-	"vcomputebench/internal/kernels"
-	"vcomputebench/internal/micro"
 	"vcomputebench/internal/platforms"
 	"vcomputebench/internal/vulkan"
 	"vcomputebench/internal/vulkan/vkutil"
@@ -17,48 +15,8 @@ import (
 // vectoradd dispatch into an executable command buffer.
 func newDispatch(t *testing.T) (*hw.Device, *hw.Host, *vkutil.Env, *vulkan.CommandBuffer) {
 	t.Helper()
-	dev, err := platforms.GTX1050Ti().NewDevice()
-	if err != nil {
-		t.Fatal(err)
-	}
-	host := hw.NewHost(dev, hw.APIVulkan)
-	env, err := vkutil.Setup(host, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(env.Close)
-	const n = 1024
-	bufs := make([]*vkutil.Buffer, 3)
-	for i := range bufs {
-		if bufs[i], err = env.NewDeviceBuffer(n * 4); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pipe, err := env.NewComputePipeline(micro.KernelVectorAdd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := env.NewBoundSet(pipe, bufs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, err := env.NewCommandBuffer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, step := range []error{
-		cb.Begin(),
-		cb.CmdBindPipeline(vulkan.PipelineBindPointCompute, pipe.Pipeline),
-		cb.CmdBindDescriptorSets(vulkan.PipelineBindPointCompute, pipe.Layout, set),
-		cb.CmdPushConstants(pipe.Layout, 0, kernels.Words{n}),
-		cb.CmdDispatch(n/256, 1, 1),
-		cb.End(),
-	} {
-		if step != nil {
-			t.Fatal(step)
-		}
-	}
-	return dev, host, env, cb
+	env, _, cb := vectorAdd(t, platforms.GTX1050Ti(), nil)
+	return env.Device.HW(), env.Device.Host(), env, cb
 }
 
 func submit(env *vkutil.Env, cb *vulkan.CommandBuffer, fence *vulkan.Fence) (vulkan.SubmitStats, error) {
@@ -84,7 +42,7 @@ func TestFenceWaitEndsAtCompletionPlusSyncLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Dispatches != 1 || stats.KernelTime.D <= 0 {
+	if stats.Dispatches != 1 || stats.KernelTime().D <= 0 {
 		t.Fatalf("submit stats = %+v, want one dispatch with positive kernel time", stats)
 	}
 	if err := fence.Wait(); err != nil {
