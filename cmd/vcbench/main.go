@@ -48,6 +48,10 @@ import (
 	_ "vcomputebench/internal/rodinia/suite"
 )
 
+// repsUsage is the help of -reps in both modes. The flag still parses so
+// existing scripts run, and nothing reads it.
+const repsUsage = "ignored: a cell runs once and reports that run"
+
 func main() {
 	var (
 		list        = flag.Bool("list", false, "list experiments, benchmarks and platforms")
@@ -60,7 +64,6 @@ func main() {
 		doSweep     = flag.Bool("sweep", false, "with -calibrate: run the deterministic driver-knob sweep and print proposed platform values (one suite execution per platform; candidates scored by replay)")
 		sweepPasses = flag.Int("sweep-passes", 1, "coordinate-descent passes of the -sweep")
 		platformID  = flag.String("platform", platforms.IDGTX1050Ti, "platform id for -bench")
-		reps        = flag.Int("reps", core.DefaultRepetitions, "repetitions per measurement: the sample count results report (a cell executes once at any count)")
 		parallel    = flag.Int("parallel", runtime.NumCPU(), "suite worker goroutines (1 = serial; output is identical)")
 		dispatchN   = flag.Int("dispatch-parallel", 0, "worker goroutines per simulated dispatch (0 = budget cores across the suite pool; output is identical)")
 		seed        = flag.Int64("seed", 42, "input generation seed")
@@ -78,6 +81,7 @@ func main() {
 		retryBack   = flag.Duration("retry-backoff", core.DefaultRetryBackoff, "base delay of the retry backoff (doubles per attempt)")
 		keepGoing   = flag.Bool("keep-going", false, "degrade failed cells into structured report entries instead of aborting; a degraded-but-complete run exits 3")
 	)
+	flag.Int("reps", 1, repsUsage)
 	// `vcbench serve ...` is a subcommand with its own FlagSet (serving
 	// shares the runner knobs but none of the experiment selection), so it is
 	// dispatched before the batch-mode flag.Parse sees the arguments.
@@ -100,7 +104,6 @@ func main() {
 	defer stop()
 
 	opts := experiments.Options{
-		Repetitions:         *reps,
 		Parallelism:         *parallel,
 		DispatchParallelism: *dispatchN,
 		Seed:                *seed,

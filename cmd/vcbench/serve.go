@@ -27,7 +27,6 @@ func serveCmd(args []string) error {
 		addr        = fs.String("addr", ":8080", "listen address")
 		storeDir    = fs.String("store", "", "directory of the persistent snapshot store (the replay hot path); empty serves from a memory-only cache")
 		storeGC     = fs.Bool("store-gc", false, "with -store: GC stale/undecodable entries and orphaned temp files before serving")
-		reps        = fs.Int("reps", core.DefaultRepetitions, "repetitions per measurement: the sample count results report (a cell executes once at any count)")
 		seed        = fs.Int64("seed", 42, "input generation seed")
 		executors   = fs.Int("executors", runtime.NumCPU(), "concurrently executing cells (store misses); replays bypass the pool")
 		queueDepth  = fs.Int("queue", serve.DefaultQueueDepth, "executions allowed to wait for an executor before further ones are shed with 429 (-1 = no queue)")
@@ -38,6 +37,7 @@ func serveCmd(args []string) error {
 		drainGrace  = fs.Duration("drain-timeout", serve.DefaultDrainTimeout, "graceful-drain budget for in-flight requests on SIGTERM")
 		retryAfter  = fs.Duration("retry-after", serve.DefaultRetryAfter, "advisory Retry-After on 429/503 responses (rounded up to seconds)")
 	)
+	fs.Int("reps", 1, repsUsage)
 	plannerFor := registerServeFaultFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -48,7 +48,6 @@ func serveCmd(args []string) error {
 	}
 	cfg := serve.Config{
 		Addr:           *addr,
-		Repetitions:    *reps,
 		Seed:           *seed,
 		CellTimeout:    *cellTimeout,
 		Retries:        *retries,

@@ -13,7 +13,6 @@ import (
 
 func main() {
 	platformID := flag.String("platform", "gtx1050ti", "platform id (gtx1050ti, rx560, adreno506, powervr-g6430)")
-	reps := flag.Int("reps", 1, "repetitions per measurement")
 	flag.Parse()
 
 	platform, err := vcb.PlatformByID(*platformID)
@@ -24,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	runner := &vcb.Runner{Repetitions: *reps, Seed: 42}
+	runner := &vcb.Runner{Seed: 42}
 
 	fmt.Printf("strided bandwidth on %s (peak %.1f GB/s)\n\n",
 		platform.Profile.Name, platform.Profile.PeakBandwidthGBps)

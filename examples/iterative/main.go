@@ -50,7 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	doc, err := exp.Run(vcb.ExperimentOptions{Repetitions: 1})
+	doc, err := exp.Run(vcb.ExperimentOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,7 +5,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
@@ -13,10 +12,7 @@ import (
 )
 
 func main() {
-	reps := flag.Int("reps", 1, "repetitions per measurement")
-	flag.Parse()
-
-	runner := &vcb.Runner{Repetitions: *reps, Seed: 42}
+	runner := &vcb.Runner{Seed: 42}
 	for _, id := range []string{"powervr-g6430", "adreno506"} {
 		platform, err := vcb.PlatformByID(id)
 		if err != nil {

@@ -14,7 +14,7 @@ import (
 
 // Options configures a sweep.
 type Options struct {
-	// Experiments are the run options (repetitions, seed, parallelism) every
+	// Experiments are the run options (seed, parallelism, store) every
 	// evaluation uses; identical options make the whole sweep deterministic.
 	Experiments experiments.Options
 	// Passes bounds the coordinate-descent passes over the knob set

@@ -3,9 +3,9 @@
 // runner that measures each cell. §V of the paper averages several runs ("we
 // execute several times and report the average of the obtained execution
 // times"); the simulator is deterministic, so the runner executes a cell once,
-// takes a replayable snapshot of that run, and reports the snapshot's replay
-// as the repetition count of equal samples. A stored snapshot replays the
-// same way, at any repetition count.
+// takes a replayable snapshot of that run, and reports the snapshot's replay:
+// the average of several runs is the one run. A stored snapshot replays the
+// same way.
 package core
 
 import (
@@ -16,7 +16,6 @@ import (
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
 	"vcomputebench/internal/platforms"
-	"vcomputebench/internal/stats"
 )
 
 // Workload is one input configuration of a benchmark, identified by the label
@@ -130,11 +129,6 @@ type Result struct {
 	// Checksum is a digest of the output buffers used for cross-API
 	// validation.
 	Checksum float64 `json:"checksum"`
-	// KernelStats and TotalStats summarise the repetitions: N equal samples
-	// of the cell's one deterministic run, so min and max equal the mean and
-	// the stddev is 0. KernelTime and TotalTime equal the respective means.
-	KernelStats stats.DurationStats `json:"kernel_stats"`
-	TotalStats  stats.DurationStats `json:"total_stats"`
 	// Extra carries benchmark-specific metrics (e.g. achieved bandwidth in
 	// GB/s for the memory microbenchmark).
 	Extra map[string]float64 `json:"extra,omitempty"`

@@ -21,11 +21,10 @@ const DefaultSnapshotCacheEntries = 512
 // change its execution trace. Crucially it does NOT include any timing-only
 // profile field: two platforms that differ only in DriverProfile knob values
 // (a calibration sweep's candidates) map to the same key and share one
-// executed snapshot, which is the entire point of the snapshot layer. Nor
-// does it include the repetition count: a cell executes once at any count,
-// so one entry serves every -reps. The counter-relevant structural fields
-// are folded in via hw.Profile.ExecutionFingerprint. The key is a comparable
-// value, usable as a map key by any SnapshotStore implementation.
+// executed snapshot, which is the entire point of the snapshot layer. The
+// counter-relevant structural fields are folded in via
+// hw.Profile.ExecutionFingerprint. The key is a comparable value, usable as a
+// map key by any SnapshotStore implementation.
 type SnapshotKey struct {
 	Platform    string
 	Fingerprint string

@@ -28,20 +28,14 @@ func (e *ExclusionError) Error() string {
 	return fmt.Sprintf("core: %s/%s excluded on %s: %s", e.Benchmark, e.API, e.Platform, e.Reason)
 }
 
-// DefaultRepetitions is the paper's repetition count: "we execute several
-// times and report the average of the obtained execution times".
-const DefaultRepetitions = 3
-
 // Runner measures benchmark cells. The simulator is deterministic, so a cell
 // executes once, on one fresh device, and its Result is the replay of the
-// snapshot taken from that run, reported as Repetitions equal samples: the
-// average of several runs is the one run. A store hit replays the same way,
-// so every Result is built by one code path.
+// snapshot taken from that run: the paper's average of several runs is the
+// one run. A store hit replays the same way, so every Result is built by one
+// code path.
 type Runner struct {
-	// Repetitions is the sample count each Result reports (the paper
-	// executes several times and reports the average; default
-	// DefaultRepetitions). It sets the statistics' N; a cell still executes
-	// once.
+	// Deprecated: ignored: a cell runs once and reports that run; removed
+	// once perfbench stops setting it.
 	Repetitions int
 	// Parallelism bounds the worker goroutines RunSuite fans the
 	// (benchmark, workload, API) grid out across: 0 means runtime.NumCPU(),
@@ -60,8 +54,8 @@ type Runner struct {
 	Validate bool
 	// Cache, when non-nil, keeps the snapshot of every executed cell: later
 	// runs of the same cell — including on platform clones that differ only
-	// in DriverProfile knob values, as a calibration sweep produces, and at
-	// any Repetitions — replay it analytically instead of re-executing
+	// in DriverProfile knob values, as a calibration sweep produces — replay
+	// it analytically instead of re-executing
 	// workgroups. Results are bit-identical either way; nil executes every
 	// cell. Snapshots are only stored from clean first attempts: a faulted or
 	// retry-recovered execution is never stored. Each cell makes exactly one
@@ -99,8 +93,8 @@ type Runner struct {
 	KeepGoing bool
 }
 
-// NewRunner returns a runner with the default repetition count.
-func NewRunner() *Runner { return &Runner{Repetitions: DefaultRepetitions, Seed: 42} }
+// NewRunner returns a runner with the default input seed.
+func NewRunner() *Runner { return &Runner{Seed: 42} }
 
 // Run measures the benchmark with the given API and workload on the platform:
 // a replay of the stored snapshot on a hit, else one execution on a fresh
@@ -126,22 +120,8 @@ func (r *Runner) ReplayCell(p *platforms.Platform, b Benchmark, api hw.API, w Wo
 	if !ok {
 		return nil, false, nil
 	}
-	res, err = r.replay(snap, p)
+	res, err = snap.Replay(p)
 	return res, true, err
-}
-
-// replay replays a snapshot under the platform and reports it as the
-// runner's repetition count of equal samples. It builds every Result the
-// runner returns, executed or stored.
-func (r *Runner) replay(s *Snapshot, p *platforms.Platform) (*Result, error) {
-	res, err := s.Replay(p)
-	if err != nil {
-		return nil, err
-	}
-	n := max(r.Repetitions, 1)
-	res.KernelStats.N = n
-	res.TotalStats.N = n
-	return res, nil
 }
 
 // ExecuteCell is the execution half of a cell whose lookup missed: the
@@ -389,7 +369,7 @@ func (r *Runner) execute(ctx context.Context, p *platforms.Platform, b Benchmark
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := r.replay(snap, p)
+	res, err := snap.Replay(p)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -12,7 +12,6 @@ import (
 	"vcomputebench/internal/core"
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/platforms"
-	"vcomputebench/internal/stats"
 )
 
 // fakeBench is a deterministic in-memory benchmark: run derives the result
@@ -65,12 +64,6 @@ func constantResult(kernel, total time.Duration) func(*core.RunContext) (*core.R
 	}
 }
 
-func TestNewRunnerUsesDefaultRepetitions(t *testing.T) {
-	if got := core.NewRunner().Repetitions; got != core.DefaultRepetitions {
-		t.Fatalf("NewRunner().Repetitions = %d, want DefaultRepetitions (%d)", got, core.DefaultRepetitions)
-	}
-}
-
 func TestRunExclusionMissingAPIImplementation(t *testing.T) {
 	p := platforms.GTX1050Ti()
 	b := &fakeBench{
@@ -113,8 +106,7 @@ func TestRunExclusionPlatformQuirk(t *testing.T) {
 }
 
 // TestRunExecutesOncePerAttempt: a cell executes once whatever the
-// repetition count, with or without a store, and reports that run as every
-// repetition.
+// repetition count, with or without a store, and reports that run.
 func TestRunExecutesOncePerAttempt(t *testing.T) {
 	p := platforms.GTX1050Ti()
 	for _, store := range []core.SnapshotStore{nil, core.NewSnapshotCache(0)} {
@@ -132,11 +124,7 @@ func TestRunExecutesOncePerAttempt(t *testing.T) {
 		if calls := b.calls.Load(); calls != 1 {
 			t.Fatalf("store %T: benchmark ran %d times for one Run at 3 repetitions, want 1", store, calls)
 		}
-		ms := time.Millisecond
-		if want := (stats.DurationStats{Mean: ms, Min: ms, Max: ms, N: 3}); res.KernelStats != want {
-			t.Fatalf("store %T: kernel stats = %+v, want %+v", store, res.KernelStats, want)
-		}
-		if res.KernelTime != ms || res.TotalTime != 2*ms || res.TotalStats.N != 3 {
+		if ms := time.Millisecond; res.KernelTime != ms || res.TotalTime != 2*ms {
 			t.Fatalf("store %T: result = %+v", store, res)
 		}
 	}

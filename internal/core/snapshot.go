@@ -24,11 +24,9 @@ package core
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/platforms"
-	"vcomputebench/internal/stats"
 )
 
 // Snapshot is an immutable executed cell, replayable under any driver
@@ -91,10 +89,9 @@ func (s *Snapshot) Kernels() []hw.KernelRecord { return slices.Clone(s.trace.Ker
 
 // Replay recomputes the cell's Result under the platform's current profile —
 // typically a clone of the recorded platform with different DriverProfile
-// knob values — as one sample; the runner reports it as its repetition
-// count of equal samples. It is a pure function: safe for concurrent use on
-// a shared snapshot, and bit-identical to executing the cell afresh on the
-// same platform (the determinism tests pin this equivalence).
+// knob values. It is a pure function: safe for concurrent use on a shared
+// snapshot, and bit-identical to executing the cell afresh on the same
+// platform (the determinism tests pin this equivalence).
 func (s *Snapshot) Replay(p *platforms.Platform) (*Result, error) {
 	if fp := p.Profile.ExecutionFingerprint(); fp != s.fingerprint {
 		return nil, fmt.Errorf("core: snapshot of %s/%s was recorded under a different execution fingerprint\n  have %s\n  want %s",
@@ -114,16 +111,14 @@ func (s *Snapshot) Replay(p *platforms.Platform) (*Result, error) {
 	}
 
 	res := &Result{
-		Benchmark:   s.benchmark,
-		API:         s.api,
-		Platform:    p.ID,
-		Workload:    s.workload,
-		KernelTime:  kernelTime,
-		TotalTime:   totalTime,
-		Dispatches:  s.dispatches,
-		Checksum:    s.checksum,
-		KernelStats: oneSample(kernelTime),
-		TotalStats:  oneSample(totalTime),
+		Benchmark:  s.benchmark,
+		API:        s.api,
+		Platform:   p.ID,
+		Workload:   s.workload,
+		KernelTime: kernelTime,
+		TotalTime:  totalTime,
+		Dispatches: s.dispatches,
+		Checksum:   s.checksum,
 	}
 	//lint:allow(SetExtra inserts into a map keyed by name; iteration order cannot reach output)
 	for name, v := range s.extras {
@@ -134,9 +129,4 @@ func (s *Snapshot) Replay(p *platforms.Platform) (*Result, error) {
 		res.SetExtraThroughput(name, bytes)
 	}
 	return res, nil
-}
-
-// oneSample is the statistics of a single measurement.
-func oneSample(d time.Duration) stats.DurationStats {
-	return stats.DurationStats{Mean: d, Min: d, Max: d, N: 1}
 }

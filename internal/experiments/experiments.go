@@ -21,8 +21,8 @@ import (
 
 // Options configures an experiment run.
 type Options struct {
-	// Repetitions per measurement (the paper averages several runs): the
-	// sample count each result reports. A cell executes once whatever it is.
+	// Deprecated: ignored: a cell runs once and reports that run; removed
+	// once perfbench stops setting it.
 	Repetitions int
 	// Parallelism bounds the suite scheduler's worker pool: 0 means
 	// runtime.NumCPU(), 1 forces serial execution. Output is identical
@@ -62,9 +62,6 @@ type Options struct {
 
 // defaults fills in zero fields.
 func (o Options) defaults() Options {
-	if o.Repetitions <= 0 {
-		o.Repetitions = 1
-	}
 	if o.Seed == 0 {
 		o.Seed = 42
 	}
@@ -75,7 +72,6 @@ func (o Options) defaults() Options {
 // Options -> Runner translation, shared with cmd/vcbench.
 func (o Options) Runner() *core.Runner {
 	return &core.Runner{
-		Repetitions:         o.Repetitions,
 		Parallelism:         o.Parallelism,
 		DispatchParallelism: o.DispatchParallelism,
 		Seed:                o.Seed,

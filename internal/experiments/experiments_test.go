@@ -1,12 +1,12 @@
 package experiments_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"vcomputebench/internal/experiments"
-	"vcomputebench/internal/stats"
+	"vcomputebench/internal/report"
 )
 
 // renderAll runs one experiment and returns its text and CSV renderings.
@@ -55,9 +55,9 @@ func TestSerialParallelOutputIdentical(t *testing.T) {
 }
 
 // TestNoSpreadNoteForDeterministicRuns: the simulator is deterministic, so a
-// cell executes once and reports that run as every repetition. -reps sets
-// only the sample count: every result's statistics are the one measurement
-// with no spread, and the rendering neither shows a spread nor changes.
+// cell executes once and its result is that run. Repetitions is ignored: the
+// document encodes to the same bytes at 1 and 2, and its rendering shows no
+// spread.
 func TestNoSpreadNoteForDeterministicRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full experiments; skipped with -short")
@@ -66,29 +66,22 @@ func TestNoSpreadNoteForDeterministicRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var texts []string
+	var encoded [][]byte
 	for _, reps := range []int{1, 2} {
 		doc, err := e.Run(experiments.Options{Repetitions: reps, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, res := range doc.Results {
-			for _, st := range []struct {
-				d time.Duration
-				s stats.DurationStats
-			}{{res.KernelTime, res.KernelStats}, {res.TotalTime, res.TotalStats}} {
-				if want := (stats.DurationStats{Mean: st.d, Min: st.d, Max: st.d, N: reps}); st.s != want {
-					t.Fatalf("%d reps: %s/%s/%s stats = %+v, want %+v", reps, res.Benchmark, res.API, res.Workload, st.s, want)
-				}
-			}
-		}
-		text := doc.Render()
-		if strings.Contains(text, "spread") {
+		if text := doc.Render(); strings.Contains(text, "spread") {
 			t.Errorf("deterministic %d-rep run must not emit a spread note, got:\n%s", reps, text)
 		}
-		texts = append(texts, text)
+		data, err := report.EncodeJSON([]*report.Document{doc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		encoded = append(encoded, data)
 	}
-	if texts[0] != texts[1] {
-		t.Errorf("-reps changed the rendering:\n--- 1 rep ---\n%s\n--- 2 reps ---\n%s", texts[0], texts[1])
+	if !bytes.Equal(encoded[0], encoded[1]) {
+		t.Errorf("Repetitions changed the document:\n--- 1 rep ---\n%s\n--- 2 reps ---\n%s", encoded[0], encoded[1])
 	}
 }

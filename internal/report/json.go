@@ -2,30 +2,47 @@
 // documents, so downstream tooling can parse results and CI can diff them
 // across runs (like BENCH_dispatch.json does for dispatch-engine perf).
 //
-// Schema policy (v1):
-//   - The top-level envelope is {"schema_version": N, "documents": [...]}.
+// Schema policy (v2):
+//   - The top-level envelope is {"schema_version": N, "documents": [...]};
+//     serve answers add "error" and "degraded" to it (wire.go).
 //   - Additive changes (new optional fields) do NOT bump the version.
-//   - Renaming, removing or re-typing a field bumps SchemaVersion, and the
-//     decoder rejects files whose version it does not understand.
+//   - Renaming, removing or re-typing a field bumps SchemaVersion.
 //   - Durations are integer nanoseconds; series gaps (excluded cells) are
 //     null, never 0.
+//
+// Version 2 removed each result's kernel_stats and total_stats: a cell runs
+// once, so they restated kernel_time_ns and total_time_ns as n equal
+// samples. The decoder reads versions 1 and 2 (a version-1 file's statistics
+// are unknown fields, which decoding drops, so an old -baseline still diffs)
+// and rejects a missing version and any later one.
 package report
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"vcomputebench/internal/core"
 )
 
 // SchemaVersion identifies the JSON results schema emitted by EncodeJSON and
-// accepted by DecodeJSON.
-const SchemaVersion = 1
+// EncodeWire.
+const SchemaVersion = 2
 
+// oldestSchemaVersion is the oldest results schema DecodeJSON and DecodeWire
+// read.
+const oldestSchemaVersion = 1
+
+// jsonEnvelope is the one results envelope of files and serve answers alike.
 type jsonEnvelope struct {
 	SchemaVersion int             `json:"schema_version"`
 	Documents     []*jsonDocument `json:"documents"`
+	// Error and Degraded are serve's additive fields; EncodeJSON never sets
+	// them, so a results file holds neither.
+	Error    *WireError `json:"error,omitempty"`
+	Degraded bool       `json:"degraded,omitempty"`
 }
 
 type jsonDocument struct {
@@ -117,7 +134,15 @@ func toJSONDocument(d *Document) *jsonDocument {
 	return jd
 }
 
-func fromJSONDocument(jd *jsonDocument) *Document {
+// fromJSONDocument converts a decoded document, refusing the null entries
+// encoding/json leaves as nil pointers.
+func fromJSONDocument(jd *jsonDocument) (*Document, error) {
+	if jd == nil {
+		return nil, errors.New("null document")
+	}
+	if slices.Contains(jd.Results, nil) {
+		return nil, errors.New("null result")
+	}
 	d := &Document{
 		ID:       jd.ID,
 		Title:    jd.Title,
@@ -127,11 +152,20 @@ func fromJSONDocument(jd *jsonDocument) *Document {
 		Notes:    jd.Notes,
 	}
 	for _, t := range jd.Tables {
+		if t == nil {
+			return nil, errors.New("null table")
+		}
 		d.Tables = append(d.Tables, &Table{Title: t.Title, Columns: t.Columns, Rows: t.Rows})
 	}
 	for _, js := range jd.Series {
+		if js == nil {
+			return nil, errors.New("null series")
+		}
 		s := NewSeries(js.Title, js.XLabel, js.YLabel, js.X)
 		for _, line := range js.Lines {
+			if line == nil {
+				return nil, errors.New("null line")
+			}
 			for i := range js.X {
 				v := math.NaN()
 				if i < len(line.Values) {
@@ -149,37 +183,53 @@ func fromJSONDocument(jd *jsonDocument) *Document {
 	for _, m := range jd.Metrics {
 		d.Metrics = append(d.Metrics, Metric{Name: m.Name, Unit: m.Unit, Value: decodeFloat(m.Value)})
 	}
-	return d
+	return d, nil
 }
 
 // EncodeJSON serialises documents under the versioned results schema. The
 // output is deterministic: map-free structures, indented, trailing newline.
 func EncodeJSON(docs []*Document) ([]byte, error) {
-	env := &jsonEnvelope{SchemaVersion: SchemaVersion}
+	return (&jsonEnvelope{}).encode(docs)
+}
+
+// encode fills the envelope's version and documents and serialises it.
+func (env *jsonEnvelope) encode(docs []*Document) ([]byte, error) {
+	env.SchemaVersion = SchemaVersion
 	for _, d := range docs {
 		env.Documents = append(env.Documents, toJSONDocument(d))
 	}
 	data, err := json.MarshalIndent(env, "", "  ")
 	if err != nil {
-		return nil, fmt.Errorf("report: encoding JSON results: %w", err)
+		return nil, fmt.Errorf("report: encoding results: %w", err)
 	}
 	return append(data, '\n'), nil
 }
 
 // DecodeJSON parses a results file produced by EncodeJSON, rejecting schema
-// versions this build does not understand.
+// versions this build does not read.
 func DecodeJSON(data []byte) ([]*Document, error) {
+	_, docs, err := decodeEnvelope(data)
+	return docs, err
+}
+
+// decodeEnvelope parses a results envelope and its documents: the one
+// version check of DecodeJSON and DecodeWire.
+func decodeEnvelope(data []byte) (*jsonEnvelope, []*Document, error) {
 	var env jsonEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("report: decoding JSON results: %w", err)
+		return nil, nil, fmt.Errorf("report: decoding results: %w", err)
 	}
-	if env.SchemaVersion != SchemaVersion {
-		return nil, fmt.Errorf("report: results schema version %d not supported (this build reads version %d)",
-			env.SchemaVersion, SchemaVersion)
+	if env.SchemaVersion < oldestSchemaVersion || env.SchemaVersion > SchemaVersion {
+		return nil, nil, fmt.Errorf("report: results schema version %d not supported (this build reads versions %d to %d)",
+			env.SchemaVersion, oldestSchemaVersion, SchemaVersion)
 	}
 	var docs []*Document
-	for _, jd := range env.Documents {
-		docs = append(docs, fromJSONDocument(jd))
+	for i, jd := range env.Documents {
+		d, err := fromJSONDocument(jd)
+		if err != nil {
+			return nil, nil, fmt.Errorf("report: decoding results: document %d: %w", i, err)
+		}
+		docs = append(docs, d)
 	}
-	return docs, nil
+	return &env, docs, nil
 }

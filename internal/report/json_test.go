@@ -3,6 +3,7 @@ package report_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -11,7 +12,6 @@ import (
 
 	"vcomputebench/internal/core"
 	"vcomputebench/internal/report"
-	"vcomputebench/internal/stats"
 )
 
 func sampleDocument() *report.Document {
@@ -31,18 +31,14 @@ func sampleDocument() *report.Document {
 		TotalTime:  654321 * time.Nanosecond,
 		Dispatches: 12,
 		Checksum:   42.5,
-		KernelStats: stats.DurationStats{
-			Mean: 123456, Min: 120000, Max: 130000, StdDev: 4000, N: 3,
-		},
-		TotalStats: stats.DurationStats{Mean: 654321, Min: 654321, Max: 654321, N: 3},
 		Extra:      map[string]float64{"bandwidth_gbps": 1.806},
 	})
 	return d
 }
 
 // TestJSONRoundTrip: encode → decode → encode must be byte-identical — the
-// schema loses nothing, including NaN gaps (encoded as null) and duration
-// statistics.
+// schema loses nothing, including NaN gaps (encoded as null) and per-cell
+// results.
 func TestJSONRoundTrip(t *testing.T) {
 	doc := sampleDocument()
 	first, err := report.EncodeJSON([]*report.Document{doc})
@@ -78,8 +74,8 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Errorf("series value lost: %v", got.Series[0].Get("Vulkan", 2))
 	}
 	r := got.Results[0]
-	if r.KernelTime != 123456*time.Nanosecond || r.KernelStats.N != 3 || r.Extra["bandwidth_gbps"] != 1.806 {
-		t.Errorf("result stats lost: %+v", r)
+	if r.KernelTime != 123456*time.Nanosecond || r.TotalTime != 654321*time.Nanosecond || r.Extra["bandwidth_gbps"] != 1.806 {
+		t.Errorf("result lost: %+v", r)
 	}
 	if got.Excluded[0].Benchmark != "cfd" {
 		t.Errorf("exclusions lost: %+v", got.Excluded)
@@ -164,14 +160,52 @@ func TestJSONGapsAreNullNotZero(t *testing.T) {
 	}
 }
 
-// TestJSONSchemaVersionRejected: a future schema version must be refused, not
-// silently half-parsed.
+// TestJSONSchemaVersionRejected: the decoder reads versions 1 and 2; a
+// missing or zero version and a future one are refused, not silently
+// half-parsed.
 func TestJSONSchemaVersionRejected(t *testing.T) {
-	_, err := report.DecodeJSON([]byte(`{"schema_version": 99, "documents": []}`))
-	if err == nil || !strings.Contains(err.Error(), "schema version 99") {
-		t.Errorf("unsupported schema version accepted: %v", err)
+	for _, v := range []int{1, 2} {
+		if _, err := report.DecodeJSON([]byte(fmt.Sprintf(`{"schema_version": %d, "documents": []}`, v))); err != nil {
+			t.Errorf("schema version %d rejected: %v", v, err)
+		}
+	}
+	for _, in := range []string{
+		`{"documents": []}`,
+		`{"schema_version": 0, "documents": []}`,
+		`{"schema_version": 3, "documents": []}`,
+		`{"schema_version": 99, "documents": []}`,
+	} {
+		if _, err := report.DecodeJSON([]byte(in)); err == nil || !strings.Contains(err.Error(), "schema version") {
+			t.Errorf("%s accepted: %v", in, err)
+		}
+		if _, _, _, err := report.DecodeWire([]byte(in)); err == nil || !strings.Contains(err.Error(), "schema version") {
+			t.Errorf("wire %s accepted: %v", in, err)
+		}
 	}
 	if _, err := report.DecodeJSON([]byte(`not json`)); err == nil {
 		t.Error("garbage input accepted")
+	}
+}
+
+// nullEntryInputs are results files with a null where the schema holds an
+// object: a document, a table, a series, a line and a result.
+var nullEntryInputs = []string{
+	`{"schema_version":1,"documents":[null]}`,
+	`{"schema_version":1,"documents":[{"id":"t","tables":[null]}]}`,
+	`{"schema_version":1,"documents":[{"id":"t","series":[null]}]}`,
+	`{"schema_version":1,"documents":[{"id":"t","series":[{"title":"s","x":["1"],"lines":[null]}]}]}`,
+	`{"schema_version":1,"documents":[{"id":"t","results":[null]}]}`,
+}
+
+// TestJSONNullEntriesRejected: a null entry is an error from both decoders,
+// never a panic nor a nil a later reader would dereference.
+func TestJSONNullEntriesRejected(t *testing.T) {
+	for _, in := range nullEntryInputs {
+		if _, err := report.DecodeJSON([]byte(in)); err == nil || !strings.Contains(err.Error(), "null") {
+			t.Errorf("DecodeJSON(%s) = %v, want a null-entry error", in, err)
+		}
+		if _, _, _, err := report.DecodeWire([]byte(in)); err == nil || !strings.Contains(err.Error(), "null") {
+			t.Errorf("DecodeWire(%s) = %v, want a null-entry error", in, err)
+		}
 	}
 }

@@ -306,13 +306,13 @@ type Document struct {
 	// Metrics are the document's headline scalars (see Metric).
 	Metrics []Metric
 	// Results are the underlying per-cell measurements, in deterministic
-	// (API, cell) order, carrying the full repetition statistics.
+	// (API, cell) order: each cell's one run.
 	Results []*core.Result
 	// Excluded lists the benchmark/API pairs that produced no data.
 	Excluded []Exclusion
 	// Failed lists the cells a keep-going run lost to hard failures (an
-	// additive schema field: absent on clean runs, so fault-free output is
-	// byte-identical to earlier schema-1 documents).
+	// additive schema field: absent on clean runs, so fault-free output holds
+	// no "failed" key).
 	Failed []Failure
 	Notes  []string
 }

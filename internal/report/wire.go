@@ -1,17 +1,11 @@
 // The serve wire envelope: the HTTP body format of the vcbench serve API.
-// It is the results schema of json.go extended with two additive fields —
+// It is the results envelope of json.go with its two additive fields set —
 // a structured error and a degraded marker — so one envelope shape covers
 // success, degraded-but-answered and failure responses alike, and a client
-// never has to parse two formats. Per the schema policy the additions do not
-// bump SchemaVersion: a clean response encodes byte-identically to a plain
-// EncodeJSON call over the same documents, which is what ties the served
-// bytes back to an offline run.
+// never has to parse two formats. A clean response encodes byte-identically
+// to a plain EncodeJSON call over the same documents, which is what ties the
+// served bytes back to an offline run.
 package report
-
-import (
-	"encoding/json"
-	"fmt"
-)
 
 // WireError is the structured error of a serve envelope. Class is the core
 // failure-taxonomy bucket ("transient", "permanent", "excluded") or a
@@ -26,49 +20,28 @@ type WireError struct {
 	Attempts int `json:"attempts,omitempty"`
 }
 
-// wireEnvelope is jsonEnvelope plus the serve-only additive fields.
-type wireEnvelope struct {
-	SchemaVersion int             `json:"schema_version"`
-	Documents     []*jsonDocument `json:"documents"`
-	Error         *WireError      `json:"error,omitempty"`
-	Degraded      bool            `json:"degraded,omitempty"`
-}
-
 // EncodeWire serialises a serve response envelope: the documents (nil on
 // failure responses), an optional structured error, and a degraded marker
 // that is forced true whenever any document carries failed cells. Output is
 // deterministic, indented, newline-terminated — identical requests must yield
 // byte-identical bodies.
 func EncodeWire(docs []*Document, werr *WireError) ([]byte, error) {
-	env := &wireEnvelope{SchemaVersion: SchemaVersion, Error: werr}
+	env := &jsonEnvelope{Error: werr}
 	for _, d := range docs {
-		env.Documents = append(env.Documents, toJSONDocument(d))
 		if d.Degraded() {
 			env.Degraded = true
 		}
 	}
-	data, err := json.MarshalIndent(env, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("report: encoding wire envelope: %w", err)
-	}
-	return append(data, '\n'), nil
+	return env.encode(docs)
 }
 
 // DecodeWire parses a serve envelope, returning the documents, the error (nil
 // on clean responses) and the degraded marker. It accepts plain EncodeJSON
 // output too — the serve fields are additive and simply absent there.
 func DecodeWire(data []byte) ([]*Document, *WireError, bool, error) {
-	var env wireEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, nil, false, fmt.Errorf("report: decoding wire envelope: %w", err)
-	}
-	if env.SchemaVersion != SchemaVersion {
-		return nil, nil, false, fmt.Errorf("report: wire schema version %d not supported (this build reads version %d)",
-			env.SchemaVersion, SchemaVersion)
-	}
-	var docs []*Document
-	for _, jd := range env.Documents {
-		docs = append(docs, fromJSONDocument(jd))
+	env, docs, err := decodeEnvelope(data)
+	if err != nil {
+		return nil, nil, false, err
 	}
 	return docs, env.Error, env.Degraded, nil
 }

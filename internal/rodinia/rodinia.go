@@ -242,7 +242,7 @@ func runVulkan(ctx *core.RunContext, alg Algorithm, outputs []int) (*Output, err
 				if err != nil {
 					return nil, err
 				}
-				if err := recordStep(cb, pipe, set, step, false); err != nil {
+				if err := recordStep(cb, pipe, set, step); err != nil {
 					return nil, err
 				}
 				if err := cb.End(); err != nil {
@@ -327,7 +327,7 @@ func runVulkan(ctx *core.RunContext, alg Algorithm, outputs []int) (*Output, err
 
 // recordStep records one step into a fresh command buffer (separate-submit
 // mode).
-func recordStep(cb *vulkan.CommandBuffer, pipe *vkutil.Pipeline, set *vulkan.DescriptorSet, step Step, keepOpen bool) error {
+func recordStep(cb *vulkan.CommandBuffer, pipe *vkutil.Pipeline, set *vulkan.DescriptorSet, step Step) error {
 	if err := cb.Begin(); err != nil {
 		return err
 	}
@@ -345,7 +345,6 @@ func recordStep(cb *vulkan.CommandBuffer, pipe *vkutil.Pipeline, set *vulkan.Des
 	if err := cb.CmdDispatch(step.Groups.X, step.Groups.Y, step.Groups.Z); err != nil {
 		return err
 	}
-	_ = keepOpen
 	return nil
 }
 

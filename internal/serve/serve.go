@@ -85,11 +85,13 @@ type Config struct {
 	// default-sized in-memory cache.
 	Store core.SnapshotStore
 
+	// Deprecated: ignored: a cell runs once and reports that run; removed
+	// once perfbench stops setting it.
+	Repetitions int
+
 	// Runner knobs, mirroring the CLI flags of the same names. Every request
 	// shares one runner, so these are server-wide policy, not per-request.
-	Repetitions  int
 	Seed         int64
-	Validate     bool
 	CellTimeout  time.Duration
 	Retries      int
 	RetryBackoff time.Duration
@@ -149,9 +151,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Disk != nil && cfg.Store != nil {
 		return nil, fmt.Errorf("serve: Config.Disk and Config.Store are mutually exclusive")
 	}
-	if cfg.Repetitions <= 0 {
-		cfg.Repetitions = core.DefaultRepetitions
-	}
 	if cfg.CellTimeout == 0 {
 		cfg.CellTimeout = DefaultCellTimeout
 	}
@@ -192,9 +191,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 	s.runner = &core.Runner{
-		Repetitions:  cfg.Repetitions,
 		Seed:         cfg.Seed,
-		Validate:     cfg.Validate,
 		Cache:        s.store,
 		Faults:       cfg.Faults,
 		CellTimeout:  cfg.CellTimeout,

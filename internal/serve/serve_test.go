@@ -813,10 +813,10 @@ func TestServeDiskTierServesAcrossProcesses(t *testing.T) {
 	}
 }
 
-// TestServeReplaysStoreAtAnyReps: the store key holds no repetition count, so
-// a server at the default -reps replays an entry another process stored at
-// -reps 1 instead of executing the cell again, and answers with its own
-// sample count.
+// TestServeReplaysStoreAtAnyReps: the store key holds no repetition count
+// and a server ignores Repetitions, so a server at Repetitions 3 replays an
+// entry another process stored at -reps 1 instead of executing the cell
+// again, and answers with the bytes a Repetitions 1 server gives.
 func TestServeReplaysStoreAtAnyReps(t *testing.T) {
 	dir := t.TempDir()
 	disk, err := core.OpenDiskStore(dir, "reps-test", nil)
@@ -826,30 +826,38 @@ func TestServeReplaysStoreAtAnyReps(t *testing.T) {
 	p, _ := platforms.ByID(platforms.IDGTX1050Ti)
 	b, _ := core.Get("vectoradd")
 	w := b.Workloads(p.Profile.Class)[0]
-	if _, err := (&core.Runner{Repetitions: 1, Seed: 42, Cache: disk}).Run(p, b, hw.APIVulkan, w); err != nil {
+	if _, err := (&core.Runner{Seed: 42, Cache: disk}).Run(p, b, hw.APIVulkan, w); err != nil {
 		t.Fatal(err)
 	}
 
-	disk2, err := core.OpenDiskStore(dir, "reps-test", nil)
-	if err != nil {
-		t.Fatal(err)
+	answer := func(reps int) []byte {
+		t.Helper()
+		disk, err := core.OpenDiskStore(dir, "reps-test", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, func(cfg *Config) {
+			cfg.Disk = disk
+			cfg.Repetitions = reps
+		})
+		wr := postSimulate(t, s.Handler(), simulateBody(""))
+		if wr.Code != http.StatusOK {
+			t.Fatalf("Repetitions %d: status %d: %s", reps, wr.Code, wr.Body.String())
+		}
+		if ex, rp := s.metrics.executions.Load(), s.metrics.replays.Load(); ex != 0 || rp != 1 {
+			t.Fatalf("Repetitions %d: executions = %d, replays = %d; want the stored entry replayed, nothing executed", reps, ex, rp)
+		}
+		return wr.Body.Bytes()
 	}
-	s := newTestServer(t, func(cfg *Config) {
-		cfg.Disk = disk2
-		cfg.Repetitions = 3
-	})
-	wr := postSimulate(t, s.Handler(), simulateBody(""))
-	if wr.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", wr.Code, wr.Body.String())
+	three, one := answer(3), answer(1)
+	if !bytes.Equal(three, one) {
+		t.Fatalf("Repetitions changed the answer:\n--- 3 ---\n%s\n--- 1 ---\n%s", three, one)
 	}
-	if ex, rp := s.metrics.executions.Load(), s.metrics.replays.Load(); ex != 0 || rp != 1 {
-		t.Fatalf("executions = %d, replays = %d; want the stored entry replayed, nothing executed", ex, rp)
+	if bytes.Contains(three, []byte("kernel_stats")) {
+		t.Fatalf("answer still reports repetition statistics:\n%s", three)
 	}
-	docs, werr, _ := decodeEnvelope(t, wr.Body.Bytes())
+	docs, werr, _ := decodeEnvelope(t, three)
 	if werr != nil || len(docs) != 1 || len(docs[0].Results) != 1 {
 		t.Fatalf("envelope decoded to docs=%d werr=%v", len(docs), werr)
-	}
-	if res := docs[0].Results[0]; res.KernelStats.N != 3 || res.TotalStats.N != 3 || !strings.Contains(wr.Body.String(), `"n": 3`) {
-		t.Fatalf("answer reports %d/%d samples, want 3:\n%s", res.KernelStats.N, res.TotalStats.N, wr.Body.String())
 	}
 }

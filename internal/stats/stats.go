@@ -1,6 +1,6 @@
 // Package stats provides the small statistical helpers used by the benchmark
-// runner and the experiments: geometric means (the paper's summary metric),
-// speedups and the repetition statistics of the results schema.
+// runner and the experiments: geometric means (the paper's summary metric)
+// and speedups.
 package stats
 
 import (
@@ -34,20 +34,4 @@ func Speedup(baseline, measured time.Duration) float64 {
 		return 0
 	}
 	return float64(baseline) / float64(measured)
-}
-
-// DurationStats summarises repeated duration measurements of one quantity:
-// the mean the paper reports, plus the spread of the samples. The simulator
-// is deterministic, so the runner reports N equal samples of one measured
-// duration d: {Mean: d, Min: d, Max: d, StdDev: 0, N: n}. The JSON tags are
-// part of the versioned results schema (report.SchemaVersion): durations
-// serialise as integer nanoseconds.
-type DurationStats struct {
-	Mean   time.Duration `json:"mean_ns"`
-	Min    time.Duration `json:"min_ns"`
-	Max    time.Duration `json:"max_ns"`
-	StdDev time.Duration `json:"stddev_ns"`
-	// N is the number of samples: the runner's repetition count, all of
-	// them the replay of the cell's one execution.
-	N int `json:"n"`
 }

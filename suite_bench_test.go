@@ -17,10 +17,10 @@ import (
 // cache per iteration: the measured quantity is a cold full run, not a warm
 // second pass.
 
-func runAllExperiments(b *testing.B, reps int, cached bool) {
+func runAllExperiments(b *testing.B, cached bool) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		opts := experiments.Options{Repetitions: reps, Seed: 42}
+		opts := experiments.Options{Seed: 42}
 		if cached {
 			opts.Cache = core.NewSnapshotCache(0)
 		}
@@ -39,17 +39,11 @@ func runAllExperiments(b *testing.B, reps int, cached bool) {
 // BenchmarkRunAll is `vcbench -run all` with the shared snapshot cache:
 // cells shared between figures (the speedup grids reappear in the summary)
 // execute once and replay elsewhere.
-func BenchmarkRunAll(b *testing.B) { runAllExperiments(b, 1, true) }
-
-// BenchmarkRunAllDefaultReps is `vcbench -run all` at the default -reps
-// (core.DefaultRepetitions) into a fresh memory cache. A cell executes once
-// whatever the repetition count and reports its replay as that many equal
-// samples, so this should cost what BenchmarkRunAll does at -reps 1.
-func BenchmarkRunAllDefaultReps(b *testing.B) { runAllExperiments(b, core.DefaultRepetitions, true) }
+func BenchmarkRunAll(b *testing.B) { runAllExperiments(b, true) }
 
 // BenchmarkRunAllUncached is the pre-cache behaviour (`-cache=false`): every
 // experiment re-executes every cell it needs.
-func BenchmarkRunAllUncached(b *testing.B) { runAllExperiments(b, 1, false) }
+func BenchmarkRunAllUncached(b *testing.B) { runAllExperiments(b, false) }
 
 // BenchmarkRunAllWarmStore is `vcbench -run all -store DIR` against a warm
 // persistent store: every cell replays from disk, none executes. Each

@@ -37,8 +37,8 @@ type Workload = core.Workload
 type Result = core.Result
 
 // Runner measures benchmarks: each cell executes once on a fresh simulated
-// device, and its result reports that deterministic run as Repetitions equal
-// samples (the paper's average of several runs).
+// device, and its result reports that deterministic run (the paper's average
+// of several runs is the one run).
 type Runner = core.Runner
 
 // Platform is one of the paper's experimental platforms.
@@ -67,7 +67,7 @@ func Platforms() []*Platform { return platforms.All() }
 // "adreno506", "powervr-g6430").
 func PlatformByID(id string) (*Platform, error) { return platforms.ByID(id) }
 
-// NewRunner returns a runner with the default repetition count.
+// NewRunner returns a runner with the default input seed.
 func NewRunner() *Runner { return core.NewRunner() }
 
 // Experiments returns every experiment in paper order.
