@@ -43,12 +43,13 @@ chaos:
 bench: bench-dispatch bench-suite bench-serve bench-replay
 
 # The dispatch layer: the kernels.Execute microbenchmarks, what a dispatch
-# memo hit costs instead (key plus lookup, internal/hw), and whole cells
-# through Runner.ExecuteCell (BenchmarkExecuteCell, internal/core). The
+# memo hit costs instead (key plus lookup, internal/hw), whole cells through
+# Runner.ExecuteCell (BenchmarkExecuteCell, internal/core) and the input draw
+# of a cold bandwidth sweep (BenchmarkStreamDraw, internal/core). The
 # packages run one at a time (-p 1), so that the whole-cell benchmark does
 # not share the cores with the microbenchmarks.
 bench-dispatch:
-	set -o pipefail; $(GO) test -p 1 -run '^$$' -bench '^Benchmark(Execute|DispatchMemoHit)' -benchmem ./internal/kernels ./internal/hw ./internal/core \
+	set -o pipefail; $(GO) test -p 1 -run '^$$' -bench '^Benchmark(Execute|DispatchMemoHit|StreamDraw)' -benchmem ./internal/kernels ./internal/hw ./internal/core \
 		| $(GO) run ./cmd/benchjson -update BENCH_dispatch.json
 
 # Suite wall-time: the calibration sweep and `-run all` — cached (one

@@ -253,7 +253,7 @@ func ChecksumF32(data []float32) float64 {
 	case math.IsInf(sum, -1) || math.IsInf(abs, 0):
 		return checksumNegInf
 	}
-	return roundSig(sum, 5) + 1e-3*roundSig(abs, 5)
+	return roundSig(sum, 5) + float64(1e-3*roundSig(abs, 5))
 }
 
 // roundSig rounds x to the given number of significant decimal digits.
@@ -281,7 +281,7 @@ func roundSig(x float64, digits int) float64 {
 	for i := 1; i < digits; i++ {
 		pow *= 10
 	}
-	v := float64(int64(x*pow+0.5)) / pow * scale
+	v := float64(int64(float64(x*pow)+0.5)) / pow * scale
 	if neg {
 		return -v
 	}

@@ -97,11 +97,11 @@ type Descriptor struct {
 	// PerAPIDeviceWork declares that the workload's API paths dispatch
 	// different device work, as membandwidth's CUDA path adds a warm-up
 	// launch. The API cells of every other workload dispatch the same kernels
-	// on the same inputs, so a suite executes each dispatch of a triple once
-	// and the sibling cells take it from the triple's dispatch memo; a
-	// workload with this set runs every cell's dispatches itself.
-	// TestAPIsDispatchTheSameWork holds the declaration to the truth both
-	// ways.
+	// on the same inputs. The declaration does not change scheduling: a
+	// suite runs every triple's cells on one dispatch memo, which matches
+	// dispatches by what they bind, so a sibling takes every dispatch a cell
+	// before it executed and executes the rest. TestAPIsDispatchTheSameWork
+	// holds the declaration to the truth both ways.
 	PerAPIDeviceWork bool
 }
 

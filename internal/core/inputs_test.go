@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
 )
 
@@ -19,7 +20,7 @@ func refF32(seed int64, n int, lo, hi float32) kernels.Words {
 	out := make(kernels.Words, n)
 	span := hi - lo
 	for i := range out {
-		out[i] = math.Float32bits(lo + span*rng.Float32())
+		out[i] = math.Float32bits(lo + float32(span*rng.Float32()))
 	}
 	return out
 }
@@ -53,6 +54,14 @@ func (c streamCase) String() string {
 		kind = "I32"
 	}
 	return fmt.Sprintf("%s(seed=%d, [%d, %d))", kind, c.seed, c.lo, c.hi)
+}
+
+// key is the stream's key in a table.
+func (c streamCase) key() hw.StreamID {
+	if c.i32 {
+		return hw.StreamID{I32: true, Seed: c.seed, Lo: uint32(c.lo), Hi: uint32(c.hi)}
+	}
+	return hw.StreamID{Seed: c.seed, Lo: math.Float32bits(float32(c.lo)), Hi: math.Float32bits(float32(c.hi))}
 }
 
 func (c streamCase) draw(ctx *RunContext, n int) kernels.Words {
@@ -225,5 +234,103 @@ func TestRandomF32Range(t *testing.T) {
 		if v < 0.5 || v >= 2.5 {
 			t.Fatalf("value %v at index %d outside [0.5, 2.5)", v, i)
 		}
+	}
+}
+
+// countingSource counts the raw values a rand.Rand draws.
+type countingSource struct {
+	rand.Source
+	n int
+}
+
+func (c *countingSource) Int63() int64 { c.n++; return c.Source.Int63() }
+
+// TestStreamDrawMatchesMathRand is a seeded property test of the batched
+// draw: filled in chunks of any size, a stream's words equal a plain
+// rand.New(rand.NewSource(seed)) loop's, for float and int32 ranges,
+// power-of-two, odd and degenerate spans. Seed 3's float stream rounds to
+// float32 1 at raw draw 1,254,966, so the first case crosses a skipped draw.
+func TestStreamDrawMatchesMathRand(t *testing.T) {
+	const n = 1_300_000
+	cases := []streamCase{
+		{seed: 3, lo: 0, hi: 1},
+		{seed: 42, lo: -1, hi: 1},
+		{seed: -9, lo: 0, hi: 1},
+		{i32: true, seed: 3, lo: 0, hi: 16},
+		{i32: true, seed: 42, lo: -8, hi: 8},
+		{i32: true, seed: 7, lo: 1, hi: 21},
+		{i32: true, seed: 8, lo: math.MinInt32, hi: math.MaxInt32},
+		{i32: true, seed: 7, lo: 5, hi: 5},
+	}
+	chunks := []int{1, 606, 607, 608, 4095, 4097, 1 << 20}
+	for _, c := range cases {
+		want := make(kernels.Words, n)
+		count := &countingSource{Source: rand.NewSource(c.seed)}
+		rng := rand.New(count)
+		lo, span := float32(c.lo), float32(c.hi-c.lo)
+		for i := range want {
+			switch {
+			case !c.i32:
+				want[i] = math.Float32bits(lo + float32(span*rng.Float32()))
+			case c.hi > c.lo:
+				want[i] = uint32(c.lo + int32(rng.Int63n(int64(c.hi)-int64(c.lo))))
+			default:
+				want[i] = uint32(c.lo)
+			}
+		}
+		if c == cases[0] && count.n == n {
+			t.Fatalf("%v: no draw of %d was skipped", c, n)
+		}
+		for _, chunk := range chunks {
+			s := newStream(c.key())
+			got := make(kernels.Words, n)
+			for off := 0; off < n; off += chunk {
+				s.fill(got[off:min(off+chunk, n)])
+			}
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("%v in chunks of %d: word %d is %#x, want %#x", c, chunk, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// firstDiff returns the first index at which a and b differ, or -1.
+func firstDiff(a, b kernels.Words) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestInt63nMatchesMathRand: for a span that is not a power of two and
+// rejects a quarter of the raw values, int63n draws what Rand.Int63n draws.
+func TestInt63nMatchesMathRand(t *testing.T) {
+	const span, n = 3 << 61, 100_000
+	for _, seed := range []int64{1, 2, 1 << 40} {
+		count := &countingSource{Source: rand.NewSource(seed)}
+		rng := rand.New(count)
+		var s source
+		s.seed(seed)
+		for i := range n {
+			if got, want := s.int63n(span), rng.Int63n(span); got != want {
+				t.Fatalf("seed %d, draw %d: %d, want %d", seed, i, got, want)
+			}
+		}
+		if count.n < n+n/5 {
+			t.Fatalf("seed %d: %d raw values for %d draws; the rejection loop hardly ran", seed, count.n, n)
+		}
+	}
+}
+
+// streamSink keeps BenchmarkStreamDraw's draws alive.
+var streamSink kernels.Words
+
+// BenchmarkStreamDraw draws a 16M-float stream afresh per iteration: the
+// input of a cold desktop bandwidth sweep.
+func BenchmarkStreamDraw(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		streamSink = (&RunContext{}).RandomF32(42, 16<<20, 0, 1)
 	}
 }

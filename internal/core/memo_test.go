@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"vcomputebench/internal/faults"
@@ -38,6 +39,9 @@ type memoBench struct {
 	// vulkanPeek >= 0: the Vulkan host reads the intermediate buffer after
 	// that dispatch, which the OpenCL host never reads.
 	vulkanPeek int
+	// stream: the hosts upload a seeded input stream's prefix, and with
+	// vulkanCopy the Vulkan host uploads a copy of it, which is not frozen.
+	stream, vulkanCopy bool
 	// done counts each API's dispatches that returned without error.
 	done map[hw.API]int
 }
@@ -74,7 +78,14 @@ func (m *memoBench) run(ctx *RunContext) (*Result, error) {
 	if m.vulkanInput && ctx.API == hw.APIVulkan {
 		in[n-1]++
 	}
-	a.Write(0, in)
+	upload := in
+	if m.stream {
+		upload = ctx.RandomI32(ctx.Seed, n, 0, 1000)
+		if m.vulkanCopy && ctx.API == hw.APIVulkan {
+			upload = slices.Clone(upload)
+		}
+	}
+	a.Write(0, upload)
 	sw := ctx.Stopwatch()
 	for k := range m.dispatches {
 		cfg := kernels.DispatchConfig{Groups: kernels.D1(n / 64), Push: kernels.Words{uint32(k + 1)}}
@@ -136,6 +147,30 @@ func TestMemoServesSiblingDispatches(t *testing.T) {
 		t.Fatalf("%d executed, %d from the memo; want 6 and 6", executed, fromMemo)
 	}
 	requireUnshared(t, r, b, res)
+}
+
+// TestMemoNamesStreamInputs: when both hosts upload a stream prefix, which
+// the memo names by its stream, the Vulkan cell takes every dispatch from the
+// memo. When the Vulkan host uploads a copy of the prefix instead, the memo
+// names the copy by its hash, so no Vulkan dispatch matches and every one
+// executes. The checksums agree, and each Result equals the cell run alone.
+func TestMemoNamesStreamInputs(t *testing.T) {
+	for _, c := range []struct {
+		vulkanCopy       bool
+		executed, shared uint64
+	}{{false, 4, 4}, {true, 8, 0}} {
+		m := &memoBench{dispatches: 4, vulkanPeek: -1, stream: true, vulkanCopy: c.vulkanCopy}
+		b := m.bench()
+		r := Runner{Repetitions: 1, Seed: 1, Parallelism: 1}
+		res, executed, fromMemo := memoSuite(t, &r, b)
+		if executed != c.executed || fromMemo != c.shared {
+			t.Fatalf("copy %v: %d executed, %d from the memo; want %d and %d", c.vulkanCopy, executed, fromMemo, c.executed, c.shared)
+		}
+		if res[hw.APIOpenCL].Checksum != res[hw.APIVulkan].Checksum {
+			t.Fatalf("copy %v: equal inputs gave different checksums", c.vulkanCopy)
+		}
+		requireUnshared(t, r, b, res)
+	}
 }
 
 // TestMemoDifferentInputExecutesEverything: when the Vulkan host uploads one
@@ -216,11 +251,11 @@ func TestMemoHitsKeepFaultOrdinals(t *testing.T) {
 	}
 }
 
-// TestMemoOnlyForDeclaredSharers: the API cells of a triple run as one unit
-// on a shared memo only when at least two can execute and the workload does
-// not declare per-API device work; otherwise each cell is a unit of its own,
-// scheduled as before the memo.
-func TestMemoOnlyForDeclaredSharers(t *testing.T) {
+// TestMemoSharedByRunnableSiblings: the API cells of a triple run as one
+// unit on a shared memo when at least two can execute, whether or not the
+// workload declares per-API device work; otherwise each cell is a unit of its
+// own, scheduled as before the memo.
+func TestMemoSharedByRunnableSiblings(t *testing.T) {
 	m := &memoBench{dispatches: 1, vulkanPeek: -1}
 	reg := m.bench().(registered)
 	shape := func(p *platforms.Platform, apis []hw.API) (units []int, shared []bool) {
@@ -245,8 +280,8 @@ func TestMemoOnlyForDeclaredSharers(t *testing.T) {
 		t.Fatalf("one runnable cell: units %v shared %v, want two unshared units of 1", units, shared)
 	}
 	reg.d.PerAPIDeviceWork = true
-	if units, shared := shape(gtx, memoAPIs); !reflect.DeepEqual(units, []int{1, 1}) || shared[0] || shared[1] {
-		t.Fatalf("per-API device work: units %v shared %v, want two unshared units of 1", units, shared)
+	if units, shared := shape(gtx, memoAPIs); !reflect.DeepEqual(units, []int{2}) || !shared[0] {
+		t.Fatalf("per-API device work: units %v shared %v, want one shared unit of 2", units, shared)
 	}
 }
 

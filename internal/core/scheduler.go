@@ -78,12 +78,13 @@ func suiteUnits(p *platforms.Platform, tasks []suiteTask) []suiteUnit {
 	return units
 }
 
-// sharedTriple reports whether a triple's cells share a dispatch memo. They
-// do unless fewer than two can execute, or the benchmark declares that its
-// API paths dispatch different device work (Descriptor.PerAPIDeviceWork).
+// sharedTriple reports whether a triple's cells share a dispatch memo: a
+// registered benchmark's do when at least two can execute. The memo matches
+// dispatches by what they bind, so a workload whose API paths dispatch
+// different device work (Descriptor.PerAPIDeviceWork) shares the dispatches
+// they have in common and executes the rest.
 func sharedTriple(p *platforms.Platform, cells []suiteTask) bool {
-	reg, isReg := cells[0].bench.(registered)
-	if !isReg || reg.d.PerAPIDeviceWork {
+	if _, isReg := cells[0].bench.(registered); !isReg {
 		return false
 	}
 	runnable := 0

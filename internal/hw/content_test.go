@@ -75,9 +75,10 @@ type contentOp struct {
 	off, n   int // the range, in dst for transfers
 	srcOff   int
 	value    uint32
-	// A write's words: a prefix of the frozen pool when frozen, else words
-	// of the pool from srcOff on, which are not registered.
+	// A write's words: a prefix of frozen pool stream when frozen, else
+	// words of pool 0 from srcOff on, which are not registered.
 	frozen bool
+	stream int
 	// A dispatch's program (read-only mask), push words and the allocation
 	// at each binding.
 	readOnly int
@@ -85,13 +86,14 @@ type contentOp struct {
 	binds    [contentBindings]int
 }
 
-const contentAllocs, contentPool = 4, 512
+const contentAllocs, contentPool, contentStreams = 4, 512, 2
 
 // contentSizes are the lengths in words the allocations draw from.
 var contentSizes = []int{64, 100, 192, 256}
 
 // contentSequence generates a sequence over contentAllocs allocations whose
-// lengths it returns too: host writes of frozen and of unregistered words,
+// lengths it returns too: host writes of frozen words (half of them a whole
+// allocation's, which its stream then names) and of unregistered words,
 // reads, copies (overlapping and self copies included), fills, dispatches
 // that bind one allocation at read-only and storing bindings, and frees that
 // replace an allocation with a fresh one.
@@ -110,8 +112,14 @@ func contentSequence(rng *rand.Rand) (initial [contentAllocs]int, ops []contentO
 		case k < 2:
 			off, n := span(a)
 			op := contentOp{kind: opWrite, dst: a, off: off, n: n, frozen: rng.Intn(2) == 0}
-			if !op.frozen {
+			switch {
+			case !op.frozen:
 				op.srcOff = 1 + rng.Intn(contentPool-n)
+			case rng.Intn(2) == 0:
+				op.off, op.n = 0, sizes[a]
+				fallthrough
+			default:
+				op.stream = rng.Intn(contentStreams)
 			}
 			ops = append(ops, op)
 		case k == 2:
@@ -179,12 +187,16 @@ func contentRun(t *testing.T, seed int64, m *hw.DispatchMemo, sizes [contentAllo
 	}
 	mem := dev.Memory()
 	poolRNG := rand.New(rand.NewSource(seed))
-	pool := make(kernels.Words, contentPool)
-	for i := range pool {
-		pool[i] = poolRNG.Uint32()
+	var pools, poolsWant [contentStreams]kernels.Words
+	for k := range pools {
+		pools[k] = make(kernels.Words, contentPool)
+		for i := range pools[k] {
+			pools[k][i] = poolRNG.Uint32()
+		}
+		poolsWant[k] = slices.Clone(pools[k])
+		mem.Freeze(pools[k], hw.StreamID{Seed: seed, Lo: uint32(k)})
 	}
-	poolWant := slices.Clone(pool)
-	mem.Freeze(pool)
+	pool := pools[0]
 
 	var allocs [contentAllocs]*hw.Allocation
 	var model [contentAllocs]kernels.Words
@@ -202,8 +214,9 @@ func contentRun(t *testing.T, seed int64, m *hw.DispatchMemo, sizes [contentAllo
 		switch op.kind {
 		case opWrite:
 			if op.frozen {
-				a.Write(op.off, pool[:op.n:op.n])
-				copy(model[op.dst][op.off:], pool[:op.n])
+				frozen := pools[op.stream][:op.n:op.n]
+				a.Write(op.off, frozen)
+				copy(model[op.dst][op.off:], frozen)
 				break
 			}
 			src := slices.Clone(pool[op.srcOff : op.srcOff+op.n])
@@ -263,8 +276,10 @@ func contentRun(t *testing.T, seed int64, m *hw.DispatchMemo, sizes [contentAllo
 			t.Fatalf("seed %d: final content of allocation %d differs from the model", seed, i)
 		}
 	}
-	if !slices.Equal(pool, poolWant) {
-		t.Fatalf("seed %d: the frozen words changed", seed)
+	for k := range pools {
+		if !slices.Equal(pools[k], poolsWant[k]) {
+			t.Fatalf("seed %d: the frozen words of stream %d changed", seed, k)
+		}
 	}
 	return false
 }
@@ -272,7 +287,9 @@ func contentRun(t *testing.T, seed int64, m *hw.DispatchMemo, sizes [contentAllo
 // TestContentMatchesFlatModel: over generated sequences of typed transfers,
 // dispatches that bind an allocation read-only and storing at once, and
 // frees, every read and the final content equal a flat word model, and the
-// frozen words written from are never changed. Each sequence runs on a
+// frozen words written from are never changed. The frozen words are two
+// named streams of equal length, so a shared memo that confused their names
+// would hand out the other stream's results. Each sequence runs on a
 // device's own memo and as the leader and then a sibling on a shared memo,
 // whose hits leave content to be aliased in; neither misses.
 func TestContentMatchesFlatModel(t *testing.T) {
@@ -308,7 +325,7 @@ func TestContentWriteAliasesFrozenWords(t *testing.T) {
 	for i := range frozen {
 		frozen[i] = uint32(i)
 	}
-	dev.Memory().Freeze(frozen)
+	dev.Memory().Freeze(frozen, hw.StreamID{Seed: 1})
 	if got := dev.Memory().Frozen(); len(got) != 1 || &got[0][0] != &frozen[0] {
 		t.Fatalf("Frozen() = %d slices, want the one registered", len(got))
 	}
@@ -345,6 +362,120 @@ func TestContentWriteAliasesFrozenWords(t *testing.T) {
 	}
 	if got[7] != 7+1 || frozen[7] != 7 {
 		t.Fatalf("in word 7 = %d and frozen word 7 = %d after an in-place add; want 8 and 7", got[7], frozen[7])
+	}
+}
+
+// TestNamedRunsFollowTransfers: a write of a frozen stream prefix names the
+// allocation's content, and the transfers that alias the run keep the name:
+// an hw.Copy, and a Vulkan-style upload that writes the prefix into a larger
+// staging buffer and copies it out. A run sliced from a later word, and an
+// allocation that holds more than the one run, are not named.
+func TestNamedRunsFollowTransfers(t *testing.T) {
+	dev, err := platforms.GTX1050Ti().NewDevice()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := dev.Memory()
+	const n = 256
+	words := make(kernels.Words, 2*n)
+	for i := range words {
+		words[i] = uint32(i) * 2654435761
+	}
+	id := hw.StreamID{I32: true, Seed: 9, Lo: 1, Hi: 21}
+	mem.Freeze(words, id)
+	alloc := func(n int) *hw.Allocation {
+		a, err := mem.Allocate(hw.HeapDeviceLocal, int64(n)*4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	named := func(what string, a *hw.Allocation, want bool) {
+		t.Helper()
+		got, ok := hw.StreamOf(a)
+		if ok != want || ok && got != id {
+			t.Errorf("%s: named %v (%+v), want %v", what, ok, got, want)
+		}
+	}
+	a := alloc(n)
+	a.Write(0, words[:n:n])
+	named("a write of the prefix", a, true)
+	whole := alloc(2 * n)
+	whole.Write(0, words)
+	named("a write of all the frozen words", whole, true)
+	b := alloc(n)
+	hw.Copy(b, 0, a, 0, n)
+	named("a copy of the named allocation", b, true)
+	staging, dst := alloc(2*n), alloc(n)
+	staging.Write(0, words[:n:n])
+	named("a staging buffer longer than the prefix", staging, false)
+	hw.Copy(dst, 0, staging, 0, n)
+	named("an upload through the staging buffer", dst, true)
+	later := alloc(n - 1)
+	hw.Copy(later, 0, a, 1, n-1)
+	named("a copy from word 1 on", later, false)
+	twice := alloc(n)
+	twice.Write(0, words[:n/2:n/2])
+	twice.Write(n/2, words[:n/2:n/2])
+	named("an allocation holding the prefix twice", twice, false)
+	b.Fill(n-1, 1, 7)
+	named("a named allocation with one word filled", b, false)
+	clone := alloc(n)
+	clone.Write(0, slices.Clone(words[:n]))
+	named("a write of unregistered words", clone, false)
+}
+
+// TestStreamVersions: a triple's memo names an allocation whose content is
+// one named run by its stream and length. Two streams with the same words
+// get different versions, one stream's prefix gets the same version in every
+// allocation and on every device, and the same words written unregistered a
+// version of their own: equal words under two versions cost only a miss.
+func TestStreamVersions(t *testing.T) {
+	const n = 128
+	words := make(kernels.Words, n)
+	for i := range words {
+		words[i] = uint32(i) * 40503
+	}
+	twin := slices.Clone(words)
+	version := func(w kernels.Words, id *hw.StreamID) [2]uint64 {
+		dev, err := platforms.GTX1050Ti().NewDevice()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != nil {
+			dev.Memory().Freeze(w, *id)
+		}
+		a, err := dev.Memory().Allocate(hw.HeapDeviceLocal, int64(len(w))*4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Write(0, w)
+		return hw.Version(hw.NewDispatchMemo(), a)
+	}
+	s1 := hw.StreamID{Seed: 1, Hi: 0x3f800000}
+	v1 := version(words, &s1)
+	if v := version(words, &s1); v != v1 {
+		t.Fatal("one stream's prefix got two versions")
+	}
+	for _, s2 := range []hw.StreamID{
+		{Seed: 2, Hi: 0x3f800000},
+		{Seed: 1, Lo: 1, Hi: 0x3f800000},
+		{Seed: 1, Hi: 0x3f800001},
+		{I32: true, Seed: 1, Hi: 0x3f800000},
+	} {
+		if v := version(twin, &s2); v == v1 {
+			t.Fatalf("streams %+v and %+v of equal length got the same version", s1, s2)
+		}
+	}
+	if v := version(words[:n-1:n-1], &s1); v == v1 {
+		t.Fatal("two prefixes of one stream got the same version")
+	}
+	unregistered := version(twin, nil)
+	if unregistered == v1 {
+		t.Fatal("unregistered words got their stream's version")
+	}
+	if v := version(slices.Clone(words), nil); v != unregistered {
+		t.Fatal("equal unregistered words got two versions")
 	}
 }
 

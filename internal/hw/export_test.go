@@ -33,3 +33,15 @@ func RunWords(a *Allocation) []kernels.Words {
 	}
 	return out
 }
+
+// StreamOf returns the stream whose first Len() words are the allocation's
+// content, when that content is one named run.
+func StreamOf(a *Allocation) (StreamID, bool) {
+	if id := a.named(); id != nil {
+		return *id, true
+	}
+	return StreamID{}, false
+}
+
+// Version names the allocation's content as the memo's keys do.
+func Version(m *DispatchMemo, a *Allocation) [2]uint64 { return m.version(a) }

@@ -23,10 +23,11 @@ import (
 // the coalescing parameters, the push words, and for each bound buffer its
 // extent, how the bindings alias, and a content version kept on its
 // Allocation. The version of an allocation the host wrote is a hash of its
-// words, taken when it is first bound; a dispatch gives each buffer it
-// stored to a version derived from its key, and read-only buffers keep
-// theirs. Equal keys therefore mean equal inputs, and equal derived versions
-// mean equal outputs.
+// words, taken when it is first bound, or, when its content is one named run
+// of a seeded input stream, a hash of the stream's name and length; a
+// dispatch gives each buffer it stored to a version derived from its key,
+// and read-only buffers keep theirs. Equal keys therefore mean equal inputs,
+// and equal derived versions mean equal outputs.
 //
 // A hit writes no words. The buffers it stored to take their derived
 // versions and await their content, which is aliased in only when the host
@@ -62,8 +63,9 @@ const (
 	contentUnknown contentState = iota
 	// contentZero: the allocation is fresh, its words all zero.
 	contentZero
-	// contentNamed: the version names the words as they are: their hash, a
-	// count in an own memo, or the derived version of content aliased in.
+	// contentNamed: the version names the words as they are: their hash or
+	// stream name, a count in an own memo, or the derived version of content
+	// aliased in.
 	contentNamed
 	// contentDerived: a dispatch executed here wrote the words and derived
 	// the version.
@@ -116,13 +118,33 @@ func hashRuns(runs []run) version {
 	return v
 }
 
-// hash is the version of the allocation's content, streamed over its runs
-// without flattening them.
+// hash is the version of the allocation's content: its name when the
+// content is one named run, else a hash streamed over its runs without
+// flattening them.
 func (a *Allocation) hash() version {
 	if a.words != nil {
 		return hashWords(a.words)
 	}
+	if id := a.named(); id != nil {
+		return hashStream(id, a.n)
+	}
 	return hashRuns(a.runs)
+}
+
+// hashStream is the version of a stream's first n words. A stream's prefix is
+// a pure function of its name and length, so equal versions mean equal words.
+// It hashes 25 bytes and content hashes hash whole words, so no content's
+// version is computed from the same bytes.
+func hashStream(id *StreamID, n int) version {
+	var b [25]byte
+	if id.I32 {
+		b[0] = 1
+	}
+	binary.LittleEndian.PutUint64(b[1:], uint64(id.Seed))
+	binary.LittleEndian.PutUint32(b[9:], id.Lo)
+	binary.LittleEndian.PutUint32(b[13:], id.Hi)
+	binary.LittleEndian.PutUint64(b[17:], uint64(n))
+	return hashBytes(b[:])
 }
 
 // hashZeros is hashWords of n zero words, without allocating them.

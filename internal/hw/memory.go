@@ -49,6 +49,11 @@ var (
 // splices one run into the range it writes, and a write of words registered
 // with MemorySystem.Freeze aliases them. A dispatch binding that may store
 // needs private words and flattens the runs into new ones.
+//
+// A run of frozen words that starts at its stream's first word is named: it
+// carries the StreamID Freeze registered, and transfers that alias it keep
+// the name. An allocation whose content is one named run is versioned by
+// that name instead of by hashing its words (memo.go).
 type Allocation struct {
 	heap  HeapKind
 	bytes int64
@@ -66,10 +71,21 @@ type Allocation struct {
 }
 
 // run is a stretch of immutable content: words that nobody writes again, or,
-// when words is nil, n zeros.
+// when words is nil, n zeros. stream, when set, names the words: they are
+// the stream's first n words.
 type run struct {
-	words kernels.Words
-	n     int
+	words  kernels.Words
+	n      int
+	stream *StreamID
+}
+
+// StreamID names a seeded input stream: its first n words depend on nothing
+// but the ID and n. An I32 stream holds int32 values in [Lo, Hi), any other
+// float32 values in [Lo, Hi), with Lo and Hi as IEEE-754 bits.
+type StreamID struct {
+	I32    bool
+	Seed   int64
+	Lo, Hi uint32
 }
 
 // maxRuns caps an allocation's run count; a splice past it flattens the
@@ -80,12 +96,17 @@ const maxRuns = 16
 // to it cannot write past them.
 func dataRun(w kernels.Words) run { return run{words: w[:len(w):len(w)], n: len(w)} }
 
-// slice returns words [lo, hi) of the run.
+// slice returns words [lo, hi) of the run. Only a slice from the first word
+// keeps the name.
 func (r run) slice(lo, hi int) run {
 	if r.words == nil {
 		return run{n: hi - lo}
 	}
-	return dataRun(r.words[lo:hi])
+	s := dataRun(r.words[lo:hi])
+	if lo == 0 {
+		s.stream = r.stream
+	}
+	return s
 }
 
 // appendRun appends r to runs, merging adjacent zero runs.
@@ -151,12 +172,17 @@ func (a *Allocation) Len() int { return a.n }
 func (a *Allocation) Write(off int, src kernels.Words) {
 	a.check(off, len(src))
 	a.hostWrite()
-	switch {
-	case len(src) == 0:
-	case a.inPlace(len(src)):
+	if len(src) == 0 {
+		return
+	}
+	if a.inPlace(len(src)) {
 		copy(a.words[off:], src)
-	case a.owner.isFrozen(src):
-		a.put(off, []run{dataRun(src)})
+		return
+	}
+	frozen, ok := a.owner.frozenRun(src)
+	switch {
+	case ok:
+		a.put(off, []run{frozen})
 	case len(src) == a.n:
 		a.words, a.runs = slices.Clone(src), nil
 	default:
@@ -294,6 +320,15 @@ func (a *Allocation) content() kernels.Words {
 	return w
 }
 
+// named returns the stream whose first a.n words are the allocation's
+// content when that content is one named run, else nil.
+func (a *Allocation) named() *StreamID {
+	if a.words == nil && len(a.runs) == 1 {
+		return a.runs[0].stream
+	}
+	return nil
+}
+
 // Binding is a storage buffer bound to a dispatch: words [offset,
 // offset+len) of an allocation.
 type Binding struct {
@@ -342,8 +377,8 @@ type MemorySystem struct {
 	allocs    int
 	peakUsed  map[HeapKind]int64
 	allocFail int
-	// frozen holds the words Freeze registered.
-	frozen []kernels.Words
+	// frozen holds the named runs Freeze registered.
+	frozen []run
 }
 
 // NewMemorySystem builds a memory system with the given heap capacities in
@@ -443,28 +478,38 @@ func (m *MemorySystem) Free(a *Allocation) error {
 	return nil
 }
 
-// Freeze registers words the host never changes again, such as the shared
-// input streams: a Write of w, or of a prefix of it, aliases the words
-// instead of copying them.
-func (m *MemorySystem) Freeze(w kernels.Words) {
+// Freeze registers words the host never changes again: the first len(w)
+// words of the stream id names. A Write of w, or of a prefix of it, aliases
+// the words instead of copying them, and the run it writes is named.
+func (m *MemorySystem) Freeze(w kernels.Words, id StreamID) {
 	if len(w) == 0 {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.frozen = append(m.frozen, w[:len(w):len(w)])
+	m.frozen = append(m.frozen, run{words: w[:len(w):len(w)], n: len(w), stream: &id})
 }
 
 // Frozen returns the words Freeze registered, in registration order.
 func (m *MemorySystem) Frozen() []kernels.Words {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return slices.Clone(m.frozen)
+	out := make([]kernels.Words, len(m.frozen))
+	for i, f := range m.frozen {
+		out[i] = f.words
+	}
+	return out
 }
 
-// isFrozen reports whether Freeze registered the words of w.
-func (m *MemorySystem) isFrozen(w kernels.Words) bool {
+// frozenRun returns the named run of w when Freeze registered w or words it
+// is a prefix of.
+func (m *MemorySystem) frozenRun(w kernels.Words) (run, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return slices.ContainsFunc(m.frozen, func(f kernels.Words) bool { return &f[0] == &w[0] && len(f) >= len(w) })
+	for _, f := range m.frozen {
+		if &f.words[0] == &w[0] && f.n >= len(w) {
+			return f.slice(0, len(w)), true
+		}
+	}
+	return run{}, false
 }

@@ -166,12 +166,14 @@ func fromJSONDocument(jd *jsonDocument) (*Document, error) {
 			if line == nil {
 				return nil, errors.New("null line")
 			}
-			for i := range js.X {
-				v := math.NaN()
-				if i < len(line.Values) {
-					v = decodeFloat(line.Values[i])
-				}
-				s.Set(line.Name, i, v)
+			// EncodeJSON writes one value per x label; a line with any other
+			// count is refused, so that a small file cannot decode into a
+			// document of x labels times lines.
+			if len(line.Values) != len(js.X) {
+				return nil, fmt.Errorf("series %q, line %q: %d values for %d x labels", js.Title, line.Name, len(line.Values), len(js.X))
+			}
+			for i, v := range line.Values {
+				s.Set(line.Name, i, decodeFloat(v))
 			}
 			// A line of pure gaps still has to exist with its name in order.
 			if len(js.X) == 0 {

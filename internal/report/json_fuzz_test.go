@@ -10,7 +10,8 @@ import (
 )
 
 // FuzzDecodeJSON feeds generated results files to the decoder, seeded with
-// every golden document, the schema-1 fixture and the null-entry inputs.
+// every golden document, the schema-1 fixture, the null-entry inputs and a
+// file of lines without values.
 // Decoding never panics, and for input that decodes, re-encoding is a fixed
 // point on bytes: encode(decode(encode(decode(b)))) == encode(decode(b)).
 func FuzzDecodeJSON(f *testing.F) {
@@ -29,6 +30,7 @@ func FuzzDecodeJSON(f *testing.F) {
 	for _, in := range nullEntryInputs {
 		f.Add([]byte(in))
 	}
+	f.Add(manyEmptyLines())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		docs, err := report.DecodeJSON(data)
 		if err != nil {

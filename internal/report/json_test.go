@@ -209,3 +209,55 @@ func TestJSONNullEntriesRejected(t *testing.T) {
 		}
 	}
 }
+
+// manyEmptyLines is a 45,866-byte results file whose one series has 2,000 x
+// labels and 2,000 lines without values. Filled with gaps, its lines would
+// re-encode to about 88 MB.
+func manyEmptyLines() []byte {
+	var b strings.Builder
+	b.WriteString(`{"schema_version":2,"documents":[{"id":"t","series":[{"title":"s","x":[`)
+	for i := range 2000 {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `"%d"`, i)
+	}
+	b.WriteString(`],"lines":[`)
+	for i := range 2000 {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"name":"l%d"}`, i)
+	}
+	b.WriteString(`]}]}]}`)
+	return []byte(b.String())
+}
+
+// TestJSONLineLengthMismatchRejected: EncodeJSON writes one value per x
+// label, so both decoders refuse a line with any other count, naming the
+// series and the line.
+func TestJSONLineLengthMismatchRejected(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		in   []byte
+		line string
+	}{
+		{"2,000 empty lines", manyEmptyLines(), `"l0"`},
+		{"too few values", []byte(`{"schema_version":2,"documents":[{"id":"t","series":[{"title":"s","x":["1","2"],"lines":[{"name":"a","values":[1]}]}]}]}`), `"a"`},
+		{"too many values", []byte(`{"schema_version":1,"documents":[{"id":"t","series":[{"title":"s","x":["1"],"lines":[{"name":"b","values":[1,null]}]}]}]}`), `"b"`},
+		{"values without x labels", []byte(`{"schema_version":2,"documents":[{"id":"t","series":[{"title":"s","lines":[{"name":"c","values":[null]}]}]}]}`), `"c"`},
+	} {
+		_, err := report.DecodeJSON(c.in)
+		if err == nil || !strings.Contains(err.Error(), `series "s"`) || !strings.Contains(err.Error(), "line "+c.line) {
+			t.Errorf("%s: DecodeJSON = %v, want an error naming series \"s\" and line %s", c.name, err, c.line)
+		}
+		if _, _, _, err := report.DecodeWire(c.in); err == nil {
+			t.Errorf("%s: DecodeWire accepted it", c.name)
+		}
+	}
+	// A series without x labels still holds lines of no values.
+	in := `{"schema_version":2,"documents":[{"id":"t","series":[{"title":"s","lines":[{"name":"c","values":[]}]}]}]}`
+	if _, err := report.DecodeJSON([]byte(in)); err != nil {
+		t.Fatalf("a line of no values for no x labels: %v", err)
+	}
+}

@@ -19,8 +19,8 @@ import (
 // each API cell alone (no memo), and the cells must record the same
 // dispatches, program by program with equal counters, and the same
 // checksum. A benchmark that declares per-API device work
-// (core.Descriptor.PerAPIDeviceWork), which the suite then never shares,
-// must actually differ on some platform, so a stale declaration fails too.
+// (core.Descriptor.PerAPIDeviceWork) must actually differ on some platform,
+// so a stale declaration fails too.
 //
 // The same cells pin what aliasing device memory rests on: a store to a
 // binding its program declares read-only fails the cell
