@@ -73,7 +73,9 @@ bench-serve:
 # Per-layer costs of the warm replay path (BENCH_replay.json), on two real
 # cells recorded once through a disk store (gaussian 448 through OpenCL, the
 # largest stored entry, and backprop 64K through Vulkan, a median one): the
-# disk-tier read with its decode, the snapshot decode alone, and the replay.
+# disk-tier read with its decode, a memory-tier hit, the snapshot decode
+# alone, the hw trace replay alone, the snapshot replay into a Result, and
+# serve's wire encoding of that Result.
 bench-replay:
 	set -o pipefail; $(GO) test -run '^$$' -bench '^BenchmarkReplayPath$$' -benchmem . \
 		| $(GO) run ./cmd/benchjson -update BENCH_replay.json

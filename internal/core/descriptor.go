@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -103,6 +104,25 @@ type Descriptor struct {
 	// before it executed and executes the rest. TestAPIsDispatchTheSameWork
 	// holds the declaration to the truth both ways.
 	PerAPIDeviceWork bool
+
+	// lists holds Workloads' list per device class (hw.Class → []Workload),
+	// built on first use. Register sets it; a descriptor outside the
+	// registry has none.
+	lists *sync.Map
+}
+
+// classWorkloads returns the class's workloads, built once per class on a
+// registered descriptor. Callers must not modify the list or its Params
+// maps, which every caller shares.
+func (d *Descriptor) classWorkloads(class hw.Class) []Workload {
+	if d.lists == nil {
+		return d.Workloads(class)
+	}
+	if ws, ok := d.lists.Load(class); ok {
+		return ws.([]Workload)
+	}
+	ws, _ := d.lists.LoadOrStore(class, d.Workloads(class))
+	return ws.([]Workload)
 }
 
 // validate reports why the descriptor is not registrable, or nil.
@@ -165,6 +185,7 @@ func Register(d Descriptor) {
 	if _, dup := registry[d.Name]; dup {
 		panic(fmt.Sprintf("core: benchmark %q registered twice", d.Name))
 	}
+	d.lists = new(sync.Map)
 	registry[d.Name] = &d
 }
 
@@ -234,7 +255,11 @@ type registered struct{ d *Descriptor }
 func (r registered) Name() string   { return r.d.Name }
 func (r registered) APIs() []hw.API { return append([]hw.API(nil), r.d.APIs...) }
 
-func (r registered) Workloads(class hw.Class) []Workload { return r.d.Workloads(class) }
+// Workloads returns a copy of the class's list, which the descriptor builds
+// once. The copies share their Params maps, which nothing writes.
+func (r registered) Workloads(class hw.Class) []Workload {
+	return slices.Clone(r.d.classWorkloads(class))
+}
 
 func (r registered) Run(ctx *RunContext) (*Result, error) { return r.d.Run(ctx) }
 

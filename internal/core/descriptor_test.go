@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -84,7 +85,9 @@ func TestRegistryInvariants(t *testing.T) {
 }
 
 // TestRegistryMatchesBenchmarkView: the Benchmark adapters returned by Get/All
-// must present exactly the descriptor's name and APIs.
+// must present exactly the descriptor's name, APIs and workloads. The
+// adapter builds each class's workload list once and hands out copies, so a
+// caller that overwrites its list leaves the next caller's alone.
 func TestRegistryMatchesBenchmarkView(t *testing.T) {
 	for _, d := range core.Descriptors() {
 		b, err := core.Get(d.Name)
@@ -96,6 +99,19 @@ func TestRegistryMatchesBenchmarkView(t *testing.T) {
 		}
 		if len(b.APIs()) != len(d.APIs) {
 			t.Errorf("%s: Benchmark view lists %d APIs, descriptor %d", d.Name, len(b.APIs()), len(d.APIs))
+		}
+		for _, class := range []hw.Class{hw.ClassDesktop, hw.ClassMobile} {
+			want := d.Workloads(class)
+			got := b.Workloads(class)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: Benchmark view lists workloads %v, descriptor %v", d.Name, class, got, want)
+			}
+			if len(got) > 0 {
+				got[0] = core.Workload{Label: "overwritten"}
+			}
+			if again := b.Workloads(class); !reflect.DeepEqual(again, want) {
+				t.Errorf("%s/%s: overwriting one caller's workload list changed the next: %v", d.Name, class, again)
+			}
 		}
 	}
 	if _, err := core.Get("no-such-benchmark"); err == nil {

@@ -24,6 +24,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/platforms"
@@ -87,6 +88,10 @@ func newSnapshot(p *platforms.Platform, b Benchmark, api hw.API, w Workload, tr 
 // Kernels returns the dispatches the snapshot's run recorded, in order.
 func (s *Snapshot) Kernels() []hw.KernelRecord { return slices.Clone(s.trace.Kernels) }
 
+// Trace returns the trace the snapshot's run recorded. Every replay of the
+// snapshot reads it, so callers must not modify it.
+func (s *Snapshot) Trace() *hw.Trace { return s.trace }
+
 // Replay recomputes the cell's Result under the platform's current profile —
 // typically a clone of the recorded platform with different DriverProfile
 // knob values. It is a pure function: safe for concurrent use on a shared
@@ -97,16 +102,8 @@ func (s *Snapshot) Replay(p *platforms.Platform) (*Result, error) {
 		return nil, fmt.Errorf("core: snapshot of %s/%s was recorded under a different execution fingerprint\n  have %s\n  want %s",
 			s.benchmark, s.api, fp, s.fingerprint)
 	}
-	rp, err := s.trace.Replay(&p.Profile)
-	if err != nil {
-		return nil, err
-	}
-	kernelTime, err := rp.Reading(s.kernelReading)
-	if err != nil {
-		return nil, err
-	}
-	totalTime, err := rp.Reading(s.totalReading)
-	if err != nil {
+	var times [2]time.Duration
+	if err := s.trace.ReplayReadings(&p.Profile, times[:], s.kernelReading, s.totalReading); err != nil {
 		return nil, err
 	}
 
@@ -115,8 +112,8 @@ func (s *Snapshot) Replay(p *platforms.Platform) (*Result, error) {
 		API:        s.api,
 		Platform:   p.ID,
 		Workload:   s.workload,
-		KernelTime: kernelTime,
-		TotalTime:  totalTime,
+		KernelTime: times[0],
+		TotalTime:  times[1],
 		Dispatches: s.dispatches,
 		Checksum:   s.checksum,
 	}

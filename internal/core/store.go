@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -117,16 +118,23 @@ func (s *DiskStore) entryPath(k SnapshotKey) string {
 	return filepath.Join(s.dir, entryDigest(s.codeVersion, k)+snapExt)
 }
 
+// entryDigest hashes each string as its decimal length, a NUL, the string and
+// a NUL, then the seed in decimal and the validate flag as true or false,
+// each followed by a NUL. Stored entries are named by these bytes.
 func entryDigest(codeVersion string, k SnapshotKey) string {
-	h := sha256.New()
-	w := func(parts ...string) {
-		for _, p := range parts {
-			fmt.Fprintf(h, "%d\x00%s\x00", len(p), p)
-		}
+	b := make([]byte, 0, 512)
+	for _, s := range [...]string{codeVersion, k.Platform, k.Fingerprint, k.Benchmark, k.Workload, string(k.API)} {
+		b = strconv.AppendInt(b, int64(len(s)), 10)
+		b = append(b, 0)
+		b = append(b, s...)
+		b = append(b, 0)
 	}
-	w(codeVersion, k.Platform, k.Fingerprint, k.Benchmark, k.Workload, string(k.API))
-	fmt.Fprintf(h, "%d\x00%t\x00", k.Seed, k.Validate)
-	return hex.EncodeToString(h.Sum(nil))
+	b = strconv.AppendInt(b, k.Seed, 10)
+	b = append(b, 0)
+	b = strconv.AppendBool(b, k.Validate)
+	b = append(b, 0)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // encodeEntry wraps an encoded snapshot in the store envelope: magic,

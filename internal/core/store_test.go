@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
@@ -107,6 +108,30 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEntryDigestPinned pins the disk entry name of three keys byte for byte:
+// the zero key, a real cell, and a negative seed with Validate set. A store
+// finds its entries by these names, so a digest that drifts would cold every
+// store.
+func TestEntryDigestPinned(t *testing.T) {
+	gtx, adreno := platforms.GTX1050Ti(), platforms.Adreno506()
+	for _, c := range []struct {
+		key  SnapshotKey
+		want string
+	}{
+		{SnapshotKey{}, "4ea9543608a5014764572abfeafb903e32e9bb56af36e4e2b5449e1eee86b590"},
+		{SnapshotKey{Platform: gtx.ID, Fingerprint: gtx.Profile.ExecutionFingerprint(),
+			Benchmark: "backprop", Workload: "64K", API: hw.APIVulkan, Seed: 42},
+			"2e26e2cf94113823003546c41af4b66abca0be51d2690139ecb4fbf1f2a5fcb7"},
+		{SnapshotKey{Platform: adreno.ID, Fingerprint: adreno.Profile.ExecutionFingerprint(),
+			Benchmark: "gaussian", Workload: "448", API: hw.APIOpenCL, Seed: -7, Validate: true},
+			"8cd1fb768a45b0069235ad3deaf1c16fd3f39d030e4929687be44afb3163ef03"},
+	} {
+		if got := entryDigest("codever-test", c.key); got != c.want {
+			t.Errorf("entryDigest(%+v) = %s, want %s", c.key, got, c.want)
+		}
+	}
+}
+
 // replayDecoded replays a decoded snapshot on the GTX 1050 Ti: its trace
 // under the platform's profile with every reading evaluated, then the
 // snapshot itself, which refuses a different execution fingerprint. Errors
@@ -116,11 +141,11 @@ func replayDecoded(t testing.TB, s *Snapshot) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rp, err := s.trace.Replay(&p.Profile); err == nil {
-		for i := range s.trace.Readings {
-			_, _ = rp.Reading(i)
-		}
+	idx := make([]int, len(s.trace.Readings))
+	for i := range idx {
+		idx[i] = i
 	}
+	_ = s.trace.ReplayReadings(&p.Profile, make([]time.Duration, len(idx)), idx...)
 	_, _ = s.Replay(p)
 }
 

@@ -172,8 +172,9 @@ func EncodeTrace(t *Trace) ([]byte, error) {
 // version-mismatched input returns an error — never a panic and never a
 // half-decoded trace — so stores can degrade any failure to a miss. Every
 // cost, program, kernel, event and reading reference is bounds-checked
-// against its decoded table, keeping a hostile or bit-rotted stream unable to
-// crash Replay.
+// against its decoded table, and a wait may refer only to an earlier event,
+// keeping a hostile or bit-rotted stream unable to crash a replay or to read
+// a span the replay has not yet written.
 func DecodeTrace(data []byte, reg *kernels.Registry) (*Trace, error) {
 	if reg == nil {
 		reg = kernels.Default
@@ -242,8 +243,8 @@ func DecodeTrace(data []byte, reg *kernels.Registry) (*Trace, error) {
 			ev.Bytes = d.varint()
 		case EvWait:
 			ev.Ref = d.i32()
-			if d.err == nil && (ev.Ref < -1 || int(ev.Ref) >= len(t.Events)) {
-				d.fail("wait event %d references event %d of %d", i, ev.Ref, len(t.Events))
+			if d.err == nil && (ev.Ref < -1 || int(ev.Ref) >= i) {
+				d.fail("wait event %d references event %d, not an earlier one", i, ev.Ref)
 			}
 		case EvMark:
 		default:
@@ -292,7 +293,7 @@ func DecodeTrace(data []byte, reg *kernels.Registry) (*Trace, error) {
 	return t, nil
 }
 
-// validateReadingRefs bounds-checks a reading's event references so Replay
+// validateReadingRefs bounds-checks a reading's event references so a replay
 // cannot index out of range on a decoded trace. ReadEndDiff allows -1 (time
 // zero, an empty queue at record time); the other kinds require real events.
 func validateReadingRefs(r *Reading, nEvents int) error {

@@ -95,13 +95,21 @@ func committedSeeds(t *testing.T, target string) []seed {
 }
 
 // TestCommittedFuzzSeedsDecode pins the committed corpus to the current
-// trace codec version: every seed of FuzzDecodeTrace decodes. A seed that
+// trace codec version: every seed of FuzzDecodeTrace decodes, except the
+// seeds named reject_*, each a stream the decoder must refuse past the
+// version check (reject_forward_wait waits on a later event). A seed that
 // stops at the version check exercises nothing past it, so a codec version
 // bump fails here until its seeds are regenerated.
 func TestCommittedFuzzSeedsDecode(t *testing.T) {
 	reg := fuzzRegistry(t)
 	for _, s := range committedSeeds(t, "FuzzDecodeTrace") {
-		if _, err := hw.DecodeTrace(s.data, reg); err != nil {
+		_, err := hw.DecodeTrace(s.data, reg)
+		switch reject := strings.HasPrefix(s.name, "reject_"); {
+		case reject && err == nil:
+			t.Errorf("FuzzDecodeTrace seed %s decoded; the decoder must refuse it", s.name)
+		case reject && strings.Contains(err.Error(), "version"):
+			t.Errorf("FuzzDecodeTrace seed %s stops at the version check: %v", s.name, err)
+		case !reject && err != nil:
 			t.Errorf("FuzzDecodeTrace seed %s: %v", s.name, err)
 		}
 	}

@@ -127,41 +127,35 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 	}
 
 	p := codecTestProfile()
-	want, err := tr.Replay(p)
+	want, err := replayAll(tr, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	have, err := got.Replay(p)
+	have, err := replayAll(got, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range tr.Readings {
-		w, err := want.Reading(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := have.Reading(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w != h {
-			t.Fatalf("reading %d replays to %v on the original and %v on the decoded trace", i, w, h)
+	for i := range want {
+		if want[i] != have[i] {
+			t.Fatalf("reading %d replays to %v on the original and %v on the decoded trace", i, want[i], have[i])
 		}
 	}
+}
+
+// replayAll replays the trace under the profile and values every reading.
+func replayAll(tr *Trace, p *Profile) ([]time.Duration, error) {
+	idx := make([]int, len(tr.Readings))
+	for i := range idx {
+		idx[i] = i
+	}
+	out := make([]time.Duration, len(idx))
+	return out, tr.ReplayReadings(p, out, idx...)
 }
 
 // replayDecoded replays a decoded trace under the test profile and evaluates
 // every reading. Errors are allowed (a corrupted API names no driver); a
 // panic fails the calling test.
-func replayDecoded(tr *Trace) {
-	rp, err := tr.Replay(codecTestProfile())
-	if err != nil {
-		return
-	}
-	for i := range tr.Readings {
-		_, _ = rp.Reading(i)
-	}
-}
+func replayDecoded(tr *Trace) { _, _ = replayAll(tr, codecTestProfile()) }
 
 // TestTraceCodecRejectsCorruption walks every truncation point and a byte
 // flip at every offset: the decoder must return an error or succeed — never
@@ -189,9 +183,11 @@ func TestTraceCodecRejectsCorruption(t *testing.T) {
 }
 
 // TestTraceCodecRejectsBadIndices pins the bounds checks of the flat tables:
-// an event's cost or kernel index, a kernel's program index, and a reading
-// claiming more refs than the stream declared each fail decoding, so a bad
-// index can never reach Replay.
+// an event's cost or kernel index, a wait on an event that is not an earlier
+// one, a kernel's program index, and a reading claiming more refs than the
+// stream declared each fail decoding, so a bad index can never reach a
+// replay. A replay steps a pooled timeline, so a wait on a later event would
+// read a span some earlier replay left there.
 func TestTraceCodecRejectsBadIndices(t *testing.T) {
 	reg := codecTestRegistry(t)
 	k1, err := reg.Lookup("codec_k1")
@@ -213,6 +209,9 @@ func TestTraceCodecRejectsBadIndices(t *testing.T) {
 			Events: []TraceEvent{{Kind: EvSpend, Cost: 1}}}),
 		"kernel index": encode(&Trace{API: APIVulkan, Costs: oneCost, Kernels: oneKernel,
 			Events: []TraceEvent{{Kind: EvKernel, Cost: 0, Kernel: 1}}}),
+		"wait on a later event": encode(forwardWaitTrace()),
+		"wait on itself": encode(&Trace{API: APIVulkan,
+			Events: []TraceEvent{{Kind: EvMark}, {Kind: EvWait, Ref: 1}}}),
 	}
 
 	// The encoder derives a kernel's program index and the declared ref
@@ -247,6 +246,14 @@ func TestTraceCodecRejectsBadIndices(t *testing.T) {
 			t.Errorf("out-of-range %s: error %q does not name the %s", name, err, want)
 		}
 	}
+}
+
+// forwardWaitTrace is a trace no Host can record: its first event waits on
+// its second.
+func forwardWaitTrace() *Trace {
+	return &Trace{API: APIVulkan, Costs: []Cost{FixedCost(time.Microsecond)},
+		Events:   []TraceEvent{{Kind: EvWait, Ref: 1}, {Kind: EvOccupy}},
+		Readings: []Reading{{Kind: ReadHostMark, A: 0}}}
 }
 
 // TestTraceCodecRejectsUnknownProgram pins the stable-identity contract: a

@@ -86,7 +86,20 @@ type contentOp struct {
 	binds    [contentBindings]int
 }
 
-const contentAllocs, contentPool, contentStreams = 4, 512, 2
+const contentAllocs, contentPool, contentStreams = 4, 512, 5
+
+// contentStreamIDs names a run's frozen pools: stream 0, and for each field
+// of hw.StreamID a stream that differs from stream 0 in that field alone, so
+// a memo that ignored any one field would take two of them for one.
+func contentStreamIDs(seed int64) [contentStreams]hw.StreamID {
+	base := hw.StreamID{Seed: seed, Lo: 1, Hi: 2}
+	ids := [contentStreams]hw.StreamID{base, base, base, base, base}
+	ids[1].Seed++
+	ids[2].Lo++
+	ids[3].Hi++
+	ids[4].I32 = true
+	return ids
+}
 
 // contentSizes are the lengths in words the allocations draw from.
 var contentSizes = []int{64, 100, 192, 256}
@@ -96,7 +109,11 @@ var contentSizes = []int{64, 100, 192, 256}
 // allocation's, which its stream then names) and of unregistered words,
 // reads, copies (overlapping and self copies included), fills, dispatches
 // that bind one allocation at read-only and storing bindings, and frees that
-// replace an allocation with a fresh one.
+// replace an allocation with a fresh one. Half the dispatches run twice: once
+// after a whole-allocation write of one named stream to an allocation they
+// load, and again after a write of a stream of the same length that differs
+// from it in one StreamID field, so the two runs' keys differ in that
+// stream's name alone.
 func contentSequence(rng *rand.Rand) (initial [contentAllocs]int, ops []contentOp) {
 	for i := range initial {
 		initial[i] = contentSizes[rng.Intn(len(contentSizes))]
@@ -154,7 +171,20 @@ func contentSequence(rng *rand.Rand) (initial [contentAllocs]int, ops []contentO
 			op.off = rng.Intn(shortest - op.n + 1)
 			stores := rng.Intn(1<<contentBindings) &^ op.readOnly
 			op.push = kernels.Words{uint32(rng.Intn(1 << contentBindings)), uint32(stores), uint32(rng.Intn(4)), uint32(op.n)}
-			ops = append(ops, op)
+			if rng.Intn(2) == 0 {
+				ops = append(ops, op)
+				break
+			}
+			j := rng.Intn(contentBindings)
+			op.push[0] |= 1 << j
+			first, second := 0, 1+rng.Intn(contentStreams-1)
+			if rng.Intn(2) == 0 {
+				first, second = second, first
+			}
+			whole := contentOp{kind: opWrite, dst: op.binds[j], n: sizes[op.binds[j]], frozen: true, stream: first}
+			ops = append(ops, whole, op)
+			whole.stream = second
+			ops = append(ops, whole, op)
 		}
 	}
 	return initial, ops
@@ -187,6 +217,7 @@ func contentRun(t *testing.T, seed int64, m *hw.DispatchMemo, sizes [contentAllo
 	}
 	mem := dev.Memory()
 	poolRNG := rand.New(rand.NewSource(seed))
+	ids := contentStreamIDs(seed)
 	var pools, poolsWant [contentStreams]kernels.Words
 	for k := range pools {
 		pools[k] = make(kernels.Words, contentPool)
@@ -194,7 +225,7 @@ func contentRun(t *testing.T, seed int64, m *hw.DispatchMemo, sizes [contentAllo
 			pools[k][i] = poolRNG.Uint32()
 		}
 		poolsWant[k] = slices.Clone(pools[k])
-		mem.Freeze(pools[k], hw.StreamID{Seed: seed, Lo: uint32(k)})
+		mem.Freeze(pools[k], ids[k])
 	}
 	pool := pools[0]
 
@@ -287,11 +318,13 @@ func contentRun(t *testing.T, seed int64, m *hw.DispatchMemo, sizes [contentAllo
 // TestContentMatchesFlatModel: over generated sequences of typed transfers,
 // dispatches that bind an allocation read-only and storing at once, and
 // frees, every read and the final content equal a flat word model, and the
-// frozen words written from are never changed. The frozen words are two
-// named streams of equal length, so a shared memo that confused their names
-// would hand out the other stream's results. Each sequence runs on a
-// device's own memo and as the leader and then a sibling on a shared memo,
-// whose hits leave content to be aliased in; neither misses.
+// frozen words written from are never changed. The frozen words are five
+// named streams of equal length, pairs of which differ in one StreamID field
+// each, and dispatches rerun after a whole-allocation write of such a twin,
+// so a shared memo that confused their names would hand out the other
+// stream's results. Each sequence runs on a device's own memo and as the
+// leader and then a sibling on a shared memo, whose hits leave content to be
+// aliased in; neither misses.
 func TestContentMatchesFlatModel(t *testing.T) {
 	const sequences = 300
 	for seed := int64(1); seed <= sequences; seed++ {

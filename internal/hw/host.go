@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"fmt"
 	"time"
 
 	"vcomputebench/internal/kernels"
@@ -10,11 +11,11 @@ import (
 // trace being recorded (events and readings) and the timeline stepped over
 // it. Every call that moves simulated time — a host spend or wait, queue
 // work scheduled by the attached device — appends one event and steps the
-// timeline through the same function Trace.Replay runs, so a replay of the
-// trace equals the execution by construction. Every reading takes its value
-// from the timeline by event index. Each cost an event uses is interned in
-// the trace's cost table and valued once, beside the timeline, as Replay
-// values it.
+// timeline through the same function Trace.ReplayReadings runs, so a replay
+// of the trace equals the execution by construction. Every reading takes its
+// value from the timeline by event index. Each cost an event uses is interned
+// in the trace's cost table and valued once, beside the timeline, as a
+// replay values it.
 //
 // A Host is not safe for concurrent use: a run's host code is
 // single-threaded, and that is what it records.
@@ -27,11 +28,12 @@ type Host struct {
 
 // NewHost returns a host at time zero recording a run of api on the device,
 // and attaches it to the device: the device's queues schedule into it. Costs
-// are valued under the device's api driver, the driver Trace.Replay uses for
-// the recorded trace.
+// are valued under the device's api driver, the driver Trace.ReplayReadings
+// uses for the recorded trace.
 func NewHost(dev *Device, api API) *Host {
 	drv, _ := dev.profile.Driver(api)
-	h := &Host{dev: dev, drv: drv, trace: Trace{API: api}, tl: newTimeline(0)}
+	h := &Host{dev: dev, drv: drv, trace: Trace{API: api}}
+	h.tl.reset(0)
 	dev.host = h
 	return h
 }
@@ -78,8 +80,15 @@ func (h *Host) dispatch(prog *kernels.Program, c *kernels.Counters) uint32 {
 func (h *Host) Spend(c Cost) { h.record(TraceEvent{Kind: EvSpend, Cost: h.intern(c)}) }
 
 // Wait blocks the host until the recorded event ref completes (a fence or a
-// blocking transfer); -1 waits on nothing.
-func (h *Host) Wait(ref int32) { h.record(TraceEvent{Kind: EvWait, Ref: ref}) }
+// blocking transfer); -1 waits on nothing. A wait on an event not yet
+// recorded is a programming error, and panics: a replay steps each event
+// after the ones before it, so such a wait could not be replayed.
+func (h *Host) Wait(ref int32) {
+	if ref < -1 || int(ref) >= len(h.trace.Events) {
+		panic(fmt.Sprintf("hw: wait on event %d, %d events are recorded", ref, len(h.trace.Events)))
+	}
+	h.record(TraceEvent{Kind: EvWait, Ref: ref})
+}
 
 // WaitQueue blocks the host until the queue drains.
 func (h *Host) WaitQueue(q *Queue) { h.Wait(q.Last()) }

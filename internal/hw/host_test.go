@@ -35,18 +35,27 @@ func (qt *queueTimeline) occupy(d time.Duration) int32 {
 }
 
 // check replays the host's trace and requires every replayed span to equal
-// the executed one, and the executed spans named in want to match it.
+// the executed one, and the executed spans named in want to match it. The
+// replay reads each event's span through two readings added to a copy of the
+// trace: its end, and its length.
 func (qt *queueTimeline) check(t *testing.T, want map[int32]span) {
 	t.Helper()
-	rp, err := qt.host.Trace().Replay(qt.q.Device().Profile())
+	tr := qt.host.Trace()
+	tr.Readings = nil
+	for i := range tr.Events {
+		tr.Readings = append(tr.Readings,
+			Reading{Kind: ReadEndDiff, A: -1, B: int32(i)}, Reading{Kind: ReadSpanSum, Refs: []int32{int32(i)}})
+	}
+	values, err := replayAll(tr, qt.q.Device().Profile())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rp.tl.spans) != len(qt.host.tl.spans) {
-		t.Fatalf("replay stepped %d events, execution %d", len(rp.tl.spans), len(qt.host.tl.spans))
+	if len(tr.Events) != len(qt.host.tl.spans) {
+		t.Fatalf("the trace holds %d events, execution stepped %d", len(tr.Events), len(qt.host.tl.spans))
 	}
 	for i, executed := range qt.host.tl.spans {
-		if replayed := rp.tl.spans[i]; replayed != executed {
+		end, length := values[2*i], values[2*i+1]
+		if replayed := (span{start: end - length, end: end}); replayed != executed {
 			t.Fatalf("event %d: executed %v, replayed %v", i, executed, replayed)
 		}
 		if w, ok := want[int32(i)]; ok && executed != w {
@@ -56,7 +65,7 @@ func (qt *queueTimeline) check(t *testing.T, want map[int32]span) {
 }
 
 // TestTimelineOrdersQueueWork pins the ordering rules of the timeline step,
-// by execution and by Trace.Replay of the same trace: work on one queue runs
+// by execution and by a replay of the same trace: work on one queue runs
 // in order, and work starts no earlier than the host's current time.
 func TestTimelineOrdersQueueWork(t *testing.T) {
 	qt := newQueueTimeline(t)
@@ -71,7 +80,7 @@ func TestTimelineOrdersQueueWork(t *testing.T) {
 }
 
 // TestTimelineClampsNegativeQueueCost pins the clamp of the timeline step, by
-// execution and by Trace.Replay of the same trace: a negative cost is a
+// execution and by a replay of the same trace: a negative cost is a
 // zero-length span that leaves the queue's availability unchanged, and later
 // work still starts where the queue was free.
 func TestTimelineClampsNegativeQueueCost(t *testing.T) {
@@ -88,9 +97,9 @@ func TestTimelineClampsNegativeQueueCost(t *testing.T) {
 }
 
 // TestHostInternsCosts pins the cost table: a host that spends and occupies
-// with the same few costs many times stores each distinct cost once, and
-// Trace.Replay, which values each of them once, reproduces every span the
-// host stepped.
+// with the same few costs many times stores each distinct cost once, and a
+// replay, which values each of them once, reproduces every span the host
+// stepped.
 func TestHostInternsCosts(t *testing.T) {
 	qt := newQueueTimeline(t)
 	costs := []Cost{
@@ -118,5 +127,27 @@ func TestHostInternsCosts(t *testing.T) {
 			t.Fatalf("event %d refers to cost %v, want %v", i, tr.Costs[ev.Cost], want)
 		}
 	}
+	qt.check(t, nil)
+}
+
+// TestHostWaitOnUnrecordedEventPanics: a wait may name only an event already
+// recorded, or -1 for nothing. A replay steps each event after the ones
+// before it, so no later span exists to wait on.
+func TestHostWaitOnUnrecordedEventPanics(t *testing.T) {
+	for _, ref := range []int32{1, 2, -2} {
+		qt := newQueueTimeline(t)
+		qt.host.Mark()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Wait(%d) after one recorded event did not panic", ref)
+				}
+			}()
+			qt.host.Wait(ref)
+		}()
+	}
+	qt := newQueueTimeline(t)
+	qt.host.Wait(-1)
+	qt.host.Wait(0)
 	qt.check(t, nil)
 }

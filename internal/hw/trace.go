@@ -2,6 +2,8 @@ package hw
 
 import (
 	"fmt"
+	"strconv"
+	"sync"
 	"time"
 
 	"vcomputebench/internal/kernels"
@@ -11,13 +13,13 @@ import (
 // every host-clock advance and every unit of device work as a symbolic
 // TraceEvent whose duration is a *function of the driver profile*, not a
 // number, and steps the run's timeline over each event as it is recorded.
-// Replaying the trace under any DriverProfile steps a fresh timeline over the
-// same events with the same step function, so replay equals execution by
-// construction — without re-executing a single workgroup. The expensive part
-// of a measurement (functional kernel execution producing kernels.Counters) is
-// invariant under every timing knob, so a recorded trace turns a calibration
-// sweep of E candidate profiles from E executions into 1 execution + E
-// analytic replays.
+// Replaying the trace under any DriverProfile (Trace.ReplayReadings) steps a
+// pooled timeline over the same events with the same step function, so replay
+// equals execution by construction — without re-executing a single
+// workgroup. The expensive part of a measurement (functional kernel
+// execution producing kernels.Counters) is invariant under every timing knob,
+// so a recorded trace turns a calibration sweep of E candidate profiles from
+// E executions into 1 execution + E analytic replays.
 //
 // What is profile-dependent and what is not:
 //
@@ -234,8 +236,8 @@ type span struct{ start, end time.Duration }
 
 // timeline is the simulated time of one run: the host clock, each queue's
 // latest event, every event's span, and the trace's costs valued under the
-// run's driver. Execution (Host) and replay (Trace.Replay) advance it through
-// the same step function, so the timing rules are stated once.
+// run's driver. Execution (Host) and replay (Trace.ReplayReadings) advance it
+// through the same step function, so the timing rules are stated once.
 type timeline struct {
 	now   time.Duration
 	last  [maxQueueSlots]int32 // each queue's latest event, -1 while empty
@@ -243,13 +245,19 @@ type timeline struct {
 	costs []time.Duration // Trace.Costs valued, index for index
 }
 
-// newTimeline returns a timeline at time zero with n event spans.
-func newTimeline(n int) timeline {
-	tl := timeline{spans: make([]span, n)}
+// reset returns the timeline to time zero with n event spans and no valued
+// costs, reusing its slices. The spans keep whatever an earlier use left in
+// them until a step writes them.
+func (tl *timeline) reset(n int) {
+	tl.now = 0
 	for i := range tl.last {
 		tl.last[i] = -1
 	}
-	return tl
+	if cap(tl.spans) < n {
+		tl.spans = make([]span, n)
+	}
+	tl.spans = tl.spans[:n]
+	tl.costs = tl.costs[:0]
 }
 
 // availableAt reports when the queue drains: the end of its latest event, or
@@ -326,47 +334,53 @@ func (tl *timeline) value(r *Reading) time.Duration {
 	return 0
 }
 
-// Replayed is the outcome of replaying a trace under a profile: the replayed
-// timeline, exposed through the quantities readings need.
-type Replayed struct {
-	trace *Trace
-	tl    timeline
-}
+// timelines pools replay timelines, so that a replay reuses the spans and
+// valued costs of an earlier one instead of allocating its own.
+var timelines = sync.Pool{New: func() any { return new(timeline) }}
 
-// Replay recomputes the trace's timeline under the given profile, stepping a
-// fresh timeline over the recorded events exactly as the run's Host did. Each
-// distinct cost is valued once, not once per event. It is a pure function of
-// (trace, profile): no device or host state is touched, so it is safe to call
-// concurrently on a shared trace. The profile must be execution-compatible
-// with the one the trace was recorded under (same ExecutionFingerprint); only
-// timing fields — every DriverProfile knob and the device-side timing
-// parameters — may differ.
-func (t *Trace) Replay(p *Profile) (*Replayed, error) {
+// ReplayReadings recomputes the trace's timeline under the given profile and
+// values the readings it names: out[j] receives the replayed value of
+// reading idx[j], and out must hold at least len(idx) values. It steps a
+// pooled timeline over the recorded events exactly as the run's Host did,
+// valuing each distinct cost once, not once per event, and returns the
+// timeline to the pool before it returns. It is a pure function of (trace, profile): no
+// device or host state is touched, so it is safe to call concurrently on a
+// shared trace. The profile must be execution-compatible with the one the
+// trace was recorded under (same ExecutionFingerprint); only timing fields —
+// every DriverProfile knob and the device-side timing parameters — may
+// differ.
+//
+// A pooled timeline still holds an earlier replay's spans, so every step
+// must write an event's span before any step or reading reads it: a wait
+// refers to an earlier event (Host.Wait and DecodeTrace enforce it), a queue
+// to the latest event it ran, and readings are valued after the last step.
+func (t *Trace) ReplayReadings(p *Profile, out []time.Duration, idx ...int) error {
 	drv, ok := p.Driver(t.API)
 	if !ok {
-		return nil, fmt.Errorf("hw: replay of a %s trace on a profile without a %s driver", t.API, t.API)
+		return fmt.Errorf("hw: replay of a %s trace on a profile without a %s driver", t.API, t.API)
 	}
-	rp := &Replayed{trace: t, tl: newTimeline(len(t.Events))}
-	rp.tl.costs = make([]time.Duration, len(t.Costs))
+	for _, i := range idx {
+		if i < 0 || i >= len(t.Readings) {
+			return fmt.Errorf("hw: replay has no reading %d", i)
+		}
+		if k := t.Readings[i].Kind; k > ReadEndDiff {
+			return fmt.Errorf("hw: unknown reading kind %d", k)
+		}
+	}
+	out = out[:len(idx)]
+	tl := timelines.Get().(*timeline)
+	tl.reset(len(t.Events))
 	for i := range t.Costs {
-		rp.tl.costs[i] = t.Costs[i].Duration(&drv)
+		tl.costs = append(tl.costs, t.Costs[i].Duration(&drv))
 	}
 	for i := range t.Events {
-		rp.tl.step(t, int32(i), p, &drv)
+		tl.step(t, int32(i), p, &drv)
 	}
-	return rp, nil
-}
-
-// Reading returns the replayed value of the i-th trace reading.
-func (rp *Replayed) Reading(i int) (time.Duration, error) {
-	if i < 0 || i >= len(rp.trace.Readings) {
-		return 0, fmt.Errorf("hw: replay has no reading %d", i)
+	for j, i := range idx {
+		out[j] = tl.value(&t.Readings[i])
 	}
-	r := &rp.trace.Readings[i]
-	if r.Kind > ReadEndDiff {
-		return 0, fmt.Errorf("hw: unknown reading kind %d", r.Kind)
-	}
-	return rp.tl.value(r), nil
+	timelines.Put(tl)
+	return nil
 }
 
 // ExecutionFingerprint summarises every profile field that can change a run's
@@ -377,18 +391,37 @@ func (rp *Replayed) Reading(i int) (time.Duration, error) {
 // fingerprints may share recorded counter snapshots; the snapshot cache keys
 // on it so a calibration sweep's candidate profiles all hit the same entry.
 func (p *Profile) ExecutionFingerprint() string {
-	fp := fmt.Sprintf("class=%s;warp=%d;line=%d;devmem=%d;hostmem=%d;unified=%t;maxwg=%d",
-		p.Class, p.WarpSize, p.CacheLineBytes, p.DeviceMemBytes, p.HostVisibleMemBytes,
-		p.UnifiedMemory, p.MaxWorkgroupInvocations)
+	var buf [256]byte
+	b := append(buf[:0], "class="...)
+	b = append(b, p.Class...)
+	b = append(b, ";warp="...)
+	b = strconv.AppendInt(b, int64(p.WarpSize), 10)
+	b = append(b, ";line="...)
+	b = strconv.AppendInt(b, int64(p.CacheLineBytes), 10)
+	b = append(b, ";devmem="...)
+	b = strconv.AppendInt(b, p.DeviceMemBytes, 10)
+	b = append(b, ";hostmem="...)
+	b = strconv.AppendInt(b, p.HostVisibleMemBytes, 10)
+	b = append(b, ";unified="...)
+	b = strconv.AppendBool(b, p.UnifiedMemory)
+	b = append(b, ";maxwg="...)
+	b = strconv.AppendInt(b, int64(p.MaxWorkgroupInvocations), 10)
 	for _, api := range AllAPIs() {
+		// The API's display name (OpenCL), not its value (opencl): stored
+		// keys hold these bytes.
+		b = append(b, ';')
+		b = append(b, api.String()...)
 		drv, ok := p.Driver(api)
 		if !ok {
-			fp += fmt.Sprintf(";%s=off", api)
+			b = append(b, "=off"...)
 			continue
 		}
 		// PushConstantsAsBuffers selects which knob a recorded cost refers to;
 		// MaxPushConstantBytes gates validation branches. Both are structural.
-		fp += fmt.Sprintf(";%s=on,pcb=%t,maxpush=%d", api, drv.PushConstantsAsBuffers, drv.MaxPushConstantBytes)
+		b = append(b, "=on,pcb="...)
+		b = strconv.AppendBool(b, drv.PushConstantsAsBuffers)
+		b = append(b, ",maxpush="...)
+		b = strconv.AppendInt(b, int64(drv.MaxPushConstantBytes), 10)
 	}
-	return fp
+	return string(b)
 }

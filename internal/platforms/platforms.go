@@ -410,9 +410,25 @@ func PowerVRG6430() *Platform {
 	}
 }
 
+// constructors lists each platform's constructor under its identifier, in
+// paper order (desktop first, then mobile).
+var constructors = []struct {
+	id  string
+	new func() *Platform
+}{
+	{IDGTX1050Ti, GTX1050Ti},
+	{IDRX560, RX560},
+	{IDPowerVR, PowerVRG6430},
+	{IDAdreno506, Adreno506},
+}
+
 // All returns the four platforms in paper order (desktop first, then mobile).
 func All() []*Platform {
-	return []*Platform{GTX1050Ti(), RX560(), PowerVRG6430(), Adreno506()}
+	out := make([]*Platform, len(constructors))
+	for i, c := range constructors {
+		out[i] = c.new()
+	}
+	return out
 }
 
 // Desktop returns the two desktop platforms.
@@ -421,11 +437,14 @@ func Desktop() []*Platform { return []*Platform{GTX1050Ti(), RX560()} }
 // Mobile returns the two mobile platforms.
 func Mobile() []*Platform { return []*Platform{PowerVRG6430(), Adreno506()} }
 
-// ByID returns the platform with the given identifier.
+// ByID returns the platform with the given identifier. It constructs that
+// platform alone, and every constructor returns a fresh profile, driver map
+// and quirk slice, so the platform is private to the caller, which may set
+// its knobs without copying it first.
 func ByID(id string) (*Platform, error) {
-	for _, p := range All() {
-		if p.ID == id {
-			return p, nil
+	for _, c := range constructors {
+		if c.id == id {
+			return c.new(), nil
 		}
 	}
 	return nil, fmt.Errorf("platforms: unknown platform %q (known: %v)", id, IDs())
@@ -433,9 +452,9 @@ func ByID(id string) (*Platform, error) {
 
 // IDs returns the sorted identifiers of all platforms.
 func IDs() []string {
-	var ids []string
-	for _, p := range All() {
-		ids = append(ids, p.ID)
+	ids := make([]string, len(constructors))
+	for i, c := range constructors {
+		ids[i] = c.id
 	}
 	sort.Strings(ids)
 	return ids

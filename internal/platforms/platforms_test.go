@@ -1,6 +1,7 @@
 package platforms_test
 
 import (
+	"reflect"
 	"testing"
 
 	"vcomputebench/internal/expected"
@@ -96,5 +97,38 @@ func TestQuirksMatchExpectedExclusions(t *testing.T) {
 		if !match(q, want) {
 			t.Errorf("platform quirk %+v not pinned in expected.Exclusions", q)
 		}
+	}
+}
+
+// TestByIDBuildsAPrivatePlatform: ByID returns the platform its identifier
+// names, as All builds it, and two calls share no map or slice, so a caller
+// may set knobs on what it got without copying it first.
+func TestByIDBuildsAPrivatePlatform(t *testing.T) {
+	all := platforms.All()
+	if len(platforms.IDs()) != len(all) {
+		t.Fatalf("%d identifiers for %d platforms", len(platforms.IDs()), len(all))
+	}
+	for _, want := range all {
+		p, err := platforms.ByID(want.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p, want) {
+			t.Fatalf("ByID(%q) differs from the platform All builds", want.ID)
+		}
+		drv := p.Profile.Drivers[hw.APIVulkan]
+		drv.SyncLatency++
+		p.Profile.Drivers[hw.APIVulkan] = drv
+		p.Quirks = append(p.Quirks[:0], platforms.Quirk{Benchmark: "changed"})
+		again, err := platforms.ByID(want.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, want) {
+			t.Fatalf("changing one ByID(%q) result changed the next", want.ID)
+		}
+	}
+	if _, err := platforms.ByID("gtx1050"); err == nil {
+		t.Fatal("ByID of an unknown identifier succeeded")
 	}
 }

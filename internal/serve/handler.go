@@ -112,15 +112,13 @@ func (s *Server) simulate(r *http.Request) *response {
 			Class: "draining", Message: "server is draining; retry elsewhere",
 		}).withRetryAfter()
 	}
-	var req SimulateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, DefaultMaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(r.Body)
+	if err != nil {
 		return s.errorResponse(http.StatusBadRequest, &report.WireError{
 			Class: "bad-request", Message: fmt.Sprintf("decoding request: %v", err),
 		})
 	}
-	cell, err := resolve(&req)
+	cell, err := resolve(req)
 	if err != nil {
 		return s.errorResponse(http.StatusBadRequest, &report.WireError{
 			Class: "bad-request", Message: err.Error(),

@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -40,9 +44,9 @@ func badRequest(format string, args ...any) error {
 	return &requestError{msg: fmt.Sprintf(format, args...)}
 }
 
-// simCell is a resolved simulate request: the (possibly knob-overridden,
-// always cloned) platform, the registry benchmark, and the canonical flight
-// key identical requests collapse under.
+// simCell is a resolved simulate request: the platform, private to the
+// request and possibly knob-overridden, the registry benchmark, and the
+// canonical flight key identical requests collapse under.
 type simCell struct {
 	p        *platforms.Platform
 	bench    core.Benchmark
@@ -90,22 +94,22 @@ func KnobNames() []string {
 	return names
 }
 
-// clonePlatform deep-copies a platform so knob overrides never mutate the
-// canonical table (same contract as calibrate.ClonePlatform, local to avoid
-// the dependency).
-func clonePlatform(p *platforms.Platform) *platforms.Platform {
-	cp := *p
-	cp.Profile.Drivers = make(map[hw.API]hw.DriverProfile, len(p.Profile.Drivers))
-	for api, drv := range p.Profile.Drivers {
-		cp.Profile.Drivers[api] = drv
+// decodeRequest reads one simulate request body: a single JSON object of at
+// most DefaultMaxBodyBytes, with no field SimulateRequest lacks.
+func decodeRequest(body io.ReadCloser) (*SimulateRequest, error) {
+	var req SimulateRequest
+	dec := json.NewDecoder(http.MaxBytesReader(nil, body, DefaultMaxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, err
 	}
-	cp.Quirks = append([]platforms.Quirk(nil), p.Quirks...)
-	return &cp
+	return &req, nil
 }
 
 // resolve validates the request against the registries and builds the cell:
-// platform (cloned, knobs applied, driver re-validated), benchmark, API,
-// workload, and the canonical key.
+// platform (knobs applied, driver re-validated), benchmark, API, workload,
+// and the canonical key. platforms.ByID builds a platform private to this
+// request, so the knobs are set on it in place.
 func resolve(req *SimulateRequest) (*simCell, error) {
 	p, err := platforms.ByID(req.Platform)
 	if err != nil {
@@ -150,8 +154,7 @@ func resolve(req *SimulateRequest) (*simCell, error) {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		clone := clonePlatform(p)
-		drv, ok := clone.Profile.Drivers[api]
+		drv, ok := p.Profile.Drivers[api]
 		if !ok {
 			return nil, badRequest("platform %s has no %s driver to override", p.ID, api)
 		}
@@ -161,8 +164,11 @@ func resolve(req *SimulateRequest) (*simCell, error) {
 				return nil, badRequest("unknown driver knob %q (have %s)", name, strings.Join(KnobNames(), ", "))
 			}
 			v := req.DriverKnobs[name]
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return nil, badRequest("driver knob %q: value %v must be finite and non-negative", name, v)
+			// A duration knob converts to an int64 of nanoseconds; Go leaves
+			// the conversion of a value beyond it undefined (amd64 gives a
+			// negative duration).
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v >= math.MaxInt64 {
+				return nil, badRequest("driver knob %q: value %v must be finite, non-negative and below 2^63", name, v)
 			}
 			set(&drv, v)
 			cell.knobs = append(cell.knobs, knob{name: name, value: v})
@@ -170,8 +176,7 @@ func resolve(req *SimulateRequest) (*simCell, error) {
 		if err := drv.Validate(); err != nil {
 			return nil, badRequest("driver knobs leave an invalid %s driver: %v", api, err)
 		}
-		clone.Profile.Drivers[api] = drv
-		cell.p = clone
+		p.Profile.Drivers[api] = drv
 	}
 	cell.key = cell.canonicalKey()
 	return cell, nil
@@ -179,12 +184,20 @@ func resolve(req *SimulateRequest) (*simCell, error) {
 
 // canonicalKey is the flight identity of the cell: everything that can change
 // the response bytes. Knobs are folded in sorted, so two requests spelling
-// the same overrides in different JSON orders collapse onto one flight.
+// the same overrides in different JSON orders collapse onto one flight. The
+// key lives in memory only, so only its uniqueness matters; a value is
+// spelled in its shortest form, as %g spells it.
 func (c *simCell) canonicalKey() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|%s|%s", c.p.ID, c.bench.Name(), c.api, c.workload.Label)
-	for _, kn := range c.knobs {
-		fmt.Fprintf(&b, "|%s=%g", kn.name, kn.value)
+	b := make([]byte, 0, 128)
+	for _, s := range [...]string{c.p.ID, c.bench.Name(), string(c.api), c.workload.Label} {
+		b = append(b, s...)
+		b = append(b, '|')
 	}
-	return b.String()
+	for _, kn := range c.knobs {
+		b = append(b, kn.name...)
+		b = append(b, '=')
+		b = strconv.AppendFloat(b, kn.value, 'g', -1, 64)
+		b = append(b, '|')
+	}
+	return string(b)
 }

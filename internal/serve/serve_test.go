@@ -233,6 +233,7 @@ func TestServeBadRequests(t *testing.T) {
 		{"unknown workload", http.MethodPost, `{"platform":"gtx1050ti","benchmark":"vectoradd","api":"vulkan","workload":"galactic"}`, http.StatusBadRequest},
 		{"unknown knob", http.MethodPost, simulateBody(`,"driver_knobs":{"warp_size":64}`), http.StatusBadRequest},
 		{"negative knob", http.MethodPost, simulateBody(`,"driver_knobs":{"sync_latency_ns":-1}`), http.StatusBadRequest},
+		{"knob beyond a duration", http.MethodPost, simulateBody(`,"driver_knobs":{"sync_latency_ns":1e19}`), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,19 +1,23 @@
 package vcomputebench_test
 
 import (
+	"fmt"
 	"testing"
 
 	"vcomputebench/internal/codeversion"
 	"vcomputebench/internal/core"
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/platforms"
+	"vcomputebench/internal/report"
 )
 
 // Per-layer benchmarks of the warm replay path, tracked in BENCH_replay.json
-// (`make bench-replay`). A warm run answers each cell with a disk-store read
-// (file read, CRC, snapshot and trace decode) followed by an analytic replay;
+// (`make bench-replay`). A warm run answers each cell with a store read (from
+// memory, or from disk: file read, CRC, snapshot and trace decode) followed
+// by an analytic replay, and serve encodes the replayed Result as its answer;
 // these benchmarks time the layers one by one on two real recorded cells, so
-// a change to the trace layout or the codec shows in the layer it touches.
+// a change to the trace layout, the codec, the replay or the encoding shows
+// in the layer it touches.
 //
 // The cells are gaussian 448 through OpenCL, the largest entry a cold
 // `-run all -reps 1` stores, and backprop 64K through Vulkan, a median-sized
@@ -87,12 +91,16 @@ func recordReplayBenchCells(b *testing.B, p *platforms.Platform) (*core.DiskStor
 var (
 	replayBenchSnap   *core.Snapshot
 	replayBenchResult *core.Result
+	replayBenchBody   []byte
 )
 
-// BenchmarkReplayPath times the three layers of a warm cell: DiskStoreGet is
-// the whole disk-tier read (file, envelope CRC, decode), DecodeSnapshot the
-// snapshot and trace decode alone, and SnapshotReplay the analytic replay of
-// a decoded snapshot under the recording platform.
+// BenchmarkReplayPath times the layers of a warm cell: DiskStoreGet is the
+// whole disk-tier read (file, envelope CRC, decode), MemoryStoreGet a hit in
+// the in-memory tier, DecodeSnapshot the snapshot and trace decode alone,
+// TraceReplay the hw replay of the trace alone (every event stepped, no
+// reading valued, no Result built), SnapshotReplay the analytic replay of a
+// decoded snapshot under the recording platform into a Result, and
+// EncodeWire the encoding of that Result as serve's one-result answer.
 func BenchmarkReplayPath(b *testing.B) {
 	p, err := platforms.ByID(platforms.IDGTX1050Ti)
 	if err != nil {
@@ -111,6 +119,17 @@ func BenchmarkReplayPath(b *testing.B) {
 				replayBenchSnap = snap
 			}
 		})
+		b.Run(c.name+"/MemoryStoreGet", func(b *testing.B) {
+			mem := core.NewSnapshotCache(0)
+			mem.Put(c.key, c.snap)
+			for i := 0; i < b.N; i++ {
+				snap, ok := mem.Get(c.key)
+				if !ok {
+					b.Fatal("memory store missed a stored cell")
+				}
+				replayBenchSnap = snap
+			}
+		})
 		b.Run(c.name+"/DecodeSnapshot", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				snap, err := core.DecodeSnapshot(c.blob, nil)
@@ -120,6 +139,14 @@ func BenchmarkReplayPath(b *testing.B) {
 				replayBenchSnap = snap
 			}
 		})
+		b.Run(c.name+"/TraceReplay", func(b *testing.B) {
+			tr := c.snap.Trace()
+			for i := 0; i < b.N; i++ {
+				if err := tr.ReplayReadings(&p.Profile, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 		b.Run(c.name+"/SnapshotReplay", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := c.snap.Replay(p)
@@ -127,6 +154,24 @@ func BenchmarkReplayPath(b *testing.B) {
 					b.Fatal(err)
 				}
 				replayBenchResult = res
+			}
+		})
+		b.Run(c.name+"/EncodeWire", func(b *testing.B) {
+			res, err := c.snap.Replay(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			doc := &report.Document{
+				ID:      "simulate",
+				Title:   fmt.Sprintf("%s/%s on %s (%s)", c.benchmark, c.api, p.ID, c.workload),
+				Results: []*core.Result{res},
+			}
+			for i := 0; i < b.N; i++ {
+				body, err := report.EncodeWire([]*report.Document{doc}, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				replayBenchBody = body
 			}
 		})
 	}
